@@ -99,32 +99,6 @@ class Tensor:
             flags.append(self.op)
         return f"Tensor(shape={self.shape}{', ' + ','.join(flags) if flags else ''})"
 
-    # Operator sugar; floats are lifted to constants.
-    def __add__(self, other):
-        return add(self, _lift(other, self)) if not isinstance(other, Tensor) else add(self, other)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else _lift(other, self)
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(value, like: Tensor) -> Tensor:
-    return Tensor(np.full_like(like.data, float(value)))
-
 
 def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
@@ -137,41 +111,27 @@ def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     return out
 
 
-class Tape:
-    """Topologically ordered record of one backward region.
-
-    ``nodes`` lists every tensor reachable from the root through parent
-    links, parents strictly before children. ``retained`` holds the
-    node ids whose value and gradient must both survive the sweep.
-    """
-
-    def __init__(self, nodes: list[Tensor], retained: set[int]):
-        self.nodes = nodes
-        self.retained = retained
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Tape":
-        nodes: list[Tensor] = []
-        retained: set[int] = set()
-        seen: set[int] = set()
-        # Iterative post-order: parents are appended before the tensors
-        # that consume them.
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if t.node_id in seen:
-                continue
-            if expanded:
-                seen.add(t.node_id)
-                nodes.append(t)
-                if t._retained:
-                    retained.add(t.node_id)
-                continue
-            stack.append((t, True))
-            for p in t._parents:
-                if p.node_id not in seen:
-                    stack.append((p, False))
-        return cls(nodes, retained)
+def _topo_order(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root`` through parent links, parents
+    strictly before children."""
+    nodes: list[Tensor] = []
+    seen: set[int] = set()
+    # Iterative post-order: parents are appended before the tensors
+    # that consume them.
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if t.node_id in seen:
+            continue
+        if expanded:
+            seen.add(t.node_id)
+            nodes.append(t)
+            continue
+        stack.append((t, True))
+        for p in t._parents:
+            if p.node_id not in seen:
+                stack.append((p, False))
+    return nodes
 
 
 def backward(loss: Tensor) -> None:
@@ -184,9 +144,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tape = Tape.from_root(loss)
     flowing: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for t in reversed(tape.nodes):
+    for t in reversed(_topo_order(loss)):
         g = flowing.pop(t.node_id, None)
         if g is None:
             continue
@@ -526,8 +485,7 @@ def first_nonfinite(root: Tensor) -> Tensor | None:
     Used to blame the origin of a NaN/Inf loss; returns None when the
     whole region is finite.
     """
-    tape = Tape.from_root(root)
-    for t in tape.nodes:
+    for t in _topo_order(root):
         if not np.isfinite(t.data).all():
             return t
     return None

@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 
 MAGIC = b"MLRMCKPT"
 VERSION = 1
@@ -86,7 +86,7 @@ def save_checkpoint(path, params, moments: dict | None,
         fh.write(json.dumps(trailer, separators=(",", ":")).encode("utf-8"))
 
 
-def load_checkpoint(path, expect_model: dict | None = None):
+def load_checkpoint(path):
     """Returns (arrays, moments, step, configs, vocab_tokens).
 
     ``arrays`` maps parameter name to ndarray; turning them back into
@@ -114,8 +114,6 @@ def load_checkpoint(path, expect_model: dict | None = None):
     for key in ("model", "step", "vocab"):
         if key not in trailer:
             raise FormatError(f"{path}: config trailer missing {key!r}")
-    if expect_model is not None and trailer["model"] != expect_model:
-        raise ConfigError(f"{path}: checkpoint was trained with a different model config")
 
     moments = None
     first = {k[len(_M_PREFIX):]: a for k, a in arrays.items() if k.startswith(_M_PREFIX)}

@@ -25,8 +25,9 @@ Variants wire the same blocks differently:
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,7 +181,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
 
 
 def trainable_names(params: dict[str, Tensor]) -> list[str]:
-    return [name for name, t in params.items() if t.requires_grad]
+    return sorted(name for name, t in params.items() if t.requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -380,32 +381,22 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor,
 
 
 def gate_fuse(v: Tensor, n: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """z = sigmoid(W [v; n] + b); return z * v + (1 - z) * n.
-
-    Accepts single vectors [h] or row batches [B, h].
-    """
-    if v.shape != n.shape:
-        raise ShapeError(f"gate_fuse: shapes {v.shape} and {n.shape} differ")
-    single = v.ndim == 1
-    h = v.shape[-1]
+    """z = sigmoid(W [v; n] + b); return z * v + (1 - z) * n over rows [B, h]."""
+    if v.shape != n.shape or v.ndim != 2:
+        raise ShapeError(f"gate_fuse: need equal [B, h] shapes, got {v.shape} and {n.shape}")
+    h = v.shape[1]
     if w.shape != (h, 2 * h) or b.shape != (h,):
         raise ShapeError(f"gate_fuse: weights {w.shape}/{b.shape} do not fit dim {h}")
-    vv = ad.reshape(v, (1, h)) if single else v
-    nn = ad.reshape(n, (1, h)) if single else n
-    x = ad.concat([vv, nn], axis=1)
+    x = ad.concat([v, n], axis=1)
     z = ad.sigmoid(ad.add(ad.matmul(x, ad.transpose(w)), b))
     one_minus = ad.addc(ad.scale(z, -1.0), 1.0)
-    fused = ad.add(ad.mul(z, vv), ad.mul(one_minus, nn))
-    return ad.reshape(fused, (h,)) if single else fused
+    return ad.add(ad.mul(z, v), ad.mul(one_minus, n))
 
 
 def project(params: dict, x: Tensor) -> Tensor:
-    """Shared linear projector to the output dimension (no bias, so it
-    is exactly linear)."""
-    single = x.ndim == 1
-    xx = ad.reshape(x, (1, x.shape[0])) if single else x
-    out = ad.matmul(xx, params["project.w"])
-    return ad.reshape(out, (out.shape[1],)) if single else out
+    """Shared linear projector [B, h] -> [B, out_dim] (no bias, so it is
+    exactly linear)."""
+    return ad.matmul(x, params["project.w"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +423,26 @@ class BatchRepresentations:
         return len(self.infos)
 
 
-@dataclass
-class Representations:
-    """Single-note view of a forward pass (vectors, not rows)."""
-
-    mode: str
-    modality: str
-    info: AssembledInfo
-    visual_summary: Tensor
-    raw_visual: Tensor | None
-    raw_multimodal: Tensor
-    fused_visual: Tensor | None
-    fused_multimodal: Tensor | None
-    out_visual: Tensor | None
-    out_multimodal: Tensor
-    attentions: list[Tensor] | None = field(default=None, repr=False)
-
-
 def _row(batch: Tensor, index: int, pos: int, dim: int) -> Tensor:
     return ad.reshape(ad.narrow(ad.narrow(batch, 0, index, 1), 1, pos, 1), (dim,))
 
 
+def _vision_fingerprint(params: dict) -> bytes:
+    """Digest of the vision.* weights; image-cache keys carry it so models
+    with different frozen encoders can share one cache."""
+    digest = hashlib.sha1()
+    for name in sorted(params):
+        if name.startswith("vision."):
+            data = params[name].data
+            digest.update(f"{name}{data.shape}".encode())
+            digest.update(np.ascontiguousarray(data))
+    return digest.digest()
+
+
 def _vision_features(params, cfg, notes, text_only, image_cache):
     """Encode images (or the fixed zero image for text-only ablations),
-    reusing cached rows when the encoder is frozen."""
+    reusing cached rows when the encoder is frozen. Cache keys are
+    (vision fingerprint, note id)."""
     if text_only:
         images = np.zeros((len(notes), cfg.patches, cfg.patch_dim))
         keys = [NULL_IMAGE_KEY] * len(notes)
@@ -469,6 +456,8 @@ def _vision_features(params, cfg, notes, text_only, image_cache):
     cache = image_cache if (image_cache is not None and cfg.freeze_vision) else None
     if cache is None:
         return encode_images(params, cfg, images)
+    weights = _vision_fingerprint(params)
+    keys = [(weights, k) for k in keys]
     missing = sorted({k for k in keys if k not in cache})
     if missing:
         index = {k: i for i, k in enumerate(keys)}
@@ -566,38 +555,3 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         out_visual=out_v, out_multimodal=out_m,
         attentions=attentions if retain_attention else None,
     )
-
-
-def _single(batch: BatchRepresentations, cfg: ModelConfig) -> Representations:
-    def vec(t: Tensor | None, dim: int) -> Tensor | None:
-        if t is None:
-            return None
-        return ad.reshape(t, (dim,))
-    return Representations(
-        mode=batch.mode, modality=batch.modality, info=batch.infos[0],
-        visual_summary=vec(batch.visual_summary, cfg.hidden_text),
-        raw_visual=vec(batch.raw_visual, cfg.hidden_text),
-        raw_multimodal=vec(batch.raw_multimodal, cfg.hidden_text),
-        fused_visual=vec(batch.fused_visual, cfg.hidden_text),
-        fused_multimodal=vec(batch.fused_multimodal, cfg.hidden_text),
-        out_visual=vec(batch.out_visual, cfg.out_dim),
-        out_multimodal=vec(batch.out_multimodal, cfg.out_dim),
-        attentions=batch.attentions,
-    )
-
-
-def embed_note(params: dict, cfg: ModelConfig, vocab: Vocab, note: Note,
-               mode: str | None = None, modality: str = "multimodal",
-               retain_attention: bool = False,
-               image_cache: dict | None = None) -> Representations:
-    batch = embed_notes(params, cfg, vocab, [note], mode=mode, modality=modality,
-                        retain_attention=retain_attention, image_cache=image_cache)
-    return _single(batch, cfg)
-
-
-def embed_layout(params: dict, cfg: ModelConfig, layout: PromptLayout, note: Note,
-                 mode: str, modality: str = "multimodal",
-                 retain_attention: bool = False) -> Representations:
-    batch = embed_layouts(params, cfg, [layout], [note], mode, modality,
-                          retain_attention=retain_attention)
-    return _single(batch, cfg)

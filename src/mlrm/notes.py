@@ -78,4 +78,6 @@ def load_notes(path) -> list[Note]:
     ids = [n.id for n in notes]
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate note ids")
+    if ids and min(ids) < 0:
+        raise DataError(f"{path}: negative note id {min(ids)}")
     return notes

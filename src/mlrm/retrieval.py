@@ -44,6 +44,8 @@ class EmbeddingTable:
                             f"{self.vectors.shape} vectors")
         if len(np.unique(self.ids)) != len(self.ids):
             raise DataError("embedding table has duplicate note ids")
+        if self.ids.size and self.ids.min() < 0:
+            raise DataError(f"embedding table has a negative note id {self.ids.min()}")
         self._row = {int(i): r for r, i in enumerate(self.ids)}
 
     @property
@@ -102,13 +104,20 @@ def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
                           vectors=unit, provenance=prov)
 
 
+def _row_dtype(dim: int) -> np.dtype:
+    """One on-disk row: the note id as <u8, then the vector as <f4 * dim."""
+    return np.dtype([("id", "<u8"), ("vector", "<f4", (dim,))])
+
+
 def save_table(path, table: EmbeddingTable) -> None:
+    # EmbeddingTable has rejected negative ids, so the <u8 cast cannot wrap
+    rows = np.empty(len(table), dtype=_row_dtype(table.dim))
+    rows["id"] = table.ids
+    rows["vector"] = table.vectors
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", len(table), table.dim))
-        for row in range(len(table)):
-            fh.write(struct.pack("<Q", int(table.ids[row])))
-            fh.write(np.ascontiguousarray(table.vectors[row], dtype="<f4").tobytes())
+        fh.write(rows.tobytes())
 
 
 def load_table(path, provenance: dict | None = None) -> EmbeddingTable:
@@ -119,17 +128,16 @@ def load_table(path, provenance: dict | None = None) -> EmbeddingTable:
         if len(header) != 8:
             raise FormatError(f"{path}: truncated header")
         count, dim = struct.unpack("<II", header)
-        row_bytes = 8 + 4 * dim
-        blob = fh.read(count * row_bytes)
-        if len(blob) != count * row_bytes:
+        row = _row_dtype(dim)
+        blob = fh.read(count * row.itemsize)
+        if len(blob) != count * row.itemsize:
             raise FormatError(f"{path}: truncated table body")
-    ids = np.empty(count, dtype=np.int64)
-    vectors = np.empty((count, dim), dtype=np.float32)
-    for row in range(count):
-        base = row * row_bytes
-        (ids[row],) = struct.unpack_from("<Q", blob, base)
-        vectors[row] = np.frombuffer(blob, dtype="<f4", count=dim, offset=base + 8)
-    return EmbeddingTable(ids=ids, vectors=vectors, provenance=provenance or {})
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the table body")
+    rows = np.frombuffer(blob, dtype=row)
+    return EmbeddingTable(ids=rows["id"].astype(np.int64),
+                          vectors=rows["vector"].astype(np.float32),
+                          provenance=provenance or {})
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +180,6 @@ def target_rank(table: EmbeddingTable, query_id: int, target_id: int) -> int:
     better[t_row] = False
     better[table._row[int(query_id)]] = False
     return int(np.count_nonzero(better)) + 1
-
-
-def recall_at_k(table: EmbeddingTable, pairs: list[Pair], k: int) -> float:
-    """Fraction of pairs whose target ranks within the top k."""
-    if not pairs:
-        raise DataError("recall over an empty pair list is undefined")
-    hits = sum(1 for p in pairs if target_rank(table, p.query, p.related) <= k)
-    return hits / len(pairs)
 
 
 def random_baseline(k: int, pool_size: int) -> float:

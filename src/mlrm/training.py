@@ -46,6 +46,7 @@ from .model import (
     ModelConfig,
     embed_notes,
     init_params,
+    trainable_names,
 )
 from .notes import Note
 from .prompting import Vocab
@@ -110,14 +111,6 @@ class OptimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "OptimConfig":
         return cls(**d)
-
-
-# Reference profiles: "desk" is sized for CPU runs, "production" records the
-# original full-scale fine-tuning recipe and is not expected to run here.
-PROFILES = {
-    "desk": {"peak_lr": 3e-4, "steps": 500, "batch_pairs": 16},
-    "production": {"peak_lr": 3e-6, "steps": 7956, "batch_pairs": 128},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +252,6 @@ def lr_at(step: int, optim: OptimConfig) -> float:
     if warm > 0 and step <= warm:
         return optim.peak_lr * step / warm
     return optim.peak_lr * (optim.steps - step) / (optim.steps - warm)
-
-
-def trainable_names(params: dict[str, Tensor]) -> list[str]:
-    return sorted(name for name, p in params.items() if p.requires_grad)
 
 
 def grad_norm(params: dict[str, Tensor]) -> float:

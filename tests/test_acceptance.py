@@ -26,7 +26,7 @@ from mlrm.data import (
     generate_synthetic,
 )
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
-from mlrm.model import ModelConfig, assemble_one, embed_layout, embed_note, gate_fuse
+from mlrm.model import ModelConfig, assemble_one, embed_layouts, embed_notes, gate_fuse
 from mlrm.prompting import IMG_ID, build_micl_prompt
 from mlrm.retrieval import (
     EmbeddingTable,
@@ -34,9 +34,9 @@ from mlrm.retrieval import (
     evaluate,
     load_table,
     random_baseline,
-    recall_at_k,
     save_table,
     select_pool,
+    target_rank,
     topk,
 )
 from mlrm.saliency import position_sets, saliency_matrices
@@ -264,7 +264,7 @@ def test_criterion_02_causal_isolation():
     clean = True
     for note in notes:
         layout = build_micl_prompt(note, vocab)
-        base = embed_layout(state.params, cfg, layout, note, "micl")
+        base = embed_layouts(state.params, cfg, [layout], [note], "micl")
         base_nv = base.raw_visual.data.copy()
         tail = list(range(layout.img_emb_pos, layout.length))
         if len(tail) > 6:
@@ -277,7 +277,7 @@ def test_criterion_02_causal_isolation():
                 swap = (swap + 1) % len(vocab)
             ids[pos] = swap
             mutated = type(layout)(tuple(ids), layout.img_slot, layout.img_emb_pos)
-            rep = embed_layout(state.params, cfg, mutated, note, "micl")
+            rep = embed_layouts(state.params, cfg, [mutated], [note], "micl")
             if not np.array_equal(rep.raw_visual.data, base_nv):
                 clean = False
             checked += 1
@@ -507,7 +507,12 @@ def test_criterion_07_retrieval_exactness():
     pairs_idx = pairs_idx[pairs_idx[:, 0] != pairs_idx[:, 1]]
     pairs = [Pair(query=int(ids[a]), related=int(ids[b]), score=1.0)
              for a, b in pairs_idx]
-    recalls = [recall_at_k(table, pairs, k) for k in (1, 5, 10, 50, 100, 499)]
+    ranks = [target_rank(table, p.query, p.related) for p in pairs]
+
+    def recall(k):
+        return sum(1 for r in ranks if r <= k) / len(ranks)
+
+    recalls = [recall(k) for k in (1, 5, 10, 50, 100, 499)]
     monotone = all(x <= y for x, y in zip(recalls, recalls[1:]))
     full_ok = recalls[-1] == 1.0
 
@@ -516,7 +521,7 @@ def test_criterion_07_retrieval_exactness():
     for k in (10, 50):
         expected = random_baseline(k, pool)
         sigma = math.sqrt(expected * (1 - expected) / len(pairs))
-        if abs(recall_at_k(table, pairs, k) - expected) > 3 * sigma:
+        if abs(recall(k) - expected) > 3 * sigma:
             chance_ok = False
 
     ok = exact and monotone and full_ok and chance_ok
@@ -560,9 +565,9 @@ def test_criterion_08_saliency_correctness(small_world):
     # mICL folds the carrier of the visual compressed word into the
     # visual set: exactly one extra column vs the plain spliced prompt
     note = batch[0]
-    basic_rep = embed_note(state.params, cfg, vocab, note, mode="basic")
+    basic_rep = embed_notes(state.params, cfg, vocab, [note], mode="basic")
     micl_sets = position_sets(reps.infos[0], "micl")
-    basic_sets = position_sets(basic_rep.info, "basic")
+    basic_sets = position_sets(basic_rep.infos[0], "basic")
     fold_ok = len(micl_sets[0]) == len(basic_sets[0]) + 1 == cfg.visual_tokens + 1
 
     ok = worst <= 1e-12 and partition_ok and fold_ok
@@ -604,8 +609,10 @@ def test_criterion_09_desk_scale_training():
                               pool_notes, modality="image_only", image_cache=cache)
 
     chance = random_baseline(10, 500)  # 10/499
-    r_multi = recall_at_k(nm_multi, pool_pairs, 10)
-    r_image = recall_at_k(nm_image, pool_pairs, 10)
+    gates = evaluate({"multimodal": nm_multi, "image_only": nm_image}, pool_pairs,
+                     by_id, [10])["sources"]
+    r_multi = gates["multimodal"]["slices"]["all"]["recall"][10]
+    r_image = gates["image_only"]["slices"]["all"]["recall"][10]
     hard_a = r_multi >= 5 * chance
     hard_b = r_image >= 2 * chance
 

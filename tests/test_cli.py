@@ -317,6 +317,19 @@ def test_query_k_exceeding_pool_is_config_error(exported, capsys):
     capsys.readouterr()
 
 
+def test_export_negative_note_id_is_data_error(tmp_path, dataset, trained, capsys):
+    notes = tmp_path / "notes.jsonl"
+    rows = (dataset / "notes.jsonl").read_text().splitlines()
+    first = json.loads(rows[0])
+    first["id"] = -1
+    notes.write_text("\n".join([json.dumps(first)] + rows[1:]) + "\n")
+    code = main(["export-embeddings", "--checkpoint", str(trained),
+                 "--notes", str(notes), "--out", str(tmp_path / "t.mlrm")])
+    assert code == 3
+    assert "negative note id" in capsys.readouterr().err
+    assert not (tmp_path / "t.mlrm").exists()
+
+
 def test_export_bad_modality(tmp_path, dataset, trained, capsys):
     code = main(["export-embeddings", "--checkpoint", str(trained),
                  "--notes", str(dataset / "notes.jsonl"),

@@ -81,9 +81,9 @@ def test_splice_length_law(setup):
 def test_no_splice_keeps_token_count(setup):
     cfg, params, vocab, notes = setup
     note = notes[0]
-    rep = mm.embed_note(params, cfg, vocab, note, mode="only_late_fusion")
-    assert rep.info.length == build_basic_prompt(note, vocab).length
-    assert not rep.info.spliced
+    info = mm.embed_notes(params, cfg, vocab, [note], mode="only_late_fusion").infos[0]
+    assert info.length == build_basic_prompt(note, vocab).length
+    assert not info.spliced
 
 
 def test_causal_isolation_bitwise(setup):
@@ -91,7 +91,7 @@ def test_causal_isolation_bitwise(setup):
     note = notes[0]
     layout = build_micl_prompt(note, vocab)
     rng = np.random.default_rng(5)
-    base = mm.embed_layout(params, cfg, layout, note, mode="micl")
+    base = mm.embed_layouts(params, cfg, [layout], [note], mode="micl")
     for _ in range(8):
         # any position from the in-context compressed word onwards,
         # including the compressed-word token itself
@@ -102,7 +102,7 @@ def test_causal_isolation_bitwise(setup):
             replacement = int(rng.integers(6, cfg.vocab_size))
         ids[pos] = replacement
         perturbed_layout = type(layout)(tuple(ids), layout.img_slot, layout.img_emb_pos)
-        perturbed = mm.embed_layout(params, cfg, perturbed_layout, note, mode="micl")
+        perturbed = mm.embed_layouts(params, cfg, [perturbed_layout], [note], mode="micl")
         assert np.array_equal(base.raw_visual.data, perturbed.raw_visual.data)
         if pos < layout.length - 1:
             assert not np.array_equal(base.raw_multimodal.data,
@@ -146,8 +146,8 @@ def test_gate_properties(setup):
 
 def test_gate_saturation():
     h = 4
-    v = ad.Tensor(np.full(h, 2.0))
-    n = ad.Tensor(np.full(h, -3.0))
+    v = ad.Tensor(np.full((1, h), 2.0))
+    n = ad.Tensor(np.full((1, h), -3.0))
     w = ad.Tensor(np.zeros((h, 2 * h)))
     huge = ad.Tensor(np.full(h, 1e3))
     assert np.allclose(mm.gate_fuse(v, n, w, huge).data, v.data)
@@ -158,8 +158,8 @@ def test_gate_saturation():
 def test_project_linearity(setup):
     cfg, params, vocab, _ = setup
     rng = np.random.default_rng(2)
-    a = ad.Tensor(rng.normal(size=cfg.hidden_text))
-    b = ad.Tensor(rng.normal(size=cfg.hidden_text))
+    a = ad.Tensor(rng.normal(size=(1, cfg.hidden_text)))
+    b = ad.Tensor(rng.normal(size=(1, cfg.hidden_text)))
     lhs = mm.project(params, ad.add(ad.scale(a, 2.5), ad.scale(b, -0.5))).data
     rhs = 2.5 * mm.project(params, a).data - 0.5 * mm.project(params, b).data
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
@@ -177,28 +177,28 @@ def test_modes_populate_expected_fields(setup):
         "omni": (True, False, False),
     }
     for mode, (has_nv, has_fv, has_fm) in expect.items():
-        rep = mm.embed_note(params, cfg, vocab, note, mode=mode)
+        rep = mm.embed_notes(params, cfg, vocab, [note], mode=mode)
         assert (rep.raw_visual is not None) == has_nv, mode
         assert (rep.fused_visual is not None) == has_fv, mode
         assert (rep.fused_multimodal is not None) == has_fm, mode
-        assert rep.out_multimodal.shape == (cfg.out_dim,)
+        assert rep.out_multimodal.shape == (1, cfg.out_dim)
         micl_modes = {"micl", "notellm2", "omni"}
-        assert (rep.info.layout.img_emb_pos is not None) == (mode in micl_modes)
+        assert (rep.infos[0].layout.img_emb_pos is not None) == (mode in micl_modes)
 
 
 def test_modality_ablations(setup):
     cfg, params, vocab, notes = setup
     note = notes[2]
-    full = mm.embed_note(params, cfg, vocab, note, mode="notellm2")
-    img_only = mm.embed_note(params, cfg, vocab, note, modality="image_only", mode="notellm2")
-    txt_only = mm.embed_note(params, cfg, vocab, note, modality="text_only", mode="notellm2")
+    full = mm.embed_notes(params, cfg, vocab, [note], mode="notellm2")
+    img_only = mm.embed_notes(params, cfg, vocab, [note], modality="image_only", mode="notellm2")
+    txt_only = mm.embed_notes(params, cfg, vocab, [note], modality="text_only", mode="notellm2")
     # image-only drops the text, so the prompt is shorter
-    assert img_only.info.length < full.info.length
+    assert img_only.infos[0].length < full.infos[0].length
     # text-only keeps the full prompt but swaps the visual rows
-    assert txt_only.info.length == full.info.length
+    assert txt_only.infos[0].length == full.infos[0].length
     assert not np.array_equal(txt_only.out_multimodal.data, full.out_multimodal.data)
     with pytest.raises(ConfigError):
-        mm.embed_note(params, cfg, vocab, note, modality="nope")
+        mm.embed_notes(params, cfg, vocab, [note], modality="nope")
 
 
 def test_text_only_is_invariant_to_image(setup):
@@ -206,8 +206,8 @@ def test_text_only_is_invariant_to_image(setup):
     a = notes[0]
     b = Note(id=a.id, title=a.title, topics=a.topics, content=a.content,
              image=np.random.default_rng(1).normal(size=a.image.shape))
-    ra = mm.embed_note(params, cfg, vocab, a, modality="text_only")
-    rb = mm.embed_note(params, cfg, vocab, b, modality="text_only")
+    ra = mm.embed_notes(params, cfg, vocab, [a], modality="text_only")
+    rb = mm.embed_notes(params, cfg, vocab, [b], modality="text_only")
     assert np.array_equal(ra.out_multimodal.data, rb.out_multimodal.data)
 
 
@@ -219,12 +219,23 @@ def test_image_cache_matches_uncached(setup):
     r3 = mm.embed_notes(params, cfg, vocab, notes[:3])
     assert np.array_equal(r1.out_multimodal.data, r2.out_multimodal.data)
     assert np.array_equal(r1.out_multimodal.data, r3.out_multimodal.data)
-    assert set(cache) == {n.id for n in notes[:3]}
+    assert sorted(note_id for _, note_id in cache) == [n.id for n in notes[:3]]
+
+
+def test_image_cache_shared_across_seeds(setup):
+    cfg, params, vocab, notes = setup
+    other = mm.init_params(cfg, seed=4)
+    cache = {}
+    mm.embed_notes(params, cfg, vocab, notes[:3], image_cache=cache)
+    shared = mm.embed_notes(other, cfg, vocab, notes[:3], image_cache=cache)
+    alone = mm.embed_notes(other, cfg, vocab, notes[:3])
+    assert np.array_equal(shared.out_multimodal.data, alone.out_multimodal.data)
+    assert len(cache) == 6
 
 
 def test_frozen_vision_gets_no_grad(setup):
     cfg, params, vocab, notes = setup
-    rep = mm.embed_note(params, cfg, vocab, notes[0])
+    rep = mm.embed_notes(params, cfg, vocab, notes[:1])
     ad.backward(ad.tsum(rep.out_multimodal))
     for name, tensor in params.items():
         if name.startswith("vision."):
@@ -240,7 +251,7 @@ def test_unfrozen_vision_gets_grad():
     vocab = vocab_for(notes)
     cfg = tiny_cfg(vocab_size=len(vocab), freeze_vision=False)
     params = mm.init_params(cfg, seed=0)
-    rep = mm.embed_note(params, cfg, vocab, notes[0])
+    rep = mm.embed_notes(params, cfg, vocab, notes[:1])
     ad.backward(ad.tsum(rep.out_multimodal))
     assert params["vision.patch_proj.w"].grad is not None
 
@@ -257,7 +268,7 @@ def test_sequence_length_cap(setup):
     small = tiny_cfg(vocab_size=cfg.vocab_size, max_positions=4)
     params_small = mm.init_params(small, seed=0)
     with pytest.raises(ConfigError):
-        mm.embed_note(params_small, small, vocab, notes[0])
+        mm.embed_notes(params_small, small, vocab, notes[:1])
 
 
 def test_bad_image_shape_rejected(setup):
@@ -265,15 +276,15 @@ def test_bad_image_shape_rejected(setup):
     bad = Note(id=99, title="x", topics=["y"], content="z",
                image=np.zeros((cfg.patches + 1, cfg.patch_dim)))
     with pytest.raises(DataError):
-        mm.embed_note(params, cfg, vocab, bad)
+        mm.embed_notes(params, cfg, vocab, [bad])
 
 
 def test_batched_matches_single(setup):
     cfg, params, vocab, notes = setup
     batch = mm.embed_notes(params, cfg, vocab, notes[:3])
     for i, note in enumerate(notes[:3]):
-        single = mm.embed_note(params, cfg, vocab, note)
-        np.testing.assert_allclose(single.out_multimodal.data,
+        single = mm.embed_notes(params, cfg, vocab, [note])
+        np.testing.assert_allclose(single.out_multimodal.data[0],
                                    batch.out_multimodal.data[i], rtol=0, atol=1e-10)
 
 
@@ -289,7 +300,7 @@ def test_end_to_end_gradients_match_fd(setup):
         tensor.grad = None
     ad.backward(loss_value())
     rng = np.random.default_rng(23)
-    candidates = [n for n in mm.trainable_names(params)]
+    candidates = [n for n, t in params.items() if t.requires_grad]
     for name in rng.choice(candidates, size=6, replace=False):
         tensor = params[name]
         flat = tensor.data.reshape(-1)

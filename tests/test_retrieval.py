@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mlrm.retrieval import (
     evaluate,
     load_table,
     random_baseline,
-    recall_at_k,
     save_table,
     select_pool,
     slice_pairs,
@@ -131,6 +131,11 @@ def test_table_round_trip_bit_exact(tmp_path):
     assert back.vectors.tobytes() == table.vectors.tobytes()
     save_table(tmp_path / "emb2.mlrm", back)
     assert (tmp_path / "emb.mlrm").read_bytes() == (tmp_path / "emb2.mlrm").read_bytes()
+    # the documented layout, packed field by field
+    layout = b"MLRMEMB1" + struct.pack("<II", len(table), table.dim)
+    for nid, vec in zip(table.ids.tolist(), table.vectors):
+        layout += struct.pack("<Q", nid) + struct.pack(f"<{table.dim}f", *vec.tolist())
+    assert path.read_bytes() == layout
 
 
 def test_table_file_corruption(tmp_path):
@@ -147,6 +152,15 @@ def test_table_file_corruption(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError, match="truncated"):
         load_table(trunc)
+    trailing = tmp_path / "trailing.mlrm"
+    trailing.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        load_table(trailing)
+
+
+def test_table_rejects_negative_ids():
+    with pytest.raises(DataError, match="negative"):
+        EmbeddingTable(ids=np.asarray([0, -1]), vectors=np.ones((2, 3), np.float32))
 
 
 def test_table_rejects_duplicate_ids():
@@ -209,6 +223,12 @@ def test_target_rank_consistent_with_topk():
             assert inside == (r <= k)
 
 
+def recall_from_ranks(table, pairs, k):
+    """Recall@k as evaluate computes it: the share of target ranks <= k."""
+    ranks = [target_rank(table, p.query, p.related) for p in pairs]
+    return sum(1 for r in ranks if r <= k) / len(ranks)
+
+
 def test_recall_hand_count_and_monotonicity():
     table = random_table(n=25, seed=8)
     rng = np.random.default_rng(4)
@@ -225,12 +245,10 @@ def test_recall_hand_count_and_monotonicity():
             if p.related in ranking[:k]:
                 hits += 1
         by_hand[k] = hits / len(pairs)
-        assert recall_at_k(table, pairs, k) == by_hand[k]
-    values = [recall_at_k(table, pairs, k) for k in (1, 5, 10, 24)]
+        assert recall_from_ranks(table, pairs, k) == by_hand[k]
+    values = [recall_from_ranks(table, pairs, k) for k in (1, 5, 10, 24)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert values[-1] == 1.0  # k = pool - 1 always contains the target
-    with pytest.raises(DataError):
-        recall_at_k(table, [], 5)
 
 
 def test_random_vectors_hit_chance_level():
@@ -244,7 +262,7 @@ def test_random_vectors_hit_chance_level():
     k = 10
     p = random_baseline(k, 101)
     sigma = math.sqrt(p * (1 - p) / len(pairs))
-    assert abs(recall_at_k(table, pairs, k) - p) <= 3 * sigma
+    assert abs(recall_from_ranks(table, pairs, k) - p) <= 3 * sigma
 
 
 # ---------------------------------------------------------------------------
