@@ -328,14 +328,16 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
         raise ShapeError(f"masked_softmax: mask shape {mask.shape} != logits shape {logits.shape}")
     if not mask.any(axis=-1).all():
         raise MaskError("masked_softmax: a row has every entry masked out")
-    shifted = np.where(mask, logits.data, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    expd = np.where(mask, np.exp(shifted), 0.0)
-    out = expd / expd.sum(axis=-1, keepdims=True)
+    # One buffer, in place: exp(-inf) is exactly 0 at disallowed entries.
+    out = np.where(mask, logits.data, -np.inf)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def back(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        dx = g - (g * out).sum(axis=-1, keepdims=True)
+        dx *= out
+        return (dx,)
     return _record(out, "masked_softmax", (logits,), back)
 
 
@@ -348,10 +350,11 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     d = x.shape[-1]
     if gain is not None and (gain.shape != (d,) or bias.shape != (d,)):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.var's own arithmetic, reusing the centred copy for xhat.
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
 
     if gain is None:
         def back(g):
@@ -374,11 +377,16 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based gelu."""
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
+    cdf = _erf(x.data * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
 
     def back(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        dx = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        return (dx,)
     return _record(x.data * cdf, "gelu", (x,), back)
 
 

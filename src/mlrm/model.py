@@ -423,10 +423,6 @@ class BatchRepresentations:
         return len(self.infos)
 
 
-def _row(batch: Tensor, index: int, pos: int, dim: int) -> Tensor:
-    return ad.reshape(ad.narrow(ad.narrow(batch, 0, index, 1), 1, pos, 1), (dim,))
-
-
 def _vision_fingerprint(params: dict) -> bytes:
     """Digest of the vision.* weights; image-cache keys carry it so models
     with different frozen encoders can share one cache."""
@@ -528,11 +524,13 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
 
     hidden, attentions = forward_llm(params, cfg, stacked, retain_attention)
 
-    n_m = ad.stack_rows([_row(hidden, i, infos[i].compressed_pos, ht) for i in range(b)])
+    # Row i * t_max + pos of the flattened states is note i at position pos.
+    flat = ad.reshape(hidden, (b * t_max, ht))
+    n_m = ad.embedding_lookup(flat, [i * t_max + infos[i].compressed_pos for i in range(b)])
     n_v = None
     if mode in VISUAL_PATH_MODES:
-        n_v = ad.stack_rows([
-            _row(hidden, i, infos[i].spliced_pos(infos[i].layout.img_emb_pos) - 1, ht)
+        n_v = ad.embedding_lookup(flat, [
+            i * t_max + infos[i].spliced_pos(infos[i].layout.img_emb_pos) - 1
             for i in range(b)
         ])
 

@@ -39,7 +39,7 @@ from .autodiff import (
     tsum,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Batch, Pair, make_batches, split_pairs
+from .data import Pair, make_batches, split_pairs
 from .errors import ConfigError, ContractError, NumericError
 from .model import (
     MODES,

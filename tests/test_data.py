@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlrm.data import (
-    Batch,
     BehaviorEvent,
     Pair,
     PairConfig,

@@ -5,11 +5,9 @@ import pytest
 
 import mlrm.autodiff as ad
 import mlrm.model as mm
-from mlrm.errors import ConfigError, DataError, ModeError, ShapeError
+from mlrm.errors import ConfigError, DataError, ModeError
 from mlrm.notes import Note
 from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_topics
-
-from fdcheck import assert_grad_close, central_diff
 
 
 def tiny_cfg(vocab_size, **kw):
