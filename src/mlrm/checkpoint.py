@@ -33,6 +33,9 @@ VERSION = 1
 _M_PREFIX = "adam.m."
 _V_PREFIX = "adam.v."
 _T_NAME = "adam.t"
+# every trailer key with the JSON type its value must have
+TRAILER_KEYS = {"model": dict, "loss": dict, "optim": dict, "run": dict,
+                "step": int, "vocab": list}
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:
@@ -111,9 +114,15 @@ def load_checkpoint(path):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: bad config trailer ({exc})") from None
 
-    for key in ("model", "step", "vocab"):
-        if key not in trailer:
-            raise FormatError(f"{path}: config trailer missing {key!r}")
+    if not isinstance(trailer, dict):
+        raise FormatError(f"{path}: config trailer is not a JSON object")
+    keys, want = set(trailer), set(TRAILER_KEYS)
+    if keys != want:
+        raise FormatError(f"{path}: config trailer lacks keys {sorted(want - keys)}, "
+                          f"has unknown keys {sorted(keys - want)}")
+    for key, kind in TRAILER_KEYS.items():
+        if not isinstance(trailer[key], kind):
+            raise FormatError(f"{path}: config trailer {key!r} is not a {kind.__name__}")
 
     moments = None
     first = {k[len(_M_PREFIX):]: a for k, a in arrays.items() if k.startswith(_M_PREFIX)}
@@ -122,6 +131,6 @@ def load_checkpoint(path):
         moments = {"m": first, "v": second, "t": int(arrays[_T_NAME])}
     plain = {k: a for k, a in arrays.items()
              if not k.startswith((_M_PREFIX, _V_PREFIX)) and k != _T_NAME}
-    step = int(trailer.pop("step"))
+    step = trailer.pop("step")
     vocab_tokens = trailer.pop("vocab")
     return plain, moments, step, trailer, vocab_tokens

@@ -52,6 +52,7 @@ from .training import (
     LossConfig,
     OptimConfig,
     RunSettings,
+    decode_config,
     init_state,
     load_state,
     save_state,
@@ -131,6 +132,9 @@ def _load_config_file(path) -> dict:
     unknown = set(blob) - {"model", "data", "loss", "optim", "run"}
     if unknown:
         raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
+    for name, section in blob.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
     return blob
 
 
@@ -182,12 +186,12 @@ def _fresh_state(args, file_cfg, vocab):
         raise ConfigError(f"config says vocab_size={stated} but the dataset "
                           f"vocabulary has {len(vocab)} tokens")
     model_section["vocab_size"] = len(vocab)
-    model_cfg = ModelConfig.from_dict(model_section)
-    loss_cfg = LossConfig.from_dict(_merged(file_cfg.get("loss")))
-    optim_cfg = OptimConfig.from_dict(_merged(
-        file_cfg.get("optim"), steps=args.steps, peak_lr=args.lr))
-    run = RunSettings.from_dict(_merged(
-        file_cfg.get("run"), seed=args.seed, batch_pairs=args.batch_pairs))
+    model_cfg = decode_config(ModelConfig, model_section, "model")
+    loss_cfg = decode_config(LossConfig, _merged(file_cfg.get("loss")), "loss")
+    optim_cfg = decode_config(OptimConfig, _merged(
+        file_cfg.get("optim"), steps=args.steps, peak_lr=args.lr), "optim")
+    run = decode_config(RunSettings, _merged(
+        file_cfg.get("run"), seed=args.seed, batch_pairs=args.batch_pairs), "run")
     return init_state(model_cfg, loss_cfg, optim_cfg, run, vocab)
 
 

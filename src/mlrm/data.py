@@ -352,9 +352,6 @@ class Batch:
         idx = np.arange(len(self.note_ids))
         return idx ^ 1  # fixed-point-free involution: swap within each pair
 
-    def __len__(self) -> int:
-        return len(self.note_ids)
-
 
 def split_pairs(pairs: list[Pair], val_fraction: float, seed: int) -> tuple[list[Pair], list[Pair]]:
     """Withhold a deterministic fraction of pairs for validation."""

@@ -40,7 +40,6 @@ from .prompting import MAX_PROMPT_TOKENS, PromptLayout, Vocab, build_prompt
 MODES = ("basic", "micl", "late_fusion", "notellm2", "only_late_fusion", "omni")
 MICL_PROMPT_MODES = frozenset({"micl", "notellm2", "omni"})
 SPLICE_MODES = frozenset(MODES) - {"only_late_fusion"}
-VISUAL_PATH_MODES = frozenset({"micl", "notellm2", "omni"})
 GATE_MULTIMODAL_MODES = frozenset({"late_fusion", "notellm2", "only_late_fusion"})
 MODALITIES = ("multimodal", "image_only", "text_only")
 
@@ -85,13 +84,6 @@ class ModelConfig:
     @property
     def vision_len(self) -> int:
         return self.patches + 1  # learned [CLS] row plus one row per patch
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -328,34 +320,61 @@ class AssembledInfo:
         return range(self.layout.img_slot, self.layout.img_slot + self.visual_len)
 
     @property
+    def visual_word_pos(self) -> int | None:
+        """Position read as the visual embedding: the one just before the
+        in-context compressed-word token (None for single-segment prompts)."""
+        if self.layout.img_emb_pos is None:
+            return None
+        return self.spliced_pos(self.layout.img_emb_pos) - 1
+
+    @property
     def compressed_pos(self) -> int:
         return self.length - 1
 
+    def source_rows(self, visual_ids: np.ndarray) -> np.ndarray:
+        """Source-table row of every position: the token ids, with the
+        image placeholder replaced by ``visual_ids`` when spliced."""
+        ids = np.asarray(self.layout.token_ids, dtype=np.int64)
+        if not self.spliced:
+            return ids
+        slot = self.layout.img_slot
+        return np.concatenate([ids[:slot], visual_ids, ids[slot + 1:]])
 
-def assemble_one(params: dict, cfg: ModelConfig, layout: PromptLayout,
-                 visual_rows: Tensor | None) -> tuple[Tensor, AssembledInfo]:
-    """Replace the image placeholder with visual rows (or keep it).
 
-    Returns the [T', h_t] sequence without positions; positions are
-    added after splicing, over the final sequence.
+def assemble(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
+             visual_rows: Tensor | None) -> tuple[Tensor, list[AssembledInfo]]:
+    """Splice visual rows into every prompt and pad to [B, T_max, h_t] with
+    one gather from a table of token embeddings, visual rows and a zero row.
+
+    ``visual_rows`` broadcasts against [B, visual_tokens, h_t] (a [1, 1, h_t]
+    row is read L_c times by every note); None keeps each placeholder as an
+    ordinary token. Positions are added later, over the final sequence.
     """
-    ids = np.asarray(layout.token_ids, dtype=np.int64)
-    tok = ad.embedding_lookup(params["lm.tok_emb"], ids)
+    b, ht = len(layouts), cfg.hidden_text
+    tok_emb = params["lm.tok_emb"]
+    pieces = [tok_emb]
     if visual_rows is None:
-        info = AssembledInfo(layout, spliced=False, visual_len=1, length=len(ids))
-        return tok, info
-    if visual_rows.ndim != 2 or visual_rows.shape[1] != cfg.hidden_text:
-        raise ShapeError(f"visual rows must be [*, {cfg.hidden_text}], got {visual_rows.shape}")
-    slot = layout.img_slot
-    pieces = []
-    if slot:
-        pieces.append(ad.narrow(tok, 0, 0, slot))
-    pieces.append(visual_rows)
-    pieces.append(ad.narrow(tok, 0, slot + 1, len(ids) - slot - 1))
-    seq = ad.concat(pieces, axis=0)
-    info = AssembledInfo(layout, spliced=True, visual_len=visual_rows.shape[0],
-                         length=len(ids) + visual_rows.shape[0] - 1)
-    return seq, info
+        visual_len = 1
+        visual_ids = np.zeros((b, 0), dtype=np.int64)
+    else:
+        visual_len = cfg.visual_tokens
+        if visual_rows.ndim != 3 or visual_rows.shape[0] not in (1, b) \
+                or visual_rows.shape[1:] not in ((1, ht), (visual_len, ht)):
+            raise ShapeError(f"visual rows must broadcast to [{b}, {visual_len}, {ht}], "
+                             f"got {visual_rows.shape}")
+        n, l = visual_rows.shape[:2]
+        visual_ids = tok_emb.shape[0] + np.broadcast_to(
+            np.arange(n * l).reshape(n, l), (b, visual_len))
+        pieces.append(ad.reshape(visual_rows, (n * l, ht)))
+    infos = [AssembledInfo(layout, spliced=visual_rows is not None, visual_len=visual_len,
+                           length=layout.length + visual_len - 1) for layout in layouts]
+    t_max = max(info.length for info in infos)
+    pad_row = sum(p.shape[0] for p in pieces)
+    index = np.full((b, t_max), pad_row, dtype=np.int64)
+    for i, info in enumerate(infos):
+        index[i, :info.length] = info.source_rows(visual_ids[i])
+    table = ad.concat(pieces + [Tensor(np.zeros((1, ht)))], axis=0)
+    return ad.reshape(ad.embedding_lookup(table, index.ravel()), (b, t_max, ht)), infos
 
 
 def forward_llm(params: dict, cfg: ModelConfig, x: Tensor,
@@ -418,9 +437,6 @@ class BatchRepresentations:
     out_visual: Tensor | None         # [B, out_dim], projected
     out_multimodal: Tensor            # [B, out_dim], projected; the eval embedding
     attentions: list[Tensor] | None   # per layer, [B, heads, Tmax, Tmax], retained
-
-    def __len__(self) -> int:
-        return len(self.infos)
 
 
 def _vision_fingerprint(params: dict) -> bytes:
@@ -493,34 +509,14 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
     vision_feats = _vision_features(params, cfg, notes, text_only, image_cache)
     v = visual_summaries(params, cfg, vision_feats)
 
-    if mode in SPLICE_MODES:
-        if text_only:
-            null_row = ad.reshape(params["fusion.null_image"], (1, ht))
-            visual_rows_all = None
-            null_tile = ad.concat([null_row] * cfg.visual_tokens, axis=0)
-        else:
-            visual_rows_all = connect(params, cfg, vision_feats)
-
-    sequences, infos = [], []
-    for i, layout in enumerate(layouts):
-        if mode not in SPLICE_MODES:
-            rows = None
-        elif text_only:
-            rows = null_tile
-        else:
-            rows = ad.reshape(ad.narrow(visual_rows_all, 0, i, 1),
-                              (cfg.visual_tokens, ht))
-        seq, info = assemble_one(params, cfg, layout, rows)
-        sequences.append(seq)
-        infos.append(info)
-
-    t_max = max(info.length for info in infos)
-    padded = []
-    for seq, info in zip(sequences, infos):
-        if info.length < t_max:
-            seq = ad.concat([seq, Tensor(np.zeros((t_max - info.length, ht)))], axis=0)
-        padded.append(ad.reshape(seq, (1, t_max, ht)))
-    stacked = padded[0] if b == 1 else ad.concat(padded, axis=0)
+    if mode not in SPLICE_MODES:
+        visual_rows = None
+    elif text_only:
+        visual_rows = ad.reshape(params["fusion.null_image"], (1, 1, ht))
+    else:
+        visual_rows = connect(params, cfg, vision_feats)
+    stacked, infos = assemble(params, cfg, layouts, visual_rows)
+    t_max = stacked.shape[1]
 
     hidden, attentions = forward_llm(params, cfg, stacked, retain_attention)
 
@@ -528,11 +524,9 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
     flat = ad.reshape(hidden, (b * t_max, ht))
     n_m = ad.embedding_lookup(flat, [i * t_max + infos[i].compressed_pos for i in range(b)])
     n_v = None
-    if mode in VISUAL_PATH_MODES:
-        n_v = ad.embedding_lookup(flat, [
-            i * t_max + infos[i].spliced_pos(infos[i].layout.img_emb_pos) - 1
-            for i in range(b)
-        ])
+    if mode in MICL_PROMPT_MODES:
+        n_v = ad.embedding_lookup(flat, [i * t_max + infos[i].visual_word_pos
+                                          for i in range(b)])
 
     fused_v = fused_m = None
     if mode == "notellm2":

@@ -46,15 +46,16 @@ def note_to_json(note: Note) -> str:
 def note_from_json(line: str) -> Note:
     row = json.loads(line)
     try:
-        return Note(
-            id=int(row["id"]),
-            title=row["title"],
-            topics=list(row["topics"]),
-            content=row["content"],
-            image=np.asarray(row["image"], dtype=np.float64),
-        )
+        title, topics, content = row["title"], row["topics"], row["content"]
+        note_id, image = row["id"], row["image"]
     except KeyError as missing:
         raise DataError(f"note record missing field {missing}") from None
+    if not isinstance(title, str) or not isinstance(content, str):
+        raise DataError("note title and content must be strings")
+    if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
+        raise DataError("note topics must be a list of strings")
+    return Note(id=int(note_id), title=title, topics=topics, content=content,
+                image=np.asarray(image, dtype=np.float64))
 
 
 def save_notes(path, notes) -> None:

@@ -99,9 +99,6 @@ class Vocab:
         seen.difference_update(RESERVED)
         return cls(RESERVED + sorted(seen))
 
-    def encode_token(self, token: str) -> int:
-        return self.index.get(token, UNK_ID)
-
     def encode(self, tokens) -> list[int]:
         return [self.index.get(tok, UNK_ID) for tok in tokens]
 

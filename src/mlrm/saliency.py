@@ -11,6 +11,7 @@ note, then across the sampled batches with order-independent sums.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from .training import LossConfig, batch_loss, zero_gradients
 
 
 def position_sets(info: AssembledInfo, mode: str):
-    """Disjoint index sets (visual, textual, other) partitioning {j < i}.
+    """Disjoint boolean [T, T] masks (visual, textual, other) partitioning
+    the strict lower triangle {j < i}.
 
     Visual columns are the spliced rows (or the kept image placeholder
     when nothing is spliced); prompts with an in-context visual
@@ -35,13 +37,17 @@ def position_sets(info: AssembledInfo, mode: str):
     textual set is the rest of the compressed row; the remainder of the
     lower triangle is word-to-word flow.
     """
-    c = info.compressed_pos
-    visual = set(info.visual_positions)
+    t, c = info.length, info.compressed_pos
+    visual = np.zeros(t, dtype=bool)
+    visual[info.visual_positions] = True
     if mode in MICL_PROMPT_MODES:
-        visual.add(info.spliced_pos(info.layout.img_emb_pos) - 1)
-    p_v = frozenset((c, j) for j in visual)
-    p_t = frozenset((c, j) for j in range(c) if j not in visual)
-    p_o = frozenset((i, j) for i in range(info.length) for j in range(i) if i != c)
+        visual[info.visual_word_pos] = True
+    p_v = np.zeros((t, t), dtype=bool)
+    p_v[c] = visual
+    p_t = np.zeros((t, t), dtype=bool)
+    p_t[c, :c] = ~visual[:c]
+    p_o = np.tri(t, k=-1, dtype=bool)
+    p_o[c] = False
     return p_v, p_t, p_o
 
 
@@ -70,10 +76,12 @@ def saliency_matrices(attentions, infos) -> list[list[np.ndarray]]:
     return out
 
 
-def _set_mean(matrix: np.ndarray, pairs) -> float:
-    if not pairs:
+def _set_mean(matrix: np.ndarray, mask: np.ndarray) -> float:
+    # fsum is correctly rounded, so the order of the summands is immaterial
+    count = int(np.count_nonzero(mask))
+    if not count:
         raise NumericError("saliency mean over an empty position set is undefined")
-    return math.fsum(sorted(float(matrix[i, j]) for i, j in pairs)) / len(pairs)
+    return math.fsum(matrix[mask].tolist()) / count
 
 
 def decompose(matrix: np.ndarray, info: AssembledInfo, mode: str) -> tuple[float, float, float]:
@@ -92,10 +100,6 @@ class SaliencyReport:
     folded_visual_word: bool
     n_notes: int
     layers: list[dict]  # layer, S_v, S_t, S_o, share_v, share_t, share_o
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "folded_visual_word": self.folded_visual_word,
-                "n_notes": self.n_notes, "layers": self.layers}
 
 
 def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
@@ -119,9 +123,7 @@ def saliency_report(params, cfg: ModelConfig, vocab: Vocab,
                     max_notes: int = 1000, image_cache=None) -> SaliencyReport:
     """Average the decomposition over sampled batches of paired notes."""
     batches = make_batches(pairs, batch_pairs, seed, 0)
-    per_layer_v: list[list[float]] = [[] for _ in range(cfg.lm_layers)]
-    per_layer_t: list[list[float]] = [[] for _ in range(cfg.lm_layers)]
-    per_layer_o: list[list[float]] = [[] for _ in range(cfg.lm_layers)]
+    per_layer: list[list[tuple[float, float, float]]] = [[] for _ in range(cfg.lm_layers)]
     n_notes = 0
     for batch in batches:
         if n_notes >= max_notes:
@@ -130,19 +132,15 @@ def saliency_report(params, cfg: ModelConfig, vocab: Vocab,
         triples = batch_saliency(params, cfg, vocab, notes, batch.partner,
                                  loss_cfg, image_cache=image_cache)
         for note_triples in triples:
-            for layer, (s_v, s_t, s_o) in enumerate(note_triples):
-                per_layer_v[layer].append(s_v)
-                per_layer_t[layer].append(s_t)
-                per_layer_o[layer].append(s_o)
+            for layer, triple in enumerate(note_triples):
+                per_layer[layer].append(triple)
         n_notes += len(notes)
     if n_notes == 0:
         raise NumericError("no notes sampled; not enough pairs for one batch")
 
     layers = []
-    for layer in range(cfg.lm_layers):
-        s_v = _sorted_mean(per_layer_v[layer])
-        s_t = _sorted_mean(per_layer_t[layer])
-        s_o = _sorted_mean(per_layer_o[layer])
+    for layer, layer_triples in enumerate(per_layer):
+        s_v, s_t, s_o = (_sorted_mean(list(column)) for column in zip(*layer_triples))
         total = s_v + s_t + s_o
         if total == 0.0:
             share_v = share_t = share_o = 0.0
@@ -165,5 +163,5 @@ def write_report(report: SaliencyReport, csv_path, json_path) -> None:
         for row in report.layers:
             writer.writerow({k: row[k] for k in CSV_FIELDS})
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")

@@ -11,6 +11,7 @@ loses all significant digits there.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -40,8 +41,9 @@ from .autodiff import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Pair, make_batches, split_pairs
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, FormatError, NumericError
 from .model import (
+    MICL_PROMPT_MODES,
     MODES,
     ModelConfig,
     embed_notes,
@@ -70,13 +72,6 @@ class LossConfig:
         if self.mode is not None and self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "tau_init": self.tau_init, "mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossConfig":
-        return cls(**d)
-
 
 @dataclass
 class OptimConfig:
@@ -102,15 +97,6 @@ class OptimConfig:
     @property
     def warmup_steps(self) -> int:
         return int(self.warmup_ratio * self.steps)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("peak_lr", "steps", "warmup_ratio", "beta1", "beta2",
-                 "eps", "weight_decay", "max_grad_norm")}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +197,6 @@ def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
     mode = cfg.mode
     reps = embed_notes(params, cfg, vocab, notes, image_cache=image_cache,
                        retain_attention=retain_attention)
-    if mode in ("basic", "late_fusion", "only_late_fusion"):
-        return contrastive_loss(reps.out_multimodal, partner, tau), reps
-    if mode in ("micl", "notellm2"):
-        loss_v = contrastive_loss(reps.out_visual, partner, tau)
-        loss_m = contrastive_loss(reps.out_multimodal, partner, tau)
-        return final_loss(loss_v, loss_m, loss_cfg.alpha), reps
     if mode == "omni":
         image_reps = embed_notes(params, cfg, vocab, notes, modality="image_only",
                                  image_cache=image_cache)
@@ -237,7 +217,11 @@ def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
         for term in terms[1:]:
             total = add(total, term)
         return divs(total, 6.0), reps
-    raise ConfigError(f"unknown mode {mode!r}")
+    if mode in MICL_PROMPT_MODES:
+        loss_v = contrastive_loss(reps.out_visual, partner, tau)
+        loss_m = contrastive_loss(reps.out_multimodal, partner, tau)
+        return final_loss(loss_v, loss_m, loss_cfg.alpha), reps
+    return contrastive_loss(reps.out_multimodal, partner, tau), reps
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +325,27 @@ class RunSettings:
         if not (0 <= self.val_fraction < 1):
             raise ConfigError("val_fraction must lie in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "batch_pairs": self.batch_pairs,
-                "val_fraction": self.val_fraction}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSettings":
-        return cls(**d)
+# the JSON value types a config field of each annotated type accepts
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None))}
+
+
+def decode_config(cls, section: dict, where: str, error: type[Exception] = ConfigError):
+    """Build one config dataclass from its JSON object. An unknown key, a
+    value of the wrong JSON type, a missing required key or a value the
+    dataclass rejects raises ``error``."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in section.items():
+        if key not in types:
+            raise error(f"{where}: unknown key {key!r}")
+        if isinstance(value, bool) != (types[key] == "bool") \
+                or not isinstance(value, _JSON_TYPES[types[key]]):
+            raise error(f"{where}: {key} must be a JSON {types[key]}, got {value!r}")
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -364,10 +362,10 @@ class TrainState:
 
     def configs(self) -> dict:
         return {
-            "model": self.model_cfg.to_dict(),
-            "loss": self.loss_cfg.to_dict(),
-            "optim": self.optim_cfg.to_dict(),
-            "run": self.run.to_dict(),
+            "model": dataclasses.asdict(self.model_cfg),
+            "loss": dataclasses.asdict(self.loss_cfg),
+            "optim": dataclasses.asdict(self.optim_cfg),
+            "run": dataclasses.asdict(self.run),
         }
 
 
@@ -393,10 +391,10 @@ def restore_params(arrays: dict[str, np.ndarray], model_cfg: ModelConfig) -> dic
 
 def load_state(path) -> TrainState:
     arrays, moments, step, configs, vocab_tokens = load_checkpoint(path)
-    model_cfg = ModelConfig.from_dict(configs["model"])
-    loss_cfg = LossConfig.from_dict(configs["loss"])
-    optim_cfg = OptimConfig.from_dict(configs["optim"])
-    run = RunSettings.from_dict(configs["run"])
+    model_cfg, loss_cfg, optim_cfg, run = (
+        decode_config(cls, configs[key], f"{path}: {key}", FormatError)
+        for cls, key in ((ModelConfig, "model"), (LossConfig, "loss"),
+                         (OptimConfig, "optim"), (RunSettings, "run")))
     params = restore_params(arrays, model_cfg)
     if TAU_NAME not in params:
         raise ConfigError(f"{path}: checkpoint has no temperature parameter")

@@ -26,7 +26,7 @@ from mlrm.data import (
     generate_synthetic,
 )
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
-from mlrm.model import ModelConfig, assemble_one, embed_layouts, embed_notes, gate_fuse
+from mlrm.model import ModelConfig, assemble, embed_layouts, embed_notes, gate_fuse
 from mlrm.prompting import IMG_ID, build_micl_prompt
 from mlrm.retrieval import (
     EmbeddingTable,
@@ -302,11 +302,12 @@ def test_criterion_03_spliced_length_law():
         cfg = ModelConfig(vocab_size=len(vocab), visual_tokens=l_c)
         params = {"lm.tok_emb": Tensor(rng.standard_normal((len(vocab),
                                                             cfg.hidden_text)))}
-        rows = Tensor(rng.standard_normal((l_c, cfg.hidden_text)))
+        rows = Tensor(rng.standard_normal((1, l_c, cfg.hidden_text)))
         for note in notes:
             layout = build_micl_prompt(note, vocab)
-            _, info = assemble_one(params, cfg, layout, rows)
-            if info.length != l_c + layout.length - 1:
+            seq, (info,) = assemble(params, cfg, [layout], rows)
+            expected = l_c + layout.length - 1
+            if info.length != expected or seq.shape != (1, expected, cfg.hidden_text):
                 exact = False
             checked += 1
     verdict(3, exact, f"spliced length equals visual_tokens + prompt_tokens - 1 "
@@ -557,9 +558,9 @@ def test_criterion_08_saliency_correctness(small_world):
     for info in reps.infos:
         p_v, p_t, p_o = position_sets(info, "micl")
         t = info.length
-        if len(p_v) + len(p_t) + len(p_o) != t * (t - 1) // 2:
+        if p_v.sum() + p_t.sum() + p_o.sum() != t * (t - 1) // 2:
             partition_ok = False
-        if p_v & p_t or p_v & p_o or p_t & p_o:
+        if (p_v & p_t).any() or (p_v & p_o).any() or (p_t & p_o).any():
             partition_ok = False
 
     # mICL folds the carrier of the visual compressed word into the
@@ -568,7 +569,7 @@ def test_criterion_08_saliency_correctness(small_world):
     basic_rep = embed_notes(state.params, cfg, vocab, [note], mode="basic")
     micl_sets = position_sets(reps.infos[0], "micl")
     basic_sets = position_sets(basic_rep.infos[0], "basic")
-    fold_ok = len(micl_sets[0]) == len(basic_sets[0]) + 1 == cfg.visual_tokens + 1
+    fold_ok = micl_sets[0].sum() == basic_sets[0].sum() + 1 == cfg.visual_tokens + 1
 
     ok = worst <= 1e-12 and partition_ok and fold_ok
     verdict(8, ok, f"saliency: single-head map gap {worst:.2e}, partition covers "

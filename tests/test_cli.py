@@ -11,6 +11,8 @@ import os
 
 import pytest
 
+from mlrm.autodiff import Tensor
+from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.cli import main
 from mlrm.saliency import CSV_FIELDS
 
@@ -188,6 +190,55 @@ def test_unknown_config_section(tmp_path, dataset, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section, want", [
+    ({"model": {"hidden_txt": 32}}, "hidden_txt"),
+    ({"model": [1, 2]}, "'model'"),
+    ({"optim": {"steps": "many"}}, "optim"),
+    ({"data": "somewhere"}, "'data'"),
+    ({"run": {"seed": "abc"}}, "seed"),
+    ({"run": {"batch_pairs": True}}, "batch_pairs"),
+    ({"model": {"freeze_vision": 1}}, "freeze_vision"),
+], ids=["unknown-key", "not-object", "bad-type", "data-not-object", "seed-not-int",
+        "batch-pairs-bool", "freeze-vision-int"])
+def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(section))
+    code = main(["train", "--config", str(path), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _drop(key):
+    return lambda trailer: trailer.pop(key)
+
+
+def _add_field(section):
+    return lambda trailer: trailer[section].update(bogus=1)
+
+
+@pytest.mark.parametrize("corrupt, want", [
+    (_drop("loss"), "'loss'"), (_drop("optim"), "'optim'"), (_drop("run"), "'run'"),
+    (_add_field("model"), "bogus"), (_add_field("run"), "bogus"),
+    (lambda trailer: trailer.update(extra=1), "extra"),
+    (lambda trailer: trailer.update(loss=[9.0]), "'loss'"),
+], ids=["no-loss", "no-optim", "no-run", "model-field", "run-field", "extra-key",
+        "loss-not-object"])
+def test_bad_checkpoint_trailer_is_format_error(tmp_path, dataset, trained, capsys,
+                                                corrupt, want):
+    arrays, moments, step, configs, vocab = load_checkpoint(trained)
+    corrupt(configs)
+    bad = tmp_path / "bad.mlrm"
+    save_checkpoint(bad, {k: Tensor(a) for k, a in arrays.items()}, moments, step,
+                    configs, vocab)
+    code = main(["export-embeddings", "--checkpoint", str(bad),
+                 "--notes", str(dataset / "notes.jsonl"), "--out", str(tmp_path / "t.mlrm")])
+    assert code == 3
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "t.mlrm").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -327,6 +378,21 @@ def test_export_negative_note_id_is_data_error(tmp_path, dataset, trained, capsy
                  "--notes", str(notes), "--out", str(tmp_path / "t.mlrm")])
     assert code == 3
     assert "negative note id" in capsys.readouterr().err
+    assert not (tmp_path / "t.mlrm").exists()
+
+
+@pytest.mark.parametrize("field, value", [("title", 5), ("topics", "food")])
+def test_export_bad_note_field_type_is_data_error(tmp_path, dataset, trained, capsys,
+                                                  field, value):
+    notes = tmp_path / "notes.jsonl"
+    rows = (dataset / "notes.jsonl").read_text().splitlines()
+    first = json.loads(rows[0])
+    first[field] = value
+    notes.write_text("\n".join([json.dumps(first)] + rows[1:]) + "\n")
+    code = main(["export-embeddings", "--checkpoint", str(trained),
+                 "--notes", str(notes), "--out", str(tmp_path / "t.mlrm")])
+    assert code == 3
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "t.mlrm").exists()
 
 

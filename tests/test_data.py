@@ -24,7 +24,7 @@ from mlrm.data import (
     split_pairs,
 )
 from mlrm.errors import BatchError, ConfigError, DataError
-from mlrm.notes import load_notes
+from mlrm.notes import Note, load_notes, note_to_json
 from mlrm.prompting import UNK_ID, Vocab, length_class, tokenize
 
 
@@ -338,3 +338,16 @@ def test_split_pairs_deterministic_disjoint():
     assert len(va1) == 5 and len(tr1) == 45
     assert not set((p.query, p.related) for p in tr1) & \
         set((p.query, p.related) for p in va1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("title", 5), ("content", None), ("topics", "food"), ("topics", ["food", 3]),
+])
+def test_load_notes_rejects_bad_field_types(tmp_path, field, value):
+    row = json.loads(note_to_json(Note(id=1, title="t", topics=["food"], content="c",
+                                       image=np.zeros((2, 2)))))
+    row[field] = value
+    path = tmp_path / "notes.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DataError, match=field):
+        load_notes(path)

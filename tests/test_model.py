@@ -5,9 +5,10 @@ import pytest
 
 import mlrm.autodiff as ad
 import mlrm.model as mm
-from mlrm.errors import ConfigError, DataError, ModeError
+from mlrm.errors import ConfigError, DataError, ModeError, ShapeError
 from mlrm.notes import Note
 from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_topics
+from mlrm.training import TAU_NAME, LossConfig, batch_loss
 
 
 def tiny_cfg(vocab_size, **kw):
@@ -70,10 +71,59 @@ def test_splice_length_law(setup):
         for note in notes[:3]:
             layout = build_basic_prompt(note, vocab)
             feats = mm.encode_images(params_lc, cfg_lc, note.image[None])
-            rows = ad.reshape(mm.connect(params_lc, cfg_lc, feats), (lc, cfg_lc.hidden_text))
-            seq, info = mm.assemble_one(params_lc, cfg_lc, layout, rows)
-            assert seq.shape == (layout.length + lc - 1, cfg_lc.hidden_text)
+            rows = mm.connect(params_lc, cfg_lc, feats)
+            seq, (info,) = mm.assemble(params_lc, cfg_lc, [layout], rows)
+            assert seq.shape == (1, layout.length + lc - 1, cfg_lc.hidden_text)
             assert info.length == layout.length + lc - 1
+
+
+def test_assemble_gathers_tokens_visual_rows_and_padding(setup):
+    cfg, params, vocab, notes = setup
+    layouts = [build_micl_prompt(n, vocab) for n in notes[:3]]
+    lc, ht = cfg.visual_tokens, cfg.hidden_text
+    rows = ad.Tensor(np.random.default_rng(2).normal(size=(3, lc, ht)))
+    tok = params["lm.tok_emb"].data
+    for visual, expect in ((rows, lambda i: rows.data[i]),
+                           (ad.Tensor(rows.data[:1, :1]),
+                            lambda i: np.repeat(rows.data[0, :1], lc, axis=0))):
+        x, infos = mm.assemble(params, cfg, layouts, visual)
+        assert x.shape == (3, max(i.length for i in infos), ht)
+        for i, (layout, info) in enumerate(zip(layouts, infos)):
+            ids = np.asarray(layout.token_ids)
+            slot = layout.img_slot
+            want = np.concatenate([tok[ids[:slot]], expect(i), tok[ids[slot + 1:]]])
+            assert np.array_equal(x.data[i, :info.length], want)
+            assert not x.data[i, info.length:].any()
+    x, infos = mm.assemble(params, cfg, layouts, None)
+    for i, (layout, info) in enumerate(zip(layouts, infos)):
+        assert info.length == layout.length and not info.spliced
+        assert np.array_equal(x.data[i, :info.length], tok[list(layout.token_ids)])
+    with pytest.raises(ShapeError):
+        mm.assemble(params, cfg, layouts, ad.Tensor(np.zeros((2, lc, ht))))
+
+
+def test_batch_tape_size_is_independent_of_batch_size(setup):
+    cfg, params, vocab, notes = setup
+    notes = make_notes(8, cfg, seed=4)
+    params = {**params, TAU_NAME: ad.Tensor(np.asarray(3.0), requires_grad=True)}
+    for mode in mm.MODES:
+        cfg_m = tiny_cfg(vocab_size=cfg.vocab_size, mode=mode)
+        counts = []
+        for b in (2, 8):
+            loss, _ = batch_loss(params, cfg_m, vocab, notes[:b], np.arange(b) ^ 1,
+                                 LossConfig())
+            counts.append(len(ad._topo_order(loss)))
+        assert counts[0] == counts[1], (mode, counts)
+
+
+def test_default_notellm2_batch_tape_size():
+    notes = make_notes(32, tiny_cfg(vocab_size=64, patches=16, patch_dim=32), seed=6)
+    vocab = vocab_for(notes)
+    cfg = mm.ModelConfig(vocab_size=len(vocab))
+    params = mm.init_params(cfg, seed=0)
+    params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
+    loss, _ = batch_loss(params, cfg, vocab, notes, np.arange(32) ^ 1, LossConfig())
+    assert len(ad._topo_order(loss)) <= 420
 
 
 def test_no_splice_keeps_token_count(setup):

@@ -63,10 +63,12 @@ def test_position_sets_partition_lower_triangle():
         for info in reps.infos:
             p_v, p_t, p_o = position_sets(info, mode)
             t = info.length
-            assert not (p_v & p_t) and not (p_v & p_o) and not (p_t & p_o)
-            assert len(p_v) + len(p_t) + len(p_o) == t * (t - 1) // 2
+            assert p_v.shape == p_t.shape == p_o.shape == (t, t)
+            assert not (p_v & p_t).any() and not (p_v & p_o).any() and not (p_t & p_o).any()
+            assert p_v.sum() + p_t.sum() + p_o.sum() == t * (t - 1) // 2
             everything = p_v | p_t | p_o
-            assert everything == {(i, j) for i in range(t) for j in range(i)}
+            assert set(zip(*np.nonzero(everything))) == {(i, j) for i in range(t)
+                                                         for j in range(i)}
 
 
 def test_visual_set_sizes_by_mode():
@@ -75,7 +77,7 @@ def test_visual_set_sizes_by_mode():
         params, cfg, vocab, notes, partner = setup(mode, n=2)
         reps = embed_notes(params, cfg, vocab, notes)
         p_v, _, _ = position_sets(reps.infos[0], mode)
-        sizes[mode] = len(p_v)
+        sizes[mode] = int(p_v.sum())
     assert sizes["basic"] == 3                   # one column per spliced row
     assert sizes["micl"] == 4                    # plus the folded compressed word
     assert sizes["notellm2"] == 4
@@ -89,9 +91,9 @@ def test_visual_set_row_is_compressed_position():
     info = reps.infos[0]
     p_v, p_t, _ = position_sets(info, "micl")
     c = info.compressed_pos
-    assert all(i == c for i, _ in p_v)
-    assert all(i == c for i, _ in p_t)
-    assert {j for _, j in p_v} >= set(info.visual_positions)
+    assert all(i == c for i, _ in zip(*np.nonzero(p_v)))
+    assert all(i == c for i, _ in zip(*np.nonzero(p_t)))
+    assert set(np.flatnonzero(p_v[c])) >= set(info.visual_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +175,17 @@ def test_decompose_matches_brute_force_scan():
             s_v, s_t, s_o = decompose(m, info, cfg.mode)
             p_v, p_t, p_o = position_sets(info, cfg.mode)
             for got, pset in ((s_v, p_v), (s_t, p_t), (s_o, p_o)):
-                want = np.mean([m[i, j] for i, j in sorted(pset)])
+                entries = [float(m[i, j]) for i, j in zip(*np.nonzero(pset))]
+                want = np.mean(entries)
                 assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+                assert got == math.fsum(sorted(entries)) / len(entries)
             assert s_v >= 0 and s_t >= 0 and s_o >= 0
 
 
 def test_decompose_rejects_empty_set():
     with pytest.raises(NumericError, match="empty"):
         from mlrm.saliency import _set_mean
-        _set_mean(np.zeros((3, 3)), frozenset())
+        _set_mean(np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -498,7 +498,8 @@ def test_checkpoint_rejects_corruption(tmp_path):
 def test_checkpoint_without_moments(tmp_path):
     params = {"w": Tensor(np.ones(3))}
     path = tmp_path / "ck.mlrm"
-    save_checkpoint(path, params, None, 0, {"model": {}}, ["<PAD>"])
+    configs = {"model": {}, "loss": {}, "optim": {}, "run": {}}
+    save_checkpoint(path, params, None, 0, configs, ["<PAD>"])
     arrays, moments, step, _, _ = load_checkpoint(path)
     assert moments is None and step == 0
     assert np.array_equal(arrays["w"], np.ones(3))
