@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ContractError, MaskError, NumericError, ShapeError
+from .errors import ContractError, MaskError, ShapeError
 
 _ids = itertools.count()
 # recording is toggled per thread: a worker embedding under no_grad()
@@ -341,28 +341,17 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _record(out, "masked_softmax", (logits,), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply
-    the optional per-feature affine."""
-    if (gain is None) != (bias is None):
-        raise ShapeError("layer_norm: gain and bias must be supplied together")
+    the per-feature affine."""
     d = x.shape[-1]
-    if gain is not None and (gain.shape != (d,) or bias.shape != (d,)):
+    if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}")
     # np.var's own arithmetic, reusing the centred copy for xhat.
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-
-    if gain is None:
-        def back(g):
-            dx = inv * (g - g.mean(axis=-1, keepdims=True)
-                        - xhat * (g * xhat).mean(axis=-1, keepdims=True))
-            return (dx,)
-        return _record(xhat, "layer_norm", (x,), back)
-
     out = xhat * gain.data + bias.data
 
     def back(g):
@@ -407,12 +396,6 @@ def exp(x: Tensor) -> Tensor:
     def back(g):
         return (g * out,)
     return _record(out, "exp", (x,), back)
-
-
-def log(x: Tensor) -> Tensor:
-    def back(g):
-        return (g / x.data,)
-    return _record(np.log(x.data), "log", (x,), back)
 
 
 def log1p(x: Tensor) -> Tensor:
@@ -468,23 +451,6 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     def back(g):
         return g * s.data[:, None], (g * x.data).sum(axis=1)
     return _record(x.data * s.data[:, None], "scale_rows", (x, s), back)
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between two vectors; rejects zero vectors."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity: need equal-length vectors, got {a.shape} and {b.shape}")
-    qa = tsum(mul(a, a))
-    qb = tsum(mul(b, b))
-    if qa.item() == 0.0 or qb.item() == 0.0:
-        raise NumericError("cosine_similarity: zero-norm vector")
-    dot = tsum(mul(a, b))
-    return mul(dot, power(mul(qa, qb), -0.5))
-
-
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors into a matrix (one per row)."""
-    return concat([reshape(v, (1, v.shape[0])) for v in vectors], axis=0)
 
 
 def first_nonfinite(root: Tensor) -> Tensor | None:

@@ -20,8 +20,11 @@ reconstructed from the model config on load.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import uuid
 
 import numpy as np
 
@@ -36,6 +39,27 @@ _T_NAME = "adam.t"
 # every trailer key with the JSON type its value must have
 TRAILER_KEYS = {"model": dict, "loss": dict, "optim": dict, "run": dict,
                 "step": int, "vocab": list}
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary handle whose bytes reach ``path`` only if the block completes.
+
+    They go to a new file beside ``path``, which is synced to disk and
+    then replaces it in one ``os.replace``. On any exception the new file
+    is removed and an earlier file at ``path`` stays as it was.
+    """
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:
@@ -81,7 +105,7 @@ def save_checkpoint(path, params, moments: dict | None,
     trailer = dict(configs)
     trailer["step"] = int(step)
     trailer["vocab"] = list(vocab_tokens)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(records)))
         for name, array in records:

@@ -8,14 +8,17 @@ smaller note id, and the query note never ranks in its own list.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .autodiff import no_grad
+from .checkpoint import atomic_write
 from .data import Pair
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import ModelConfig, embed_notes
@@ -63,6 +66,10 @@ class EmbeddingTable:
             return self.vectors[self._row[int(note_id)]]
         except KeyError:
             raise DataError(f"note id {note_id} is not in the embedding table") from None
+
+    def scores(self, query_id: int) -> np.ndarray:
+        """Cosine of every row with the query's row, aligned with ``ids``."""
+        return self.vectors.astype(np.float64) @ self.vector(query_id).astype(np.float64)
 
 
 def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
@@ -114,7 +121,7 @@ def save_table(path, table: EmbeddingTable) -> None:
     rows = np.empty(len(table), dtype=_row_dtype(table.dim))
     rows["id"] = table.ids
     rows["vector"] = table.vectors
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", len(table), table.dim))
         fh.write(rows.tobytes())
@@ -149,6 +156,22 @@ def _ranked_ids(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return ids[np.lexsort((ids, -scores))]
 
 
+def _rank(scores: np.ndarray, ids: np.ndarray, query_id: int, target_id: int) -> int:
+    """1-based rank of the target among ``ids`` other than the query.
+
+    ``scores`` is aligned with ``ids``; a candidate ranks above the
+    target when it scores higher, or scores the same with a smaller id.
+    """
+    if query_id == target_id:
+        raise DataError("a note cannot be its own retrieval target")
+    hit = np.flatnonzero(ids == target_id)
+    if hit.size == 0:
+        raise DataError(f"note id {target_id} is not in the pool")
+    s_t = scores[hit[0]]
+    better = (scores > s_t) | ((scores == s_t) & (ids < target_id))
+    return int(np.count_nonzero(better & (ids != query_id))) + 1
+
+
 def topk(query_vec: np.ndarray, table: EmbeddingTable, k: int,
          exclude: int | None = None) -> np.ndarray:
     """Exact cosine top-k over the pool, the query's own id excluded."""
@@ -168,18 +191,7 @@ def topk(query_vec: np.ndarray, table: EmbeddingTable, k: int,
 
 def target_rank(table: EmbeddingTable, query_id: int, target_id: int) -> int:
     """1-based rank of the target in the query's ranking of the pool."""
-    if query_id == target_id:
-        raise DataError("a note cannot be its own retrieval target")
-    q = table.vector(query_id).astype(np.float64)
-    t_row = table._row.get(int(target_id))
-    if t_row is None:
-        raise DataError(f"note id {target_id} is not in the embedding table")
-    scores = table.vectors.astype(np.float64) @ q
-    s_t = scores[t_row]
-    better = (scores > s_t) | ((scores == s_t) & (table.ids < target_id))
-    better[t_row] = False
-    better[table._row[int(query_id)]] = False
-    return int(np.count_nonzero(better)) + 1
+    return _rank(table.scores(query_id), table.ids, int(query_id), int(target_id))
 
 
 def random_baseline(k: int, pool_size: int) -> float:
@@ -215,56 +227,46 @@ def slice_pairs(pairs: list[Pair], notes_by_id: dict[int, Note], kind: str) -> l
 
 
 class BM25Index:
-    """Okapi BM25 over the concatenated text fields of a note pool."""
+    """Okapi BM25 over the concatenated text fields of a note pool.
 
-    def __init__(self, notes: list[Note], k1: float = BM25_K1, b: float = BM25_B):
+    The pool is one CSR ``[notes, terms]`` matrix whose entries are the
+    per-term BM25 weights, so a query's scores are one sparse mat-vec
+    against the indicator vector of its distinct terms.
+    """
+
+    def __init__(self, notes: list[Note]):
         if not notes:
             raise DataError("cannot index an empty pool")
-        self.k1 = k1
-        self.b = b
-        self.ids = np.asarray(sorted(n.id for n in notes), dtype=np.int64)
         by_id = {n.id: n for n in notes}
-        self._docs = {}
-        for nid in self.ids.tolist():
-            tokens = _note_tokens(by_id[nid])
-            counts = {}
-            for tok in tokens:
-                counts[tok] = counts.get(tok, 0) + 1
-            self._docs[nid] = (counts, len(tokens))
-        n_docs = len(self.ids)
-        df = {}
-        for counts, _ in self._docs.values():
-            for tok in counts:
-                df[tok] = df.get(tok, 0) + 1
-        self.idf = {tok: math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5))
-                    for tok, d in df.items()}
-        self.avgdl = math.fsum(sorted(float(dl) for _, dl in self._docs.values())) / n_docs
+        self.ids = np.asarray(sorted(by_id), dtype=np.int64)
+        docs = [_note_tokens(by_id[nid]) for nid in self.ids.tolist()]
+        self._column = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
+        n_docs, lengths = len(docs), np.asarray([len(d) for d in docs])
+        # one entry per token, which the conversion to CSR sums into term counts
+        tf = sparse.csr_matrix(
+            (np.ones(lengths.sum()), (np.repeat(np.arange(n_docs), lengths),
+                                      [self._column[t] for d in docs for t in d])),
+            shape=(n_docs, len(self._column)))
+        # math.log, as the formula reads: np.log differs in the last bit for some inputs
+        idf = np.asarray([math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+                          for df in np.bincount(tf.indices, minlength=tf.shape[1]).tolist()])
+        dl = np.repeat(lengths, np.diff(tf.indptr))
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / (lengths.sum() / n_docs))
+        tf.data = idf[tf.indices] * (tf.data * (BM25_K1 + 1.0)) / (tf.data + norm)
+        self._weights = tf
 
-    def score(self, query_terms, doc_id: int) -> float:
-        counts, dl = self._docs[doc_id]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-        parts = []
-        for term in sorted(set(query_terms)):
-            tf = counts.get(term, 0)
-            if tf == 0 or term not in self.idf:
-                continue
-            parts.append(self.idf[term] * (tf * (self.k1 + 1.0)) / (tf + norm))
-        return math.fsum(sorted(parts))
+    def scores(self, query: Note) -> np.ndarray:
+        """BM25 score of every pool note for the query, aligned with ``ids``."""
+        hits = np.zeros(len(self._column))
+        hits[[self._column[t] for t in set(_note_tokens(query)) if t in self._column]] = 1.0
+        return self._weights @ hits
 
     def rank(self, query: Note) -> np.ndarray:
         """All pool ids except the query's, best first, ties by id."""
-        terms = _note_tokens(query)
-        ids = self.ids[self.ids != query.id]
-        if ids.size == 0:
+        keep = self.ids != query.id
+        if not keep.any():
             raise DataError("pool contains no candidates besides the query")
-        scores = np.asarray([self.score(terms, int(i)) for i in ids])
-        return _ranked_ids(scores, ids)
-
-    def target_rank(self, query: Note, target_id: int) -> int:
-        if int(target_id) not in self._docs:
-            raise DataError(f"note id {target_id} is not in the BM25 pool")
-        ranking = self.rank(query)
-        return int(np.flatnonzero(ranking == target_id)[0]) + 1
+        return _ranked_ids(self.scores(query)[keep], self.ids[keep])
 
 
 def _note_tokens(note: Note) -> list[str]:
@@ -284,34 +286,30 @@ def _subsample(pairs: list[Pair], max_pairs: int | None, seed: int) -> list[Pair
     return [pairs[i] for i in sorted(picked.tolist())]
 
 
-def _source_report(rank_of, pairs, notes_by_id, ks, seeds, max_pairs):
-    rank_cache: dict[tuple[int, int], int] = {}
+def _pair_ranks(keys, ids: np.ndarray, scores_of) -> dict:
+    """Rank of each (query, target) key, scoring each distinct query once."""
+    ranks = {}
+    for query, group in itertools.groupby(sorted(keys), key=lambda key: key[0]):
+        scores = scores_of(query)
+        for _, target in group:
+            ranks[query, target] = _rank(scores, ids, query, target)
+    return ranks
 
-    def rank(p: Pair) -> int:
-        key = (p.query, p.related)
-        if key not in rank_cache:
-            rank_cache[key] = rank_of(p)
-        return rank_cache[key]
 
+def _source_report(ranks: dict, subsets: dict, ks) -> dict:
     slices = {}
-    for kind in SLICES:
-        per_seed_n = []
+    for kind, per_seed_pairs in subsets.items():
         per_seed = {k: [] for k in ks}
-        for seed in seeds:
-            subset = slice_pairs(_subsample(pairs, max_pairs, seed), notes_by_id, kind)
-            per_seed_n.append(len(subset))
-            if not subset:
-                for k in ks:
-                    per_seed[k].append(None)
-                continue
-            ranks = [rank(p) for p in subset]
+        for subset in per_seed_pairs:
+            hits = [ranks[p.query, p.related] for p in subset]
             for k in ks:
-                per_seed[k].append(sum(1 for r in ranks if r <= k) / len(ranks))
+                per_seed[k].append(sum(1 for r in hits if r <= k) / len(hits)
+                                   if hits else None)
         recall = {}
         for k in ks:
             values = [v for v in per_seed[k] if v is not None]
             recall[k] = math.fsum(sorted(values)) / len(values) if values else None
-        slices[kind] = {"n_pairs": per_seed_n, "recall": recall,
+        slices[kind] = {"n_pairs": [len(s) for s in per_seed_pairs], "recall": recall,
                         "per_seed": per_seed}
     return slices
 
@@ -323,7 +321,8 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
 
     Retrieval is deterministic, so distinct seeds only matter when
     ``max_pairs`` subsamples the evaluation pairs; reported recalls are
-    means across seeds with per-seed values retained.
+    means across seeds with per-seed values retained. Each source scores
+    every distinct sampled query once and ranks each sampled pair once.
     """
     if not pairs:
         raise DataError("no evaluation pairs")
@@ -338,6 +337,10 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
         if p.query not in notes_by_id or p.related not in notes_by_id:
             raise DataError(f"pair ({p.query}, {p.related}) references an unknown note")
 
+    samples = [_subsample(pairs, max_pairs, seed) for seed in seeds]
+    subsets = {kind: [slice_pairs(s, notes_by_id, kind) for s in samples]
+               for kind in SLICES}
+    sampled = {(p.query, p.related) for s in samples for p in s}
     report = {
         "pool_size": pool_size,
         "ks": ks,
@@ -348,19 +351,15 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
     }
     for modality in sorted(tables):
         table = tables[modality]
-        slices = _source_report(
-            lambda p, t=table: target_rank(t, p.query, p.related),
-            pairs, notes_by_id, ks, seeds, max_pairs)
+        ranks = _pair_ranks(sampled, table.ids, table.scores)
         report["sources"][modality] = {"provenance": dict(table.provenance),
-                                       "slices": slices}
+                                       "slices": _source_report(ranks, subsets, ks)}
     if bm25_pool is not None:
         index = BM25Index(bm25_pool)
-        slices = _source_report(
-            lambda p: index.target_rank(notes_by_id[p.query], p.related),
-            pairs, notes_by_id, ks, seeds, max_pairs)
+        ranks = _pair_ranks(sampled, index.ids, lambda q: index.scores(notes_by_id[q]))
         report["sources"]["bm25"] = {"provenance": {"kind": "bm25",
                                                     "k1": BM25_K1, "b": BM25_B},
-                                     "slices": slices}
+                                     "slices": _source_report(ranks, subsets, ks)}
     return report
 
 

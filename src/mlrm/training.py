@@ -272,9 +272,9 @@ class AdamW:
     def load_moments(self, moments: dict) -> None:
         for name in self.m:
             if name not in moments["m"] or name not in moments["v"]:
-                raise ConfigError(f"checkpoint is missing optimizer state for {name!r}")
-            if moments["m"][name].shape != self.m[name].shape:
-                raise ConfigError(f"optimizer state shape mismatch for {name!r}")
+                raise FormatError(f"checkpoint is missing optimizer state for {name!r}")
+            if not moments["m"][name].shape == moments["v"][name].shape == self.m[name].shape:
+                raise FormatError(f"optimizer state shape mismatch for {name!r}")
             self.m[name] = moments["m"][name].copy()
             self.v[name] = moments["v"][name].copy()
         self.t = moments["t"]
@@ -395,9 +395,17 @@ def load_state(path) -> TrainState:
         decode_config(cls, configs[key], f"{path}: {key}", FormatError)
         for cls, key in ((ModelConfig, "model"), (LossConfig, "loss"),
                          (OptimConfig, "optim"), (RunSettings, "run")))
+    want = {name: p.shape for name, p in init_params(model_cfg, run.seed).items()}
+    want[TAU_NAME] = ()
+    if arrays.keys() != want.keys():
+        raise FormatError(f"{path}: checkpoint lacks parameter records "
+                          f"{sorted(want.keys() - arrays.keys())}, has unknown records "
+                          f"{sorted(arrays.keys() - want.keys())}")
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{path}: record {name!r} has shape {arrays[name].shape}, "
+                              f"the model config needs {shape}")
     params = restore_params(arrays, model_cfg)
-    if TAU_NAME not in params:
-        raise ConfigError(f"{path}: checkpoint has no temperature parameter")
     optimizer = AdamW(params, optim_cfg)
     if moments is not None:
         optimizer.load_moments(moments)

@@ -7,7 +7,6 @@ session-scoped so the whole file stays fast.
 
 import filecmp
 import json
-import os
 
 import pytest
 
@@ -237,6 +236,45 @@ def test_bad_checkpoint_trailer_is_format_error(tmp_path, dataset, trained, caps
     assert code == 3
     assert want in capsys.readouterr().err
     assert not (tmp_path / "t.mlrm").exists()
+
+
+def _drop_record(name):
+    return lambda arrays, moments: arrays.pop(name)
+
+
+def _drop_moment(kind, name):
+    return lambda arrays, moments: moments[kind].pop(name)
+
+
+def _reshape_moment(kind, name):
+    return lambda arrays, moments: moments[kind].update({name: moments[kind][name].ravel()})
+
+
+@pytest.mark.parametrize("corrupt, want", [
+    (_drop_record("lm.pos"), "lacks parameter records ['lm.pos']"),
+    (_drop_record("loss.tau"), "lacks parameter records ['loss.tau']"),
+    (lambda arrays, moments: arrays.update(bogus=arrays["loss.tau"]), "unknown records ['bogus']"),
+    (lambda arrays, moments: arrays.update({"lm.pos": arrays["lm.pos"][1:]}), "'lm.pos' has shape"),
+    (lambda arrays, moments: arrays.update({"loss.tau": arrays["loss.tau"].reshape(1)}),
+     "'loss.tau' has shape (1,)"),
+    (_drop_moment("m", "lm.pos"), "missing optimizer state for 'lm.pos'"),
+    (_drop_moment("v", "loss.tau"), "missing optimizer state for 'loss.tau'"),
+    (_reshape_moment("m", "lm.pos"), "shape mismatch for 'lm.pos'"),
+    (_reshape_moment("v", "lm.pos"), "shape mismatch for 'lm.pos'"),
+], ids=["no-lm-pos", "no-tau", "extra-record", "short-lm-pos", "tau-not-scalar",
+        "no-first-moment", "no-second-moment", "first-moment-shape", "second-moment-shape"])
+def test_bad_checkpoint_records_are_format_errors(tmp_path, dataset, trained, capsys,
+                                                  corrupt, want):
+    arrays, moments, step, configs, vocab = load_checkpoint(trained)
+    corrupt(arrays, moments)
+    bad = tmp_path / "bad.mlrm"
+    save_checkpoint(bad, {k: Tensor(a) for k, a in arrays.items()}, moments, step,
+                    configs, vocab)
+    code = main(["export-embeddings", "--checkpoint", str(bad),
+                 "--notes", str(dataset / "notes.jsonl"), "--out", str(tmp_path / "t.emb")])
+    assert code == 3
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "t.emb").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlrm.autodiff import Tensor
 from mlrm.data import Pair, SyntheticConfig, build_vocab, generate_synthetic
@@ -131,11 +133,23 @@ def test_table_round_trip_bit_exact(tmp_path):
     assert back.vectors.tobytes() == table.vectors.tobytes()
     save_table(tmp_path / "emb2.mlrm", back)
     assert (tmp_path / "emb.mlrm").read_bytes() == (tmp_path / "emb2.mlrm").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.mlrm", "emb2.mlrm"]
     # the documented layout, packed field by field
     layout = b"MLRMEMB1" + struct.pack("<II", len(table), table.dim)
     for nid, vec in zip(table.ids.tolist(), table.vectors):
         layout += struct.pack("<Q", nid) + struct.pack(f"<{table.dim}f", *vec.tolist())
     assert path.read_bytes() == layout
+
+
+def test_failed_table_save_keeps_earlier_file(tmp_path, fill_disk):
+    path = tmp_path / "emb.mlrm"
+    save_table(path, random_table(n=5, dim=4, seed=1))
+    before = path.read_bytes()
+    fill_disk()
+    with pytest.raises(OSError, match="No space"):
+        save_table(path, random_table(n=9, dim=4, seed=2))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.mlrm"]
 
 
 def test_table_file_corruption(tmp_path):
@@ -329,8 +343,9 @@ def test_bm25_matches_brute_force():
     index = BM25Index(notes)
     query = simple_note(0, texts[0])
     want = brute_bm25_scores(notes, tokenize(texts[0]))
+    got = dict(zip(index.ids.tolist(), index.scores(query).tolist()))
     for nid in range(10):
-        assert index.score(tokenize(texts[0]), nid) == pytest.approx(want[nid], rel=1e-12)
+        assert got[nid] == pytest.approx(want[nid], rel=1e-12)
     ranked = index.rank(query).tolist()
     order = sorted((nid for nid in range(1, 10)), key=lambda i: (-want[i], i))
     assert ranked == order
@@ -358,15 +373,18 @@ def test_bm25_idf_monotone_in_rarity():
     notes = [simple_note(i, "common " + ("rare" if i == 0 else "filler"))
              for i in range(6)]
     index = BM25Index(notes)
-    assert index.idf["common"] <= index.idf["rare"]
+    # note 0 holds each term once, so its single-term scores order as the idfs
+    common, rare = (index.scores(simple_note(9, term))[0] for term in ("common", "rare"))
+    assert 0.0 < common <= rare
 
 
 def test_bm25_errors():
     with pytest.raises(DataError):
         BM25Index([])
-    index = BM25Index([simple_note(0, "a"), simple_note(1, "b")])
-    with pytest.raises(DataError):
-        index.target_rank(simple_note(0, "a"), 17)
+    pool = [simple_note(0, "a"), simple_note(1, "b")]
+    outside = {n.id: n for n in pool + [simple_note(17, "a")]}
+    with pytest.raises(DataError, match="17 is not in the pool"):
+        evaluate({}, [Pair(0, 17, 1.0)], outside, [1], bm25_pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +449,53 @@ def test_evaluate_errors():
     small = {"multimodal": random_table(n=30), "other": random_table(n=10)}
     with pytest.raises(ConfigError):
         evaluate(small, pairs, notes, ks=[1])
+
+
+def lexsort_rank(scores, ids, query, target):
+    """Brute force: sort every candidate but the query, find the target."""
+    keep = ids != query
+    order = ids[keep][np.lexsort((ids[keep], -scores[keep]))]
+    return int(np.flatnonzero(order == target)[0]) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_matches_lexsort_ranking_under_ties(data):
+    n = data.draw(st.integers(4, 9), label="pool size")
+    ids = np.asarray(data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n,
+                                        unique=True), label="ids"))
+    # small integer vectors tie often, and row 1 duplicates row 0
+    grid = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+                              min_size=n, max_size=n), label="vectors")
+    vectors = np.asarray(grid, dtype=np.float32)
+    vectors[1] = vectors[0]
+    # note 1 duplicates note 0, and note 2's only word is in no other note,
+    # so as a query it scores every candidate 0
+    texts = data.draw(st.lists(st.lists(st.sampled_from("abcd"), max_size=4).map(" ".join),
+                               min_size=n, max_size=n), label="texts")
+    texts[1], texts[2] = texts[0], "solo"
+    notes = {int(i): simple_note(int(i), text) for i, text in zip(ids, texts)}
+    rows = st.integers(0, n - 1)
+    picks = data.draw(st.lists(st.tuples(rows, rows).filter(lambda qt: qt[0] != qt[1]),
+                               min_size=1, max_size=12), label="pairs")
+    picks.append((2, 0))
+    pairs = [Pair(int(ids[q]), int(ids[t]), 1.0) for q, t in picks]
+    ks = [1, 2, n - 2]
+
+    table = EmbeddingTable(ids=ids, vectors=vectors)
+    index = BM25Index(list(notes.values()))
+    report = evaluate({"multimodal": table}, pairs, notes, ks, bm25_pool=list(notes.values()))
+    v = vectors.astype(np.float64)
+    row = {int(i): r for r, i in enumerate(ids)}
+    dense = [lexsort_rank(v @ v[row[p.query]], ids, p.query, p.related) for p in pairs]
+    bm25 = [lexsort_rank(index.scores(notes[p.query]), index.ids, p.query, p.related)
+            for p in pairs]
+    for source, ranks in (("multimodal", dense), ("bm25", bm25)):
+        recall = report["sources"][source]["slices"]["all"]["recall"]
+        assert recall == {k: sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}
+    # the solo query ties every candidate at 0, so its ranking is by id
+    assert not index.scores(notes[int(ids[2])])[index.ids != ids[2]].any()
+    assert index.rank(notes[int(ids[2])]).tolist() == sorted(set(ids.tolist()) - {int(ids[2])})
 
 
 def test_write_eval_report(tmp_path):

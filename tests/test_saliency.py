@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlrm.autodiff import backward
-from mlrm.data import Pair, build_pairs, build_vocab, generate_synthetic, PairConfig, SyntheticConfig
+from mlrm.data import build_pairs, build_vocab, generate_synthetic, PairConfig, SyntheticConfig
 from mlrm.errors import ContractError, NumericError
 from mlrm.model import ModelConfig, embed_notes, init_params
 from mlrm.saliency import (

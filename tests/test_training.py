@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -475,6 +474,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "ck2.mlrm"
     save_checkpoint(path2, params, moments, 42, configs, ["<PAD>", "a", "b"])
     assert path.read_bytes() == path2.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.mlrm", "ck2.mlrm"]
+
+
+def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, fill_disk):
+    notes, pairs, vocab, cfg = small_world()
+    state = init_state(cfg, LossConfig(), OptimConfig(steps=4),
+                       RunSettings(seed=3, batch_pairs=2), vocab)
+    path = tmp_path / "checkpoint.mlrm"
+    save_state(state, path)
+    before = path.read_bytes()
+    state = train(state, notes, pairs, steps=1)
+    fill_disk()
+    with pytest.raises(OSError, match="No space"):
+        save_state(state, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.mlrm"]
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
