@@ -6,13 +6,15 @@ plus a handful of explicit row-wise helpers. The backward sweep is a
 single-threaded reverse pass over a topologically ordered tape, so
 gradients are bitwise reproducible for identical inputs. Tensors can be
 marked retained, in which case both their value and their gradient
-survive the sweep (used for attention probability matrices).
+survive the sweep; the fused attention op returns its probabilities with
+their gradient the same way on request (used for attention saliency).
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -339,6 +341,127 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
         dx *= out
         return (dx,)
     return _record(out, "masked_softmax", (logits,), back)
+
+
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., T, d] -> a [..., heads, T, d / heads] view."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    """[..., heads, T, dh] -> [..., T, heads * dh]."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
+              retain: bool = False) -> tuple[Tensor, Tensor | None]:
+    """Multi-head scaled dot-product attention from projected q, k, v to
+    the head-merged output; returns (output, retained probabilities).
+
+    With ``lengths`` None, q [B, Tq, d] attends fully over k, v
+    [B, Tk, d]. Otherwise q, k, v are packed [N, d] rows of consecutive
+    segments of the given lengths, and each row attends causally within
+    its own segment. Softmax probabilities are kept per segment for the
+    backward pass; with ``retain`` they are also returned as one
+    [segments, heads, T_max, T_max] tensor (or [B, heads, Tq, Tk]), zero
+    outside each segment's block, whose ``grad`` backward fills with
+    dL/d(probabilities).
+    """
+    if q.ndim not in (2, 3) or k.shape != v.shape or k.ndim != q.ndim \
+            or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"with {heads} heads")
+    if lengths is None:
+        if q.ndim != 3 or q.shape[0] != k.shape[0]:
+            raise ShapeError(f"attention: batched q {q.shape} and k {k.shape} disagree")
+        spans = blocks = [Ellipsis]
+        future = None
+        kept_shape = (q.shape[0], heads, q.shape[1], k.shape[1])
+    else:
+        lengths = [int(n) for n in lengths]
+        if q.ndim != 2 or q.shape != k.shape or min(lengths, default=0) < 1 \
+                or sum(lengths) != q.shape[0]:
+            raise ShapeError(f"attention: packed q {q.shape}, k {k.shape} do not hold "
+                             f"segments of lengths {lengths}")
+        ends = np.cumsum(lengths).tolist()
+        spans = [slice(end - n, end) for n, end in zip(lengths, ends)]
+        blocks = [(i, Ellipsis, slice(n), slice(n)) for i, n in enumerate(lengths)]
+        t_max = max(lengths)
+        future = ~np.tri(t_max, dtype=bool)
+        kept_shape = (len(lengths), heads, t_max, t_max)
+    c = 1.0 / math.sqrt(q.shape[-1] // heads)
+
+    out = np.empty_like(q.data)
+    probs = []
+    for span in spans:
+        qh, kh, vh = (_heads(x.data[span], heads) for x in (q, k, v))
+        p = qh @ kh.swapaxes(-1, -2)
+        p *= c
+        if future is not None:
+            t = p.shape[-1]
+            np.copyto(p, -np.inf, where=future[:t, :t])
+        # exp(-inf) is exactly 0 at the masked entries
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        probs.append(p)
+        out[span] = _merge(p @ vh)
+
+    kept = None
+    if retain:
+        kept = Tensor(np.zeros(kept_shape))
+        for block, p in zip(blocks, probs):
+            kept.data[block] = p
+
+    def back(g):
+        dq, dk, dv = (np.empty_like(x.data) for x in (q, k, v))
+        if kept is not None:
+            kept.grad = np.zeros_like(kept.data)
+        for span, block, p in zip(spans, blocks, probs):
+            qh, kh, vh = (_heads(x.data[span], heads) for x in (q, k, v))
+            gh = _heads(g[span], heads)
+            dp = gh @ vh.swapaxes(-1, -2)
+            if kept is not None:
+                kept.grad[block] = dp
+            dv[span] = _merge(p.swapaxes(-1, -2) @ gh)
+            # softmax backward, then the 1/sqrt(dh) scale
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= c
+            dq[span] = _merge(dp @ kh)
+            dk[span] = _merge(dp.swapaxes(-1, -2) @ qh)
+        return dq, dk, dv
+    return _record(out, "attention", (q, k, v), back), kept
+
+
+def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Feed-forward block gelu(x @ w1 + b1) @ w2 + b2 over the last axis,
+    with the exact erf-based gelu."""
+    d = x.shape[-1]
+    if w1.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
+            or w2.shape != (w1.shape[1], d) or b2.shape != (d,):
+        raise ShapeError(f"ff: weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} "
+                         f"do not fit input {x.shape}")
+    rows = x.data.reshape(-1, d)
+    h = rows @ w1.data
+    h += b1.data
+    cdf = _erf(h * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    out = (h * cdf) @ w2.data
+    out += b2.data
+
+    def back(g):
+        g = g.reshape(-1, d)
+        a = h * cdf
+        dh = _INV_SQRT2PI * np.exp(-0.5 * h * h)
+        dh *= h
+        dh += cdf
+        dh *= g @ w2.data.T
+        return ((dh @ w1.data.T).reshape(x.shape), rows.T @ dh, dh.sum(axis=0),
+                a.T @ g, g.sum(axis=0))
+    return _record(out.reshape(x.shape), "ff", (x, w1, b1, w2, b2), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .checkpoint import atomic_write
 from .data import (
     PairConfig,
     SyntheticConfig,
@@ -99,9 +100,8 @@ def _write_manifest(path, command, *, config=None, seed=None,
     }
     if counts is not None:
         manifest["counts"] = counts
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return path
 
 

@@ -1,10 +1,11 @@
 """The representation model: frozen patch encoder, query connector,
 causal LM, gated late fusion and the shared output projector.
 
-Forward passes are batched: sequences are padded with zero rows to the
-longest prompt in the batch, which is safe because causal attention
-never lets a real position look at a later (padded) column and the
-extraction positions index only real rows.
+Forward passes are batched without padding: the LM runs over the real
+rows of every note packed one after another, as in FlashAttention's
+variable-length batches, and each note attends causally only within its
+own segment. Positions restart at 0 for every note, and the embeddings
+are read at each note's offset plus its position.
 
 Variants wire the same blocks differently:
 
@@ -26,7 +27,6 @@ Variants wire the same blocks differently:
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,38 +191,23 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return ad.reshape(out, lead + (d_out,)) if x.ndim != 2 else out
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, t, d = x.shape
-    return ad.transpose(ad.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, dh = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
-
-
 def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
-               mask: np.ndarray | None, retain: bool = False) -> tuple[Tensor, Tensor]:
-    """Multi-head attention of x_q over x_kv; returns (output, probs).
+               lengths: list[int] | None = None,
+               retain: bool = False) -> tuple[Tensor, Tensor | None]:
+    """Multi-head attention of x_q over x_kv; returns (output, retained
+    probabilities or None).
 
-    mask is a boolean [Tq, Tk] pattern shared across batch and heads, or
-    None for full attention. No positional information is injected here,
-    so attention over x_kv is permutation-equivariant in its rows.
+    With ``lengths`` None, batches [B, T, d] attend fully; otherwise x_q
+    and x_kv are the same packed [N, d] rows and each segment attends
+    causally within itself (see ``autodiff.attention``). No positional
+    information is injected here, so full attention over x_kv is
+    permutation-equivariant in its rows.
     """
     p = params
-    q = _split_heads(_linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), heads)
-    k = _split_heads(_linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), heads)
-    v = _split_heads(_linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), heads)
-    dh = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if mask is None:
-        full = np.ones(scores.shape, dtype=bool)
-    else:
-        full = np.broadcast_to(mask, scores.shape)
-    probs = ad.masked_softmax(scores, full)
-    if retain:
-        probs.retain_grad()
-    out = _merge_heads(ad.matmul(probs, v))
+    q = _linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    out, probs = ad.attention(q, k, v, heads, lengths, retain)
     return _linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), probs
 
 
@@ -231,13 +216,12 @@ def _ln(params: dict, prefix: str, x: Tensor, eps: float) -> Tensor:
 
 
 def _ff(params: dict, prefix: str, x: Tensor) -> Tensor:
-    h = ad.gelu(_linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return _linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return ad.ff(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
-def _encoder_block(params, cfg, prefix, x, heads, mask, retain=False):
+def _encoder_block(params, cfg, prefix, x, heads, lengths=None, retain=False):
     normed = _ln(params, f"{prefix}.ln1", x, cfg.eps)
-    a, probs = _attention(params, f"{prefix}.attn", normed, normed, heads, mask, retain)
+    a, probs = _attention(params, f"{prefix}.attn", normed, normed, heads, lengths, retain)
     x = ad.add(x, a)
     x = ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln2", x, cfg.eps)))
     return x, probs
@@ -259,7 +243,7 @@ def encode_images(params: dict, cfg: ModelConfig, images: np.ndarray) -> Tensor:
     x = ad.concat([ad.concat([cls] * b, axis=0), x], axis=1)
     x = ad.add(x, params["vision.pos"])
     for i in range(cfg.vision_layers):
-        x, _ = _encoder_block(params, cfg, f"vision.blocks.{i}", x, cfg.vision_heads, None)
+        x, _ = _encoder_block(params, cfg, f"vision.blocks.{i}", x, cfg.vision_heads)
     return _ln(params, "vision.ln_f", x, cfg.eps)
 
 
@@ -278,11 +262,11 @@ def connect(params: dict, cfg: ModelConfig, vision_feats: Tensor) -> Tensor:
         prefix = f"connector.blocks.{i}"
         normed = _ln(params, f"{prefix}.ln_self", x, cfg.eps)
         a, _ = _attention(params, f"{prefix}.self_attn", normed, normed,
-                          cfg.connector_heads, None)
+                          cfg.connector_heads)
         x = ad.add(x, a)
         a, _ = _attention(params, f"{prefix}.cross_attn",
                           _ln(params, f"{prefix}.ln_cross", x, cfg.eps), vision_feats,
-                          cfg.connector_heads, None)
+                          cfg.connector_heads)
         x = ad.add(x, a)
         x = ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln_ff", x, cfg.eps)))
     return _linear(x, params["connector.out.w"], params["connector.out.b"])
@@ -343,16 +327,18 @@ class AssembledInfo:
 
 def assemble(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
              visual_rows: Tensor | None) -> tuple[Tensor, list[AssembledInfo]]:
-    """Splice visual rows into every prompt and pad to [B, T_max, h_t] with
-    one gather from a table of token embeddings, visual rows and a zero row.
+    """Splice visual rows into every prompt and pack the real rows of all
+    notes, one note after another, into [1, N, h_t], where N is the sum
+    of the note lengths. One gather reads them from a table of token
+    embeddings and visual rows; there is no padding.
 
     ``visual_rows`` broadcasts against [B, visual_tokens, h_t] (a [1, 1, h_t]
     row is read L_c times by every note); None keeps each placeholder as an
-    ordinary token. Positions are added later, over the final sequence.
+    ordinary token. Positions are added later, per note.
     """
     b, ht = len(layouts), cfg.hidden_text
     tok_emb = params["lm.tok_emb"]
-    pieces = [tok_emb]
+    table = tok_emb
     if visual_rows is None:
         visual_len = 1
         visual_ids = np.zeros((b, 0), dtype=np.int64)
@@ -365,34 +351,33 @@ def assemble(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         n, l = visual_rows.shape[:2]
         visual_ids = tok_emb.shape[0] + np.broadcast_to(
             np.arange(n * l).reshape(n, l), (b, visual_len))
-        pieces.append(ad.reshape(visual_rows, (n * l, ht)))
+        table = ad.concat([tok_emb, ad.reshape(visual_rows, (n * l, ht))], axis=0)
     infos = [AssembledInfo(layout, spliced=visual_rows is not None, visual_len=visual_len,
                            length=layout.length + visual_len - 1) for layout in layouts]
-    t_max = max(info.length for info in infos)
-    pad_row = sum(p.shape[0] for p in pieces)
-    index = np.full((b, t_max), pad_row, dtype=np.int64)
-    for i, info in enumerate(infos):
-        index[i, :info.length] = info.source_rows(visual_ids[i])
-    table = ad.concat(pieces + [Tensor(np.zeros((1, ht)))], axis=0)
-    return ad.reshape(ad.embedding_lookup(table, index.ravel()), (b, t_max, ht)), infos
+    index = np.concatenate([info.source_rows(visual_ids[i]) for i, info in enumerate(infos)])
+    return ad.reshape(ad.embedding_lookup(table, index), (1, index.size, ht)), infos
 
 
-def forward_llm(params: dict, cfg: ModelConfig, x: Tensor,
-                retain_attention: bool = False) -> tuple[Tensor, list[Tensor]]:
-    """Causal transformer over [B, T, h_t]; returns hidden states and the
-    per-layer attention probability tensors."""
-    b, t, d = x.shape
-    if t > cfg.max_positions:
-        raise ConfigError(f"sequence of {t} positions exceeds the position table "
+def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
+                retain_attention: bool = False) -> tuple[Tensor, list[Tensor] | None]:
+    """Causal transformer over the packed rows [1, N, h_t] of notes with
+    the given lengths; each note attends only within itself. Returns the
+    hidden states [N, h_t] and, with ``retain_attention``, the per-layer
+    attention probabilities [B, heads, T_max, T_max] (else None)."""
+    if x.ndim != 3 or x.shape[0] != 1 or x.shape[1] != sum(lengths):
+        raise ShapeError(f"forward_llm: {x.shape} does not pack notes of lengths {lengths}")
+    n, d = x.shape[1:]
+    if max(lengths) > cfg.max_positions:
+        raise ConfigError(f"sequence of {max(lengths)} positions exceeds the position table "
                           f"({cfg.max_positions})")
-    x = ad.add(x, ad.narrow(params["lm.pos"], 0, 0, t))
-    causal = np.tril(np.ones((t, t), dtype=bool))
+    positions = np.concatenate([np.arange(t) for t in lengths])
+    x = ad.add(ad.reshape(x, (n, d)), ad.embedding_lookup(params["lm.pos"], positions))
     attentions = []
     for i in range(cfg.lm_layers):
         x, probs = _encoder_block(params, cfg, f"lm.blocks.{i}", x, cfg.lm_heads,
-                                  causal, retain=retain_attention)
+                                  lengths, retain_attention)
         attentions.append(probs)
-    return _ln(params, "lm.ln_f", x, cfg.eps), attentions
+    return _ln(params, "lm.ln_f", x, cfg.eps), attentions if retain_attention else None
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +488,6 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
                   retain_attention: bool = False,
                   image_cache: dict | None = None) -> BatchRepresentations:
     """Lower-level entry point taking pre-built prompt layouts."""
-    b = len(layouts)
     ht = cfg.hidden_text
     text_only = modality == "text_only"
     vision_feats = _vision_features(params, cfg, notes, text_only, image_cache)
@@ -515,18 +499,16 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         visual_rows = ad.reshape(params["fusion.null_image"], (1, 1, ht))
     else:
         visual_rows = connect(params, cfg, vision_feats)
-    stacked, infos = assemble(params, cfg, layouts, visual_rows)
-    t_max = stacked.shape[1]
+    packed, infos = assemble(params, cfg, layouts, visual_rows)
+    lengths = [info.length for info in infos]
+    hidden, attentions = forward_llm(params, cfg, packed, lengths, retain_attention)
 
-    hidden, attentions = forward_llm(params, cfg, stacked, retain_attention)
-
-    # Row i * t_max + pos of the flattened states is note i at position pos.
-    flat = ad.reshape(hidden, (b * t_max, ht))
-    n_m = ad.embedding_lookup(flat, [i * t_max + infos[i].compressed_pos for i in range(b)])
+    # Note i starts at row offsets[i] of the packed hidden states.
+    offsets = np.cumsum([0] + lengths[:-1])
+    n_m = ad.embedding_lookup(hidden, offsets + [info.compressed_pos for info in infos])
     n_v = None
     if mode in MICL_PROMPT_MODES:
-        n_v = ad.embedding_lookup(flat, [i * t_max + infos[i].visual_word_pos
-                                          for i in range(b)])
+        n_v = ad.embedding_lookup(hidden, offsets + [info.visual_word_pos for info in infos])
 
     fused_v = fused_m = None
     if mode == "notellm2":
@@ -545,5 +527,5 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         visual_summary=v, raw_visual=n_v, raw_multimodal=n_m,
         fused_visual=fused_v, fused_multimodal=fused_m,
         out_visual=out_v, out_multimodal=out_m,
-        attentions=attentions if retain_attention else None,
+        attentions=attentions,
     )

@@ -365,26 +365,28 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
 
 def write_eval_report(report: dict, json_path, csv_path) -> None:
     import csv as csv_mod
+    import io
     import json
 
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=_json_key)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv_mod.writer(fh)
-        writer.writerow(["source", "slice", "k", "recall", "random_baseline", "n_pairs"])
-        for source in sorted(report["sources"]):
-            slices = report["sources"][source]["slices"]
-            for kind in SLICES:
-                entry = slices[kind]
-                for k in report["ks"]:
-                    recall = entry["recall"][k]
-                    writer.writerow([
-                        source, kind, k,
-                        "" if recall is None else repr(recall),
-                        repr(report["random_baseline"][k]),
-                        min(entry["n_pairs"]),
-                    ])
+    with atomic_write(json_path) as fh:
+        fh.write((json.dumps(report, indent=2, default=_json_key) + "\n").encode("utf-8"))
+    rows = io.StringIO()
+    writer = csv_mod.writer(rows)
+    writer.writerow(["source", "slice", "k", "recall", "random_baseline", "n_pairs"])
+    for source in sorted(report["sources"]):
+        slices = report["sources"][source]["slices"]
+        for kind in SLICES:
+            entry = slices[kind]
+            for k in report["ks"]:
+                recall = entry["recall"][k]
+                writer.writerow([
+                    source, kind, k,
+                    "" if recall is None else repr(recall),
+                    repr(report["random_baseline"][k]),
+                    min(entry["n_pairs"]),
+                ])
+    with atomic_write(csv_path) as fh:
+        fh.write(rows.getvalue().encode("utf-8"))
 
 
 def _json_key(obj):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward
+from .checkpoint import atomic_write
 from .data import Pair, make_batches
 from .errors import ContractError, NumericError
 from .model import MICL_PROMPT_MODES, AssembledInfo, ModelConfig
@@ -157,11 +159,12 @@ CSV_FIELDS = ("layer", "S_v", "S_t", "S_o", "share_v", "share_t", "share_o")
 
 
 def write_report(report: SaliencyReport, csv_path, json_path) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for row in report.layers:
-            writer.writerow({k: row[k] for k in CSV_FIELDS})
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2)
-        fh.write("\n")
+    rows = io.StringIO()
+    writer = csv.DictWriter(rows, fieldnames=CSV_FIELDS)
+    writer.writeheader()
+    for row in report.layers:
+        writer.writerow({k: row[k] for k in CSV_FIELDS})
+    with atomic_write(csv_path) as fh:
+        fh.write(rows.getvalue().encode("utf-8"))
+    with atomic_write(json_path) as fh:
+        fh.write((json.dumps(dataclasses.asdict(report), indent=2) + "\n").encode("utf-8"))

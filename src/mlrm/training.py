@@ -395,6 +395,9 @@ def load_state(path) -> TrainState:
         decode_config(cls, configs[key], f"{path}: {key}", FormatError)
         for cls, key in ((ModelConfig, "model"), (LossConfig, "loss"),
                          (OptimConfig, "optim"), (RunSettings, "run")))
+    if len(vocab_tokens) != model_cfg.vocab_size:
+        raise FormatError(f"{path}: vocabulary holds {len(vocab_tokens)} tokens, "
+                          f"the model config needs {model_cfg.vocab_size}")
     want = {name: p.shape for name, p in init_params(model_cfg, run.seed).items()}
     want[TAU_NAME] = ()
     if arrays.keys() != want.keys():

@@ -183,6 +183,22 @@ def _primitive_cases(rng):
            [a, rng.standard_normal(n)])
     yield ("scale_rows", lambda t: red(ad.scale_rows(t[0], t[1])),
            [a, rng.standard_normal(n)])
+    # fused ops: causal segments of unequal lengths, and cross-attention
+    # of n queries over n + 1 keys
+    d = 2 * int(rng.integers(1, 3))
+    lengths = [n, n + int(rng.integers(1, 3))]
+    packed = [rng.standard_normal((sum(lengths), d)) for _ in range(3)]
+    red_packed = _weighted(rng, (sum(lengths), d))
+    yield ("attention_causal",
+           lambda t: red_packed(ad.attention(t[0], t[1], t[2], 2, lengths)[0]), packed)
+    cross = [rng.standard_normal((2, n, d))] + [rng.standard_normal((2, n + 1, d))
+                                                for _ in range(2)]
+    red_cross = _weighted(rng, (2, n, d))
+    yield ("attention_cross",
+           lambda t: red_cross(ad.attention(t[0], t[1], t[2], 2)[0]), cross)
+    yield ("ff", lambda t: red(ad.ff(*t)),
+           [a, rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m),
+            rng.standard_normal((2 * m, m)), rng.standard_normal(m)])
 
 
 def test_criterion_01_gradient_suite(small_world):

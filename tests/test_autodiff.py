@@ -234,6 +234,11 @@ CASES = {
     "scale_rows": (lambda ts: ad.scale_rows(ts[0], ts[1]), [(3, 4), (3,)]),
     "embedding_lookup": (
         lambda ts: ad.embedding_lookup(ts[0], np.array([0, 2, 2, 1])), [(4, 3)]),
+    "attention_causal": (
+        lambda ts: ad.attention(ts[0], ts[1], ts[2], 2, [3, 1, 2])[0], [(6, 4)] * 3),
+    "attention_cross": (
+        lambda ts: ad.attention(ts[0], ts[1], ts[2], 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
+    "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
 }
 
 POSITIVE_ONLY = {"log1p", "power"}
@@ -255,6 +260,96 @@ def test_fd_gradients(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     for _ in range(5):
         _check(name, build, draw_inputs(name, shapes, rng))
+
+
+def _unfused_attention(q, k, v, heads, mask):
+    """The split/score/scale/masked_softmax/value/merge composition of one
+    [B, T, d] batch; returns (output, retained probabilities)."""
+    def split(x):
+        b, t, d = x.shape
+        return ad.transpose(ad.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
+                      1.0 / np.sqrt(q.shape[-1] // heads))
+    probs = ad.masked_softmax(scores, np.broadcast_to(mask, scores.shape)).retain_grad()
+    out = ad.matmul(probs, vh)
+    b, h, t, dh = out.shape
+    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, h * dh)), probs
+
+
+def test_attention_matches_unfused_composition_note_by_note():
+    rng = np.random.default_rng(11)
+    heads, d, lengths = 2, 6, [4, 1, 7, 3]
+    qkv = [rng.normal(size=(sum(lengths), d)) for _ in range(3)]
+    w = rng.normal(size=(sum(lengths), d))
+    q, k, v = (t(a) for a in qkv)
+    out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
+    ad.backward(ad.tsum(ad.mul(out, t(w, grad=False))))
+    assert kept.shape == (len(lengths), heads, max(lengths), max(lengths))
+    start = 0
+    for i, n in enumerate(lengths):
+        span = slice(start, start + n)
+        start += n
+        parts = [t(a[None, span]) for a in qkv]
+        ref, probs = _unfused_attention(*parts, heads, np.tri(n, dtype=bool))
+        ad.backward(ad.tsum(ad.mul(ref, t(w[None, span], grad=False))))
+        close = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[span], ref.data[0], **close)
+        for fused, part in zip((q, k, v), parts):
+            np.testing.assert_allclose(fused.grad[span], part.grad[0], **close)
+        np.testing.assert_allclose(kept.data[i, :, :n, :n], probs.data[0], **close)
+        np.testing.assert_allclose(kept.grad[i, :, :n, :n], probs.grad[0], **close)
+        assert not kept.data[i, :, n:].any() and not kept.data[i, :, :, n:].any()
+        assert not kept.grad[i, :, n:].any() and not kept.grad[i, :, :, n:].any()
+
+
+def test_batched_attention_matches_unfused_composition():
+    rng = np.random.default_rng(12)
+    heads, shapes = 2, [(3, 4, 6), (3, 5, 6), (3, 5, 6)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    w = t(rng.normal(size=shapes[0]), grad=False)
+    fused_in, ref_in = [t(a) for a in arrays], [t(a) for a in arrays]
+    out, kept = ad.attention(*fused_in, heads, retain=True)
+    ref, probs = _unfused_attention(*ref_in, heads, np.ones((4, 5), bool))
+    for o in (out, ref):
+        ad.backward(ad.tsum(ad.mul(o, w)))
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, ref.data, **close)
+    for a, b in zip(fused_in, ref_in):
+        np.testing.assert_allclose(a.grad, b.grad, **close)
+    np.testing.assert_allclose(kept.data, probs.data, **close)
+    np.testing.assert_allclose(kept.grad, probs.grad, **close)
+
+
+def test_ff_matches_unfused_composition():
+    rng = np.random.default_rng(13)
+    arrays = [rng.normal(size=s) for s in [(2, 5, 4), (4, 8), (8,), (8, 4), (4,)]]
+    w = t(rng.normal(size=(2, 5, 4)), grad=False)
+    fused_in, ref_in = [t(a) for a in arrays], [t(a) for a in arrays]
+    x, w1, b1, w2, b2 = ref_in
+    h = ad.gelu(ad.add(ad.matmul(ad.reshape(x, (10, 4)), w1), b1))
+    ref = ad.reshape(ad.add(ad.matmul(h, w2), b2), (2, 5, 4))
+    out = ad.ff(*fused_in)
+    for o in (out, ref):
+        ad.backward(ad.tsum(ad.mul(o, w)))
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, ref.data, **close)
+    for a, b in zip(fused_in, ref_in):
+        np.testing.assert_allclose(a.grad, b.grad, **close)
+
+
+def test_attention_and_ff_shape_errors():
+    x = t(np.zeros((5, 4)))
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 2, [2, 2])  # lengths do not cover the rows
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 2, [5, 0])  # empty segment
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 3, [5])  # width not divisible by heads
+    with pytest.raises(ShapeError):
+        ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((3, 3, 4))), t(np.zeros((3, 3, 4))), 2)
+    with pytest.raises(ShapeError):
+        ad.ff(x, t(np.zeros((4, 6))), t(np.zeros(6)), t(np.zeros((6, 5))), t(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------

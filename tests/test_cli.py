@@ -12,8 +12,8 @@ import pytest
 
 from mlrm.autodiff import Tensor
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
-from mlrm.cli import main
-from mlrm.saliency import CSV_FIELDS
+from mlrm.cli import _write_manifest, main
+from mlrm.saliency import CSV_FIELDS, SaliencyReport, write_report
 
 TINY_MODEL = {
     "model": {"hidden_text": 32, "visual_tokens": 4, "lm_layers": 2,
@@ -277,6 +277,19 @@ def test_bad_checkpoint_records_are_format_errors(tmp_path, dataset, trained, ca
     assert not (tmp_path / "t.emb").exists()
 
 
+def test_checkpoint_vocab_size_mismatch_is_format_error(tmp_path, dataset, trained, capsys):
+    arrays, moments, step, configs, vocab = load_checkpoint(trained)
+    bad = tmp_path / "bad.mlrm"
+    save_checkpoint(bad, {k: Tensor(a) for k, a in arrays.items()}, moments, step,
+                    configs, vocab[:10])
+    code = main(["export-embeddings", "--checkpoint", str(bad),
+                 "--notes", str(dataset / "notes.jsonl"), "--out", str(tmp_path / "t.emb")])
+    assert code == 3
+    assert f"vocabulary holds 10 tokens, the model config needs {len(vocab)}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "t.emb").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -352,6 +365,24 @@ def test_analyze_outputs_and_determinism(tmp_path, dataset, trained, capsys):
         assert total == pytest.approx(1.0, abs=1e-12)
     for name in ("saliency.csv", "saliency.json"):
         assert filecmp.cmp(first / name, second / name, shallow=False)
+
+
+def test_failed_report_writes_keep_earlier_files(tmp_path, fill_disk):
+    def report(share_v):
+        return SaliencyReport(mode="notellm2", folded_visual_word=True, n_notes=4, layers=[
+            {"layer": 0, "S_v": 1.0, "S_t": 2.0, "S_o": 3.0,
+             "share_v": share_v, "share_t": 0.5, "share_o": 0.5 - share_v}])
+    csv_path, json_path = tmp_path / "saliency.csv", tmp_path / "saliency.json"
+    write_report(report(0.25), csv_path, json_path)
+    _write_manifest(tmp_path / "manifest.json", "analyze", seed=1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert json.loads(before["manifest.json"])["seed"] == 1
+    fill_disk(0)
+    with pytest.raises(OSError, match="No space"):
+        write_report(report(0.125), csv_path, json_path)
+    with pytest.raises(OSError, match="No space"):
+        _write_manifest(tmp_path / "manifest.json", "analyze", seed=2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_analyze_rejects_zero_batches(tmp_path, dataset, trained, capsys):

@@ -1,5 +1,7 @@
 """Model wiring tests: shapes, isolation, symmetry, gating, projection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ def test_splice_length_law(setup):
             assert info.length == layout.length + lc - 1
 
 
-def test_assemble_gathers_tokens_visual_rows_and_padding(setup):
+def test_assemble_packs_tokens_and_visual_rows(setup):
     cfg, params, vocab, notes = setup
     layouts = [build_micl_prompt(n, vocab) for n in notes[:3]]
     lc, ht = cfg.visual_tokens, cfg.hidden_text
@@ -87,17 +89,17 @@ def test_assemble_gathers_tokens_visual_rows_and_padding(setup):
                            (ad.Tensor(rows.data[:1, :1]),
                             lambda i: np.repeat(rows.data[0, :1], lc, axis=0))):
         x, infos = mm.assemble(params, cfg, layouts, visual)
-        assert x.shape == (3, max(i.length for i in infos), ht)
-        for i, (layout, info) in enumerate(zip(layouts, infos)):
+        assert x.shape == (1, sum(i.length for i in infos), ht)
+        want = []
+        for i, layout in enumerate(layouts):
             ids = np.asarray(layout.token_ids)
             slot = layout.img_slot
-            want = np.concatenate([tok[ids[:slot]], expect(i), tok[ids[slot + 1:]]])
-            assert np.array_equal(x.data[i, :info.length], want)
-            assert not x.data[i, info.length:].any()
+            want += [tok[ids[:slot]], expect(i), tok[ids[slot + 1:]]]
+        assert np.array_equal(x.data[0], np.concatenate(want))
     x, infos = mm.assemble(params, cfg, layouts, None)
-    for i, (layout, info) in enumerate(zip(layouts, infos)):
+    for layout, info in zip(layouts, infos):
         assert info.length == layout.length and not info.spliced
-        assert np.array_equal(x.data[i, :info.length], tok[list(layout.token_ids)])
+    assert np.array_equal(x.data[0], np.concatenate([tok[list(l.token_ids)] for l in layouts]))
     with pytest.raises(ShapeError):
         mm.assemble(params, cfg, layouts, ad.Tensor(np.zeros((2, lc, ht))))
 
@@ -123,7 +125,13 @@ def test_default_notellm2_batch_tape_size():
     params = mm.init_params(cfg, seed=0)
     params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
     loss, _ = batch_loss(params, cfg, vocab, notes, np.arange(32) ^ 1, LossConfig())
-    assert len(ad._topo_order(loss)) <= 420
+    tape = ad._topo_order(loss)
+    assert len(tape) <= 293
+    ops = Counter(node.op for node in tape)
+    # two LM layers and two connector layers of self- and cross-attention;
+    # the frozen vision encoder records nothing
+    assert ops["attention"] == 6 and ops["ff"] == 4
+    assert not ops["masked_softmax"] and not ops["gelu"]
 
 
 def test_no_splice_keeps_token_count(setup):

@@ -511,6 +511,18 @@ def test_write_eval_report(tmp_path):
     assert len(lines) == 1 + len(tables) * len(SLICES) * 2
 
 
+def test_failed_eval_report_write_keeps_earlier_files(tmp_path, fill_disk):
+    notes, tables, pairs = eval_world()
+    write_eval_report(evaluate(tables, pairs, notes, ks=[1, 10]),
+                      tmp_path / "eval.json", tmp_path / "eval.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fill_disk(0)
+    with pytest.raises(OSError, match="No space"):
+        write_eval_report(evaluate(tables, pairs, notes, ks=[1, 5]),
+                          tmp_path / "eval.json", tmp_path / "eval.csv")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_select_pool_keeps_pairs_whole():
     rng = np.random.default_rng(1)
     notes = [note_of_length(i, 60) for i in range(50)]
