@@ -4,10 +4,9 @@ Deliberately small: float64 everywhere, a dynamic graph rebuilt on every
 forward pass, and no broadcasting except bias addition over leading axes
 plus a handful of explicit row-wise helpers. The backward sweep is a
 single-threaded reverse pass over a topologically ordered tape, so
-gradients are bitwise reproducible for identical inputs. Tensors can be
-marked retained, in which case both their value and their gradient
-survive the sweep; the fused attention op returns its probabilities with
-their gradient the same way on request (used for attention saliency).
+gradients are bitwise reproducible for identical inputs. On request the
+fused attention op also returns its probabilities as a tensor whose
+gradient the sweep fills (used for attention saliency).
 """
 
 from __future__ import annotations
@@ -51,12 +50,12 @@ class Tensor:
     """A float64 array plus the bookkeeping reverse mode needs.
 
     ``data`` is the row-major value buffer, ``grad`` is filled by
-    ``backward`` for leaves with ``requires_grad`` and for retained
-    intermediates, and ``node_id`` identifies the tensor on the tape.
+    ``backward`` for leaves with ``requires_grad``, and ``node_id``
+    identifies the tensor on the tape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "op",
-                 "_parents", "_backward_fn", "_retained")
+                 "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,7 +65,6 @@ class Tensor:
         self.op: str | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._retained = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,11 +82,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def retain_grad(self) -> "Tensor":
-        """Keep this tensor's gradient around after backward."""
-        self._retained = True
-        return self
 
     def is_leaf(self) -> bool:
         return self._backward_fn is None
@@ -141,8 +134,7 @@ def backward(loss: Tensor) -> None:
 
     Visits every tape node exactly once in reverse topological order,
     accumulating gradients. Leaves with ``requires_grad`` receive (or
-    accumulate into) ``.grad``; retained intermediates receive a copy of
-    their output gradient.
+    accumulate into) ``.grad``.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -151,10 +143,8 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(t.node_id, None)
         if g is None:
             continue
-        if t._retained:
-            t.grad = g.copy()
         if t._backward_fn is None:
-            if t.requires_grad and not t._retained:
+            if t.requires_grad:
                 t.grad = g.copy() if t.grad is None else t.grad + g
             continue
         parent_grads = t._backward_fn(g)
@@ -355,82 +345,108 @@ def _merge(x: np.ndarray) -> np.ndarray:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
-              retain: bool = False) -> tuple[Tensor, Tensor | None]:
+              retain: bool = False, queries=None) -> tuple[Tensor, Tensor | None]:
     """Multi-head scaled dot-product attention from projected q, k, v to
     the head-merged output; returns (output, retained probabilities).
 
     With ``lengths`` None, q [B, Tq, d] attends fully over k, v
-    [B, Tk, d]. Otherwise q, k, v are packed [N, d] rows of consecutive
-    segments of the given lengths, and each row attends causally within
-    its own segment. Softmax probabilities are kept per segment for the
+    [B, Tk, d]. Otherwise k, v are packed [N, d] rows of consecutive
+    segments of the given lengths, and each query attends causally within
+    its own segment: the query at position i to keys 0..i. ``queries``
+    gives, per segment, the strictly ascending positions that q holds
+    rows for, packed segment after segment; by default q holds every
+    position, [N, d]. Softmax probabilities are kept per segment for the
     backward pass; with ``retain`` they are also returned as one
     [segments, heads, T_max, T_max] tensor (or [B, heads, Tq, Tk]), zero
-    outside each segment's block, whose ``grad`` backward fills with
-    dL/d(probabilities).
+    outside each segment's block and at positions that are not queries,
+    whose ``grad`` backward fills with dL/d(probabilities).
     """
     if q.ndim not in (2, 3) or k.shape != v.shape or k.ndim != q.ndim \
             or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
                          f"with {heads} heads")
     if lengths is None:
-        if q.ndim != 3 or q.shape[0] != k.shape[0]:
+        if q.ndim != 3 or q.shape[0] != k.shape[0] or queries is not None:
             raise ShapeError(f"attention: batched q {q.shape} and k {k.shape} disagree")
-        spans = blocks = [Ellipsis]
+        qspans = kspans = blocks = [Ellipsis]
         future = None
         kept_shape = (q.shape[0], heads, q.shape[1], k.shape[1])
     else:
         lengths = [int(n) for n in lengths]
-        if q.ndim != 2 or q.shape != k.shape or min(lengths, default=0) < 1 \
-                or sum(lengths) != q.shape[0]:
-            raise ShapeError(f"attention: packed q {q.shape}, k {k.shape} do not hold "
+        if q.ndim != 2 or min(lengths, default=0) < 1 or sum(lengths) != k.shape[0]:
+            raise ShapeError(f"attention: packed k {k.shape} does not hold "
                              f"segments of lengths {lengths}")
-        ends = np.cumsum(lengths).tolist()
-        spans = [slice(end - n, end) for n, end in zip(lengths, ends)]
-        blocks = [(i, Ellipsis, slice(n), slice(n)) for i, n in enumerate(lengths)]
+        if queries is None:
+            rows = [slice(n) for n in lengths]
+            counts = lengths
+        else:
+            rows = [np.asarray(r, dtype=np.int64) for r in queries]
+            if len(rows) != len(lengths) or any(
+                    r.ndim != 1 or not r.size or r[0] < 0 or r[-1] >= n
+                    or (np.diff(r) <= 0).any() for r, n in zip(rows, lengths)):
+                raise ShapeError(f"attention: queries {queries} are not ascending "
+                                 f"positions within segments of lengths {lengths}")
+            counts = [r.size for r in rows]
+        if q.shape[0] != sum(counts):
+            raise ShapeError(f"attention: q {q.shape} does not hold {sum(counts)} query rows")
+        qspans, kspans = (
+            [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
+            for sizes in (counts, lengths))
+        blocks = [(i, r, n) for i, (r, n) in enumerate(zip(rows, lengths))]
         t_max = max(lengths)
         future = ~np.tri(t_max, dtype=bool)
         kept_shape = (len(lengths), heads, t_max, t_max)
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
 
+    def fill(buffer, block, p):
+        """Write one segment's [heads, queries, keys] block into a retained buffer."""
+        if block is Ellipsis:
+            buffer[...] = p
+        else:
+            i, r, n = block
+            buffer[i][:, r, :n] = p
+
     out = np.empty_like(q.data)
     probs = []
-    for span in spans:
-        qh, kh, vh = (_heads(x.data[span], heads) for x in (q, k, v))
+    for qspan, kspan, block in zip(qspans, kspans, blocks):
+        qh = _heads(q.data[qspan], heads)
+        kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
         p = qh @ kh.swapaxes(-1, -2)
         p *= c
         if future is not None:
-            t = p.shape[-1]
-            np.copyto(p, -np.inf, where=future[:t, :t])
+            _, r, n = block
+            np.copyto(p, -np.inf, where=future[r, :n])
         # exp(-inf) is exactly 0 at the masked entries
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         probs.append(p)
-        out[span] = _merge(p @ vh)
+        out[qspan] = _merge(p @ vh)
 
     kept = None
     if retain:
         kept = Tensor(np.zeros(kept_shape))
         for block, p in zip(blocks, probs):
-            kept.data[block] = p
+            fill(kept.data, block, p)
 
     def back(g):
         dq, dk, dv = (np.empty_like(x.data) for x in (q, k, v))
         if kept is not None:
             kept.grad = np.zeros_like(kept.data)
-        for span, block, p in zip(spans, blocks, probs):
-            qh, kh, vh = (_heads(x.data[span], heads) for x in (q, k, v))
-            gh = _heads(g[span], heads)
+        for qspan, kspan, block, p in zip(qspans, kspans, blocks, probs):
+            qh = _heads(q.data[qspan], heads)
+            kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
+            gh = _heads(g[qspan], heads)
             dp = gh @ vh.swapaxes(-1, -2)
             if kept is not None:
-                kept.grad[block] = dp
-            dv[span] = _merge(p.swapaxes(-1, -2) @ gh)
+                fill(kept.grad, block, dp)
+            dv[kspan] = _merge(p.swapaxes(-1, -2) @ gh)
             # softmax backward, then the 1/sqrt(dh) scale
             dp -= (dp * p).sum(axis=-1, keepdims=True)
             dp *= p
             dp *= c
-            dq[span] = _merge(dp @ kh)
-            dk[span] = _merge(dp.swapaxes(-1, -2) @ qh)
+            dq[qspan] = _merge(dp @ kh)
+            dk[kspan] = _merge(dp.swapaxes(-1, -2) @ qh)
         return dq, dk, dv
     return _record(out, "attention", (q, k, v), back), kept
 

@@ -6,7 +6,7 @@ Every command validates its inputs before writing anything, emits a
 run manifest next to its outputs, and is deterministic given its flags;
 manifests are the only place wall-clock timestamps appear.
 
-Exit codes: 0 success, 2 configuration problem, 3 data problem,
+Exit codes: 0 success, 2 configuration problem, 3 data or I/O problem,
 4 numeric failure.
 """
 
@@ -454,7 +454,9 @@ def main(argv=None) -> int:
     except (ConfigError, ModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, BatchError) as exc:
+    except (DataError, FormatError, BatchError, OSError) as exc:
+        # OSError: a file that cannot be read or written (full disk,
+        # missing permission)
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

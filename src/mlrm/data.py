@@ -213,7 +213,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
     rng = np.random.default_rng(cfg.seed)
     n_groups = cfg.n_clusters * cfg.subtopics
 
-    pool = _word_pool(rng, 40 + cfg.n_clusters * 25 + n_groups * 10)
+    # rng.choice converts a list argument to an array on every call, so
+    # the pools are arrays from the start; the draws are the same
+    pool = np.asarray(_word_pool(rng, 40 + cfg.n_clusters * 25 + n_groups * 10))
     filler = pool[:40]
     cursor = 40
     theme = []
@@ -236,7 +238,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
         c = int(rng.integers(cfg.n_clusters))
         s = int(rng.integers(cfg.subtopics))
         note_cluster[nid], note_subtopic[nid] = c, s
-        words_local = list(theme[c]) + list(detail[c][s]) + list(filler[:10])
+        words_local = np.concatenate([theme[c], detail[c][s], filler[:10]])
 
         u = rng.random()
         if u < cfg.short_fraction:
@@ -264,9 +266,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
         notes.append(Note(id=nid, title=title, topics=topics, content=content, image=image))
 
     # Browsing: users stick to one subtopic, occasionally wander.
-    members: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for nid in range(cfg.n_notes):
-        members.setdefault((int(note_cluster[nid]), int(note_subtopic[nid])), []).append(nid)
+        groups.setdefault((int(note_cluster[nid]), int(note_subtopic[nid])), []).append(nid)
+    members = {key: np.asarray(ids) for key, ids in groups.items()}
     cluster_members = [np.flatnonzero(note_cluster == c) for c in range(cfg.n_clusters)]
 
     events: list[BehaviorEvent] = []
@@ -276,7 +279,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
     while len(events) < n_events_target:
         c = int(rng.integers(cfg.n_clusters))
         s = int(rng.integers(cfg.subtopics))
-        home = members.get((c, s)) or list(cluster_members[c])
+        home = members.get((c, s))
+        if home is None:
+            home = cluster_members[c]
         n_user_events = int(rng.integers(4, 11))
         for _ in range(n_user_events):
             viewed = int(rng.choice(home))

@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
-The CLI maps ConfigError to exit code 2, DataError to 3 and NumericError
-to 4; everything else is a plain failure.
+The CLI maps ConfigError to exit code 2, DataError (and an OSError from
+reading or writing a file) to 3 and NumericError to 4; everything else
+is a plain failure.
 """
 
 

@@ -4,8 +4,11 @@ causal LM, gated late fusion and the shared output projector.
 Forward passes are batched without padding: the LM runs over the real
 rows of every note packed one after another, as in FlashAttention's
 variable-length batches, and each note attends causally only within its
-own segment. Positions restart at 0 for every note, and the embeddings
-are read at each note's offset plus its position.
+own segment. Positions restart at 0 for every note. A note embedding
+reads the final hidden state at one or two positions (the compressed
+word, and the in-context visual word for mICL prompts), so the last
+block computes keys and values over every row but queries, attention
+output, feed-forward and final norm only at those read rows.
 
 Variants wire the same blocks differently:
 
@@ -180,34 +183,40 @@ def trainable_names(params: dict[str, Tensor]) -> list[str]:
 # Shared blocks (all operate on [batch, positions, features])
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x [..., d_in] @ w [d_in, d_out] (+ bias)."""
-    d_in, d_out = w.shape
-    lead = x.shape[:-1]
-    flat = ad.reshape(x, (int(np.prod(lead)), d_in)) if x.ndim != 2 else x
-    out = ad.matmul(flat, w)
+def _rows(x: Tensor) -> Tensor:
+    """[..., d] -> [rows, d]; a 2-D tensor passes through unrecorded."""
+    return x if x.ndim == 2 else ad.reshape(x, (x.size // x.shape[-1], x.shape[-1]))
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows: Tensor | None = None) -> Tensor:
+    """x [..., d_in] @ w [d_in, d_out] (+ bias); ``rows`` is x already
+    flattened by ``_rows``, for inputs that several projections share."""
+    out = ad.matmul(_rows(x) if rows is None else rows, w)
     if b is not None:
         out = ad.add(out, b)
-    return ad.reshape(out, lead + (d_out,)) if x.ndim != 2 else out
+    return out if x.ndim == 2 else ad.reshape(out, x.shape[:-1] + (w.shape[1],))
 
 
 def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
-               lengths: list[int] | None = None,
-               retain: bool = False) -> tuple[Tensor, Tensor | None]:
+               lengths: list[int] | None = None, retain: bool = False,
+               queries: list[list[int]] | None = None) -> tuple[Tensor, Tensor | None]:
     """Multi-head attention of x_q over x_kv; returns (output, retained
     probabilities or None).
 
-    With ``lengths`` None, batches [B, T, d] attend fully; otherwise x_q
-    and x_kv are the same packed [N, d] rows and each segment attends
-    causally within itself (see ``autodiff.attention``). No positional
+    With ``lengths`` None, batches [B, T, d] attend fully; otherwise x_kv
+    holds packed [N, d] rows, x_q the rows at the per-segment positions
+    ``queries`` (default: all of them), and each query attends causally
+    within its own segment (see ``autodiff.attention``). No positional
     information is injected here, so full attention over x_kv is
     permutation-equivariant in its rows.
     """
     p = params
-    q = _linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    out, probs = ad.attention(q, k, v, heads, lengths, retain)
+    rows_q = _rows(x_q)
+    rows_kv = rows_q if x_kv is x_q else _rows(x_kv)  # self-attention flattens once
+    q = _linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"], rows_q)
+    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"], rows_kv)
+    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"], rows_kv)
+    out, probs = ad.attention(q, k, v, heads, lengths, retain, queries)
     return _linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), probs
 
 
@@ -219,9 +228,19 @@ def _ff(params: dict, prefix: str, x: Tensor) -> Tensor:
     return ad.ff(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
-def _encoder_block(params, cfg, prefix, x, heads, lengths=None, retain=False):
+def _encoder_block(params, cfg, prefix, x, heads, lengths=None, retain=False, reads=None):
+    """Pre-norm attention and feed-forward block. With ``reads`` (per
+    segment of packed rows, ascending positions) only the rows at those
+    positions are computed and returned: keys and values still come from
+    every row, everything else runs at the read rows alone."""
     normed = _ln(params, f"{prefix}.ln1", x, cfg.eps)
-    a, probs = _attention(params, f"{prefix}.attn", normed, normed, heads, lengths, retain)
+    x_q = normed
+    if reads is not None:
+        starts = np.cumsum([0] + lengths[:-1])
+        index = np.concatenate([start + np.asarray(r) for start, r in zip(starts, reads)])
+        x_q = ad.embedding_lookup(normed, index)
+        x = ad.embedding_lookup(x, index)
+    a, probs = _attention(params, f"{prefix}.attn", x_q, normed, heads, lengths, retain, reads)
     x = ad.add(x, a)
     x = ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln2", x, cfg.eps)))
     return x, probs
@@ -359,11 +378,20 @@ def assemble(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
 
 
 def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
+                reads: list[list[int]],
                 retain_attention: bool = False) -> tuple[Tensor, list[Tensor] | None]:
     """Causal transformer over the packed rows [1, N, h_t] of notes with
-    the given lengths; each note attends only within itself. Returns the
-    hidden states [N, h_t] and, with ``retain_attention``, the per-layer
-    attention probabilities [B, heads, T_max, T_max] (else None)."""
+    the given lengths; each note attends only within itself.
+
+    ``reads`` lists, per note, the ascending positions whose final hidden
+    states are wanted. Every block but the last runs over all N rows; the
+    last computes keys and values over all rows and the rest only at the
+    read rows, since no later block consumes the others. Returns the
+    hidden states [R, h_t] at the read positions, note after note, and,
+    with ``retain_attention``, the per-layer attention probabilities
+    [B, heads, T_max, T_max] (else None); the last layer's hold only the
+    read rows.
+    """
     if x.ndim != 3 or x.shape[0] != 1 or x.shape[1] != sum(lengths):
         raise ShapeError(f"forward_llm: {x.shape} does not pack notes of lengths {lengths}")
     n, d = x.shape[1:]
@@ -374,8 +402,9 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
     x = ad.add(ad.reshape(x, (n, d)), ad.embedding_lookup(params["lm.pos"], positions))
     attentions = []
     for i in range(cfg.lm_layers):
+        last = i == cfg.lm_layers - 1
         x, probs = _encoder_block(params, cfg, f"lm.blocks.{i}", x, cfg.lm_heads,
-                                  lengths, retain_attention)
+                                  lengths, retain_attention, reads if last else None)
         attentions.append(probs)
     return _ln(params, "lm.ln_f", x, cfg.eps), attentions if retain_attention else None
 
@@ -421,7 +450,8 @@ class BatchRepresentations:
     fused_multimodal: Tensor | None   # [B, h_t]
     out_visual: Tensor | None         # [B, out_dim], projected
     out_multimodal: Tensor            # [B, out_dim], projected; the eval embedding
-    attentions: list[Tensor] | None   # per layer, [B, heads, Tmax, Tmax], retained
+    attentions: list[Tensor] | None   # per layer, [B, heads, Tmax, Tmax], retained;
+                                      # the last layer's hold the read rows only
 
 
 def _vision_fingerprint(params: dict) -> bytes:
@@ -501,14 +531,17 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         visual_rows = connect(params, cfg, vision_feats)
     packed, infos = assemble(params, cfg, layouts, visual_rows)
     lengths = [info.length for info in infos]
-    hidden, attentions = forward_llm(params, cfg, packed, lengths, retain_attention)
-
-    # Note i starts at row offsets[i] of the packed hidden states.
-    offsets = np.cumsum([0] + lengths[:-1])
-    n_m = ad.embedding_lookup(hidden, offsets + [info.compressed_pos for info in infos])
-    n_v = None
     if mode in MICL_PROMPT_MODES:
-        n_v = ad.embedding_lookup(hidden, offsets + [info.visual_word_pos for info in infos])
+        reads = [[info.visual_word_pos, info.compressed_pos] for info in infos]
+    else:
+        reads = [[info.compressed_pos] for info in infos]
+    hidden, attentions = forward_llm(params, cfg, packed, lengths, reads, retain_attention)
+
+    # hidden holds each note's read rows in turn: [visual word,] compressed word
+    n_m, n_v = hidden, None
+    if mode in MICL_PROMPT_MODES:
+        n_v = ad.embedding_lookup(hidden, np.arange(0, 2 * len(infos), 2))
+        n_m = ad.embedding_lookup(hidden, np.arange(1, 2 * len(infos), 2))
 
     fused_v = fused_m = None
     if mode == "notellm2":

@@ -191,6 +191,19 @@ def _primitive_cases(rng):
     red_packed = _weighted(rng, (sum(lengths), d))
     yield ("attention_causal",
            lambda t: red_packed(ad.attention(t[0], t[1], t[2], 2, lengths)[0]), packed)
+    # the same segments queried at a subset of positions that holds each
+    # segment's first and last
+    queries = []
+    for length in lengths:
+        keep = rng.random(length) < 0.5
+        keep[[0, -1]] = True
+        queries.append(np.flatnonzero(keep).tolist())
+    rows = sum(len(r) for r in queries)
+    red_queries = _weighted(rng, (rows, d))
+    yield ("attention_rows",
+           lambda t: red_queries(ad.attention(t[0], t[1], t[2], 2, lengths,
+                                              queries=queries)[0]),
+           [rng.standard_normal((rows, d))] + packed[1:])
     cross = [rng.standard_normal((2, n, d))] + [rng.standard_normal((2, n + 1, d))
                                                 for _ in range(2)]
     red_cross = _weighted(rng, (2, n, d))

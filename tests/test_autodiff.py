@@ -156,8 +156,8 @@ def test_no_grad_is_per_thread():
 
 def test_retained_tensor_keeps_value_and_grad():
     x = t(np.array([[0.5, -1.0], [2.0, 0.1]]))
-    probs = ad.masked_softmax(x, np.ones((2, 2), bool)).retain_grad()
-    loss = scalar_loss(probs)
+    out, probs = ad.attention(x, x, x, 2, [2], retain=True)
+    loss = scalar_loss(out)
     ad.backward(loss)
     assert probs.grad is not None and np.isfinite(probs.grad).all()
     assert np.isfinite(probs.data).all()
@@ -262,16 +262,83 @@ def test_fd_gradients(name):
         _check(name, build, draw_inputs(name, shapes, rng))
 
 
+def _query_rows(lengths, rng):
+    """Random ascending query positions per segment, always holding
+    position 0 and the segment's last position."""
+    queries = []
+    for n in lengths:
+        keep = rng.random(n) < 0.5
+        keep[[0, -1]] = True
+        queries.append(np.flatnonzero(keep).tolist())
+    return queries
+
+
+def test_fd_attention_rows():
+    # 100 cases: segments of unequal lengths, each queried at a subset of
+    # its positions
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        lengths = rng.permutation([1, int(rng.integers(2, 4)), int(rng.integers(4, 7))]).tolist()
+        queries = _query_rows(lengths, rng)
+        rows = sum(len(r) for r in queries)
+        shapes = [(rows, 4), (sum(lengths), 4), (sum(lengths), 4)]
+        _check("attention_rows",
+               lambda ts: ad.attention(ts[0], ts[1], ts[2], 2, lengths, queries=queries)[0],
+               [rng.normal(size=shape) for shape in shapes])
+
+
+def test_attention_rows_match_full_causal_attention():
+    rng = np.random.default_rng(15)
+    heads, d, lengths = 2, 6, [4, 1, 7, 3]
+    queries = _query_rows(lengths, rng)
+    starts = np.cumsum([0] + lengths[:-1])
+    index = np.concatenate([start + np.asarray(r) for start, r in zip(starts, queries)])
+    qkv = [rng.normal(size=(sum(lengths), d)) for _ in range(3)]
+    w = rng.normal(size=(index.size, d))
+    w_full = np.zeros((sum(lengths), d))
+    w_full[index] = w  # the full op's other rows do not reach the loss
+    full = [t(a) for a in qkv]
+    out_full, kept_full = ad.attention(*full, heads, lengths, retain=True)
+    ad.backward(ad.tsum(ad.mul(out_full, t(w_full, grad=False))))
+    rows = [t(qkv[0][index]), t(qkv[1]), t(qkv[2])]
+    out, kept = ad.attention(*rows, heads, lengths, retain=True, queries=queries)
+    ad.backward(ad.tsum(ad.mul(out, t(w, grad=False))))
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, out_full.data[index], **close)
+    np.testing.assert_allclose(rows[0].grad, full[0].grad[index], **close)
+    for a, b in zip(rows[1:], full[1:]):
+        np.testing.assert_allclose(a.grad, b.grad, **close)
+    assert kept.shape == kept_full.shape
+    read = np.zeros(kept.shape, dtype=bool)
+    for i, r in enumerate(queries):
+        read[i, :, r] = True
+    for a, b in ((kept.data, kept_full.data), (kept.grad, kept_full.grad)):
+        np.testing.assert_allclose(a[read], b[read], **close)
+        assert not a[~read].any()
+    # the full op's gradient is exactly zero at the rows no loss reads
+    assert not kept_full.grad[~read].any()
+
+
+def _capture(x):
+    """Identity op whose backward stores the gradient flowing into it as
+    the returned tensor's ``grad``."""
+    def back(g):
+        out.grad = g.copy()
+        return (g,)
+    out = ad._record(x.data, "capture", (x,), back)
+    return out
+
+
 def _unfused_attention(q, k, v, heads, mask):
     """The split/score/scale/masked_softmax/value/merge composition of one
-    [B, T, d] batch; returns (output, retained probabilities)."""
+    [B, T, d] batch; returns (output, probabilities with their gradient)."""
     def split(x):
         b, t, d = x.shape
         return ad.transpose(ad.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
     qh, kh, vh = split(q), split(k), split(v)
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
                       1.0 / np.sqrt(q.shape[-1] // heads))
-    probs = ad.masked_softmax(scores, np.broadcast_to(mask, scores.shape)).retain_grad()
+    probs = _capture(ad.masked_softmax(scores, np.broadcast_to(mask, scores.shape)))
     out = ad.matmul(probs, vh)
     b, h, t, dh = out.shape
     return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, h * dh)), probs
@@ -348,6 +415,13 @@ def test_attention_and_ff_shape_errors():
         ad.attention(x, x, x, 3, [5])  # width not divisible by heads
     with pytest.raises(ShapeError):
         ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((3, 3, 4))), t(np.zeros((3, 3, 4))), 2)
+    q = t(np.zeros((3, 4)))
+    ad.attention(q, x, x, 2, [2, 3], queries=[[0, 1], [1]])
+    # unordered, repeated, out of range, empty, too few rows, too many segments
+    for queries in ([[1, 0], [2]], [[0], [1, 1]], [[0, 2], [0]], [[0], [0, 3]],
+                    [[], [0, 1, 2]], [[0], [1]], [[0], [0], [1]]):
+        with pytest.raises(ShapeError):
+            ad.attention(q, x, x, 2, [2, 3], queries=queries)
     with pytest.raises(ShapeError):
         ad.ff(x, t(np.zeros((4, 6))), t(np.zeros(6)), t(np.zeros((6, 5))), t(np.zeros(4)))
 

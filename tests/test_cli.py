@@ -98,6 +98,17 @@ def test_gen_data_same_seed_identical_files(tmp_path, dataset):
         assert filecmp.cmp(dataset / name, again / name, shallow=False), name
 
 
+def test_io_failure_exits_3_with_one_line(tmp_path, fill_disk, capsys):
+    fill_disk(0)  # the manifest write hits a full disk
+    code = main(["gen-data", "--seed", "5", "--notes", "40", "--clusters", "2",
+                 "--out", str(tmp_path / "ds")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "No space left" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "ds" / "manifest.json").exists()
+
+
 def test_gen_data_invalid_rho(tmp_path, capsys):
     out = tmp_path / "bad"
     assert main(["gen-data", "--rho", "2", "--out", str(out)]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -258,6 +259,25 @@ def test_generate_dataset_writes_consistent_files(tmp_path):
     assert len(meta["clusters"]) == 120
     # mined pairs match an independent recomputation from the saved log
     assert build_pairs(events, PairConfig()) == pairs
+
+
+# sha256 of every file generate_dataset(SyntheticConfig(seed=3, n_notes=200))
+# writes: a faster generator must still draw the same stream and write the
+# same bytes
+GOLDEN_SEED3_200 = {
+    "events.jsonl": "e45bf3b2e46d1bf5adc2551e996c906832e4a80b7c6c27022cd24a312cd14767",
+    "meta.json": "b72beebaa0611718afadf25468f3fb5789356e4022644dbec5f3760ae71f7963",
+    "notes.jsonl": "9be0871c38e270cd186ad2f970e58429c160d23f1b716d31673b639c7eb4d1b4",
+    "pairs.jsonl": "5cb5fc8d6ff5a652d1539a5ba986099082cd242646c719814531cc42c4803438",
+    "vocab.txt": "7a8a636121f2967d7d2584fd596b927b95b18e4b42567f4d20cf3599a057f565",
+}
+
+
+def test_generate_dataset_bytes_match_golden_hashes(tmp_path):
+    files = generate_dataset(SyntheticConfig(seed=3, n_notes=200), tmp_path)
+    got = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+           for name, path in files.items()}
+    assert got == GOLDEN_SEED3_200
 
 
 def test_build_vocab_matches_corpus():

@@ -10,6 +10,7 @@ import mlrm.model as mm
 from mlrm.errors import ConfigError, DataError, ModeError, ShapeError
 from mlrm.notes import Note
 from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_topics
+from mlrm.saliency import saliency_matrices
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
 
 
@@ -132,6 +133,79 @@ def test_default_notellm2_batch_tape_size():
     # the frozen vision encoder records nothing
     assert ops["attention"] == 6 and ops["ff"] == 4
     assert not ops["masked_softmax"] and not ops["gelu"]
+
+
+def _full_forward_llm(params, cfg, x, lengths, reads, retain_attention=False):
+    """Reference LM: every block over every row, then the read rows."""
+    n, d = x.shape[1:]
+    positions = np.concatenate([np.arange(t) for t in lengths])
+    h = ad.add(ad.reshape(x, (n, d)), ad.embedding_lookup(params["lm.pos"], positions))
+    attentions = []
+    for i in range(cfg.lm_layers):
+        h, probs = mm._encoder_block(params, cfg, f"lm.blocks.{i}", h, cfg.lm_heads,
+                                     lengths, retain_attention)
+        attentions.append(probs)
+    starts = np.cumsum([0] + lengths[:-1])
+    index = np.concatenate([start + np.asarray(r) for start, r in zip(starts, reads)])
+    hidden = ad.embedding_lookup(mm._ln(params, "lm.ln_f", h, cfg.eps), index)
+    return hidden, attentions if retain_attention else None
+
+
+REPRESENTATIONS = ("raw_visual", "raw_multimodal", "fused_visual", "fused_multimodal",
+                   "out_visual", "out_multimodal")
+
+
+def test_last_block_at_read_rows_matches_full_forward(setup, monkeypatch):
+    cfg, params, vocab, notes = setup
+    for mode in mm.MODES:
+        cfg_m = tiny_cfg(vocab_size=cfg.vocab_size, mode=mode)
+        for modality in mm.MODALITIES:
+            got = mm.embed_notes(params, cfg_m, vocab, notes[:5], modality=modality)
+            with monkeypatch.context() as patch:
+                patch.setattr(mm, "forward_llm", _full_forward_llm)
+                want = mm.embed_notes(params, cfg_m, vocab, notes[:5], modality=modality)
+            for field in REPRESENTATIONS:
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a is None) == (b is None), (mode, modality, field)
+                if a is None:
+                    continue
+                if mode in mm.MICL_PROMPT_MODES:
+                    assert np.array_equal(a.data, b.data), (mode, modality, field)
+                else:
+                    # one query row per note: numpy may take a matrix-vector
+                    # product, which rounds differently from the full one
+                    np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-13)
+
+
+def test_read_rows_leave_saliency_unchanged(setup, monkeypatch):
+    cfg, params, vocab, notes = setup
+    params = {**params, TAU_NAME: ad.Tensor(np.asarray(3.0), requires_grad=True)}
+
+    def matrices():
+        loss, reps = batch_loss(params, cfg, vocab, notes[:4], np.arange(4) ^ 1,
+                                LossConfig(), retain_attention=True)
+        ad.backward(loss)
+        for tensor in params.values():
+            tensor.grad = None
+        return saliency_matrices(reps.attentions, reps.infos), reps
+
+    got, reps = matrices()
+    with monkeypatch.context() as patch:
+        patch.setattr(mm, "forward_llm", _full_forward_llm)
+        want, full = matrices()
+    # the full forward's last-layer attention gradient is exactly zero
+    # outside the read rows, which the read-row forward does not retain
+    last, last_full = reps.attentions[-1], full.attentions[-1]
+    for b, info in enumerate(reps.infos):
+        read = [info.visual_word_pos, info.compressed_pos]
+        unread = np.setdiff1d(np.arange(last.shape[2]), read)
+        assert not last.data[b][:, unread].any() and not last.grad[b][:, unread].any()
+        assert not last_full.grad[b][:, unread].any()
+        assert np.array_equal(last.data[b][:, read], last_full.data[b][:, read])
+        for layer in range(cfg.lm_layers):
+            # zero entries must match exactly; the backward through the
+            # last block's smaller products may round differently
+            np.testing.assert_allclose(got[b][layer], want[b][layer], rtol=1e-12, atol=0)
 
 
 def test_no_splice_keeps_token_count(setup):
