@@ -4,9 +4,12 @@ Deliberately small: float64 everywhere, a dynamic graph rebuilt on every
 forward pass, and no broadcasting except bias addition over leading axes
 plus a handful of explicit row-wise helpers. The backward sweep is a
 single-threaded reverse pass over a topologically ordered tape, so
-gradients are bitwise reproducible for identical inputs. On request the
-fused attention op also returns its probabilities as a tensor whose
-gradient the sweep fills (used for attention saliency).
+gradients are bitwise reproducible for identical inputs. Backward
+functions compute a parent's gradient only when that parent requires
+grad. On request the packed attention op also returns its probabilities
+as a leaf that requires grad (``Retained``); a loss over grad-free
+parameters then records the tape from the first such leaf on, and the
+sweep computes only what reaches them (used for attention saliency).
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         lead = a.ndim - b.ndim
 
         def back(g):
-            return g, g.sum(axis=tuple(range(lead)))
+            return (g if a.requires_grad else None,
+                    g.sum(axis=tuple(range(lead))) if b.requires_grad else None)
         return _record(a.data + b.data, "add", (a, b), back)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
@@ -182,7 +186,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
     def back(g):
-        return g * b.data, g * a.data
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
     return _record(a.data * b.data, "mul", (a, b), back)
 
 
@@ -232,7 +237,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} vs {b.shape}")
 
     def back(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
     return _record(a.data @ b.data, "matmul", (a, b), back)
 
 
@@ -344,8 +350,28 @@ def _merge(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (-1,))
 
 
+class Retained(Tensor):
+    """Attention probabilities kept by ``attention(..., retain=True)``: a
+    leaf that requires grad, whose ``data`` is one flat buffer of
+    per-segment [heads, queries, keys] blocks, segment after segment, with
+    no padding. Each backward pass through the op writes dL/d(probabilities)
+    into ``grad`` in the same layout. ``queries`` holds each segment's
+    query positions (a slice when every position is a query)."""
+
+    __slots__ = ("queries", "shapes")
+
+    def __init__(self, shapes: list[tuple[int, int, int]], queries: list):
+        super().__init__(np.empty(sum(math.prod(s) for s in shapes)), requires_grad=True)
+        self.shapes, self.queries = shapes, queries
+
+    def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-segment [heads, queries, keys] views of ``data`` or ``grad``."""
+        ends = np.cumsum([math.prod(s) for s in self.shapes]).tolist()
+        return [flat[end - math.prod(s):end].reshape(s) for s, end in zip(self.shapes, ends)]
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
-              retain: bool = False, queries=None) -> tuple[Tensor, Tensor | None]:
+              retain: bool = False, queries=None) -> tuple[Tensor, Retained | None]:
     """Multi-head scaled dot-product attention from projected q, k, v to
     the head-merged output; returns (output, retained probabilities).
 
@@ -356,21 +382,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
     gives, per segment, the strictly ascending positions that q holds
     rows for, packed segment after segment; by default q holds every
     position, [N, d]. Softmax probabilities are kept per segment for the
-    backward pass; with ``retain`` they are also returned as one
-    [segments, heads, T_max, T_max] tensor (or [B, heads, Tq, Tk]), zero
-    outside each segment's block and at positions that are not queries,
-    whose ``grad`` backward fills with dL/d(probabilities).
+    backward pass; with ``retain`` (packed rows only) they are also
+    returned as a ``Retained`` leaf, else None.
     """
     if q.ndim not in (2, 3) or k.shape != v.shape or k.ndim != q.ndim \
             or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
                          f"with {heads} heads")
     if lengths is None:
-        if q.ndim != 3 or q.shape[0] != k.shape[0] or queries is not None:
-            raise ShapeError(f"attention: batched q {q.shape} and k {k.shape} disagree")
-        qspans = kspans = blocks = [Ellipsis]
-        future = None
-        kept_shape = (q.shape[0], heads, q.shape[1], k.shape[1])
+        if q.ndim != 3 or q.shape[0] != k.shape[0] or queries is not None or retain:
+            raise ShapeError(f"attention: batched q {q.shape}, k {k.shape} (or packed-only args)")
+        qspans, kspans, masks, kept = [Ellipsis], [Ellipsis], [None], None
     else:
         lengths = [int(n) for n in lengths]
         if q.ndim != 2 or min(lengths, default=0) < 1 or sum(lengths) != k.shape[0]:
@@ -392,63 +414,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         qspans, kspans = (
             [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
             for sizes in (counts, lengths))
-        blocks = [(i, r, n) for i, (r, n) in enumerate(zip(rows, lengths))]
-        t_max = max(lengths)
-        future = ~np.tri(t_max, dtype=bool)
-        kept_shape = (len(lengths), heads, t_max, t_max)
+        future = ~np.tri(max(lengths), dtype=bool)
+        masks = [future[r, :n] for r, n in zip(rows, lengths)]
+        kept = Retained([(heads, m, n) for m, n in zip(counts, lengths)], rows) if retain else None
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
 
-    def fill(buffer, block, p):
-        """Write one segment's [heads, queries, keys] block into a retained buffer."""
-        if block is Ellipsis:
-            buffer[...] = p
-        else:
-            i, r, n = block
-            buffer[i][:, r, :n] = p
-
     out = np.empty_like(q.data)
-    probs = []
-    for qspan, kspan, block in zip(qspans, kspans, blocks):
+    probs = [None] * len(qspans) if kept is None else kept.blocks(kept.data)
+    for i, (qspan, kspan, mask) in enumerate(zip(qspans, kspans, masks)):
         qh = _heads(q.data[qspan], heads)
         kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
-        p = qh @ kh.swapaxes(-1, -2)
+        p = probs[i] = np.matmul(qh, kh.swapaxes(-1, -2), out=probs[i])
         p *= c
-        if future is not None:
-            _, r, n = block
-            np.copyto(p, -np.inf, where=future[r, :n])
+        if mask is not None:
+            np.copyto(p, -np.inf, where=mask)
         # exp(-inf) is exactly 0 at the masked entries
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        probs.append(p)
         out[qspan] = _merge(p @ vh)
 
-    kept = None
-    if retain:
-        kept = Tensor(np.zeros(kept_shape))
-        for block, p in zip(blocks, probs):
-            fill(kept.data, block, p)
-
     def back(g):
-        dq, dk, dv = (np.empty_like(x.data) for x in (q, k, v))
+        dq, dk, dv = (np.empty_like(x.data) if x.requires_grad else None for x in (q, k, v))
         if kept is not None:
-            kept.grad = np.zeros_like(kept.data)
-        for qspan, kspan, block, p in zip(qspans, kspans, blocks, probs):
+            kept.grad = np.empty_like(kept.data)
+        dps = [None] * len(qspans) if kept is None else kept.blocks(kept.grad)
+        for qspan, kspan, p, dp in zip(qspans, kspans, probs, dps):
             qh = _heads(q.data[qspan], heads)
             kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
             gh = _heads(g[qspan], heads)
-            dp = gh @ vh.swapaxes(-1, -2)
-            if kept is not None:
-                fill(kept.grad, block, dp)
-            dv[kspan] = _merge(p.swapaxes(-1, -2) @ gh)
-            # softmax backward, then the 1/sqrt(dh) scale
-            dp -= (dp * p).sum(axis=-1, keepdims=True)
-            dp *= p
-            dp *= c
-            dq[qspan] = _merge(dp @ kh)
-            dk[kspan] = _merge(dp.swapaxes(-1, -2) @ qh)
+            dp = np.matmul(gh, vh.swapaxes(-1, -2), out=dp)
+            if dv is not None:
+                dv[kspan] = _merge(p.swapaxes(-1, -2) @ gh)
+            if dq is None and dk is None:
+                continue
+            # softmax backward (in place unless dp is retained), then the 1/sqrt(dh) scale
+            ds = dp if kept is None else dp.copy()
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= c
+            if dq is not None:
+                dq[qspan] = _merge(ds @ kh)
+            if dk is not None:
+                dk[kspan] = _merge(ds.swapaxes(-1, -2) @ qh)
         return dq, dk, dv
-    return _record(out, "attention", (q, k, v), back), kept
+    parents = (q, k, v) if kept is None else (q, k, v, kept)
+    return _record(out, "attention", parents, back), kept
 
 
 def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -470,13 +481,15 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def back(g):
         g = g.reshape(-1, d)
-        a = h * cdf
-        dh = _INV_SQRT2PI * np.exp(-0.5 * h * h)
-        dh *= h
-        dh += cdf
-        dh *= g @ w2.data.T
-        return ((dh @ w1.data.T).reshape(x.shape), rows.T @ dh, dh.sum(axis=0),
-                a.T @ g, g.sum(axis=0))
+        need = [t.requires_grad for t in (x, w1, b1, w2, b2)]
+        if any(need[:3]):
+            dh = _INV_SQRT2PI * np.exp(-0.5 * h * h)
+            dh *= h
+            dh += cdf
+            dh *= g @ w2.data.T
+        return ((dh @ w1.data.T).reshape(x.shape) if need[0] else None,
+                rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
+                (h * cdf).T @ g if need[3] else None, g.sum(axis=0) if need[4] else None)
     return _record(out.reshape(x.shape), "ff", (x, w1, b1, w2, b2), back)
 
 
@@ -494,12 +507,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = xhat * gain.data + bias.data
 
     def back(g):
-        gxhat = g * gain.data
-        dx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
-        dbias = g.reshape(-1, d).sum(axis=0)
-        return dx, dgain, dbias
+        dx = None
+        if x.requires_grad:
+            gxhat = g * gain.data
+            dx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        return (dx, (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None,
+                g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None)
     return _record(out, "layer_norm", (x, gain, bias), back)
 
 

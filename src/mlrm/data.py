@@ -386,10 +386,11 @@ def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> 
         ids: list[int] = []
         used: set[int] = set()
         deferred: list[Pair] = []
-        for pair in remaining:
+        for j, pair in enumerate(remaining):
             if len(ids) == 2 * batch_pairs:
-                deferred.append(pair)
-            elif pair.query in used or pair.related in used:
+                deferred += remaining[j:]
+                break
+            if pair.query in used or pair.related in used:
                 deferred.append(pair)
             else:
                 ids += [pair.query, pair.related]

@@ -379,7 +379,7 @@ def assemble(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
 
 def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
                 reads: list[list[int]],
-                retain_attention: bool = False) -> tuple[Tensor, list[Tensor] | None]:
+                retain_attention: bool = False) -> tuple[Tensor, list[ad.Retained] | None]:
     """Causal transformer over the packed rows [1, N, h_t] of notes with
     the given lengths; each note attends only within itself.
 
@@ -388,9 +388,9 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
     last computes keys and values over all rows and the rest only at the
     read rows, since no later block consumes the others. Returns the
     hidden states [R, h_t] at the read positions, note after note, and,
-    with ``retain_attention``, the per-layer attention probabilities
-    [B, heads, T_max, T_max] (else None); the last layer's hold only the
-    read rows.
+    with ``retain_attention``, the per-layer attention probabilities as
+    ``autodiff.Retained`` leaves of one unpadded [heads, queries, T] block
+    per note (else None); the last layer's queries are the read rows.
     """
     if x.ndim != 3 or x.shape[0] != 1 or x.shape[1] != sum(lengths):
         raise ShapeError(f"forward_llm: {x.shape} does not pack notes of lengths {lengths}")
@@ -450,8 +450,8 @@ class BatchRepresentations:
     fused_multimodal: Tensor | None   # [B, h_t]
     out_visual: Tensor | None         # [B, out_dim], projected
     out_multimodal: Tensor            # [B, out_dim], projected; the eval embedding
-    attentions: list[Tensor] | None   # per layer, [B, heads, Tmax, Tmax], retained;
-                                      # the last layer's hold the read rows only
+    attentions: list[ad.Retained] | None  # per layer, retained; the last
+                                          # layer's queries are the read rows
 
 
 def _vision_fingerprint(params: dict) -> bytes:

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import Tensor, backward
 from .checkpoint import atomic_write
 from .data import Pair, make_batches
 from .errors import ContractError, NumericError
 from .model import MICL_PROMPT_MODES, AssembledInfo, ModelConfig
 from .notes import Note
 from .prompting import Vocab
-from .training import LossConfig, batch_loss, zero_gradients
+from .training import LossConfig, batch_loss
 
 
 def position_sets(info: AssembledInfo, mode: str):
@@ -54,11 +54,11 @@ def position_sets(info: AssembledInfo, mode: str):
 
 
 def saliency_matrices(attentions, infos) -> list[list[np.ndarray]]:
-    """Per-note, per-layer saliency from retained attention tensors.
+    """Per-note, per-layer saliency from retained attention.
 
-    ``attentions`` is the per-layer list of [batch, heads, T, T] probs
-    recorded during the forward pass; each must carry the gradient of
-    the loss. Returns matrices[b][l], each [T_b, T_b].
+    ``attentions`` is the per-layer list of ``autodiff.Retained``
+    probabilities, each carrying the gradient of the loss; rows that were
+    not queries are zero. Returns matrices[b][l], each [T_b, T_b].
     """
     if not attentions:
         raise ContractError("no attention tensors were recorded")
@@ -66,15 +66,13 @@ def saliency_matrices(attentions, infos) -> list[list[np.ndarray]]:
         if layer.grad is None:
             raise ContractError("attention was not retained before backward; "
                                 "run the forward pass with retain_attention=True")
-    out = []
-    for b, info in enumerate(infos):
-        t = info.length
-        per_layer = []
-        for layer in attentions:
-            a = layer.data[b, :, :t, :t]
-            g = layer.grad[b, :, :t, :t]
-            per_layer.append(np.abs(a * g).sum(axis=0))
-        out.append(per_layer)
+    out = [[] for _ in infos]
+    for layer in attentions:
+        for per_layer, info, rows, a, g in zip(out, infos, layer.queries,
+                                               layer.blocks(layer.data), layer.blocks(layer.grad)):
+            matrix = np.zeros((info.length, info.length))
+            matrix[rows] = np.abs(a * g).sum(axis=0)
+            per_layer.append(matrix)
     return out
 
 
@@ -86,10 +84,9 @@ def _set_mean(matrix: np.ndarray, mask: np.ndarray) -> float:
     return math.fsum(matrix[mask].tolist()) / count
 
 
-def decompose(matrix: np.ndarray, info: AssembledInfo, mode: str) -> tuple[float, float, float]:
-    """Mean saliency over the visual, textual and word-to-word sets."""
-    p_v, p_t, p_o = position_sets(info, mode)
-    return _set_mean(matrix, p_v), _set_mean(matrix, p_t), _set_mean(matrix, p_o)
+def decompose(matrix: np.ndarray, sets) -> tuple[float, float, float]:
+    """Mean saliency over a note's visual, textual and word-to-word ``position_sets``."""
+    return tuple(_set_mean(matrix, mask) for mask in sets)
 
 
 def _sorted_mean(values: list[float]) -> float:
@@ -106,17 +103,19 @@ class SaliencyReport:
 
 def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
                    partner, loss_cfg: LossConfig, image_cache=None):
-    """Loss -> backward -> per-note per-layer (S_v, S_t, S_o) triples."""
-    loss, reps = batch_loss(params, cfg, vocab, notes, partner, loss_cfg,
+    """Loss -> backward -> per-note per-layer (S_v, S_t, S_o) triples.
+
+    The loss runs over grad-free views of the parameters, so the tape
+    starts at the first layer's retained attention and the backward pass
+    computes no parameter gradient."""
+    views = {name: Tensor(p.data) for name, p in params.items()}
+    loss, reps = batch_loss(views, cfg, vocab, notes, partner, loss_cfg,
                             image_cache=image_cache, retain_attention=True)
     backward(loss)
     matrices = saliency_matrices(reps.attentions, reps.infos)
-    zero_gradients(params)
-    return [
-        [decompose(note_layers[l], info, cfg.mode)
-         for l in range(len(note_layers))]
-        for note_layers, info in zip(matrices, reps.infos)
-    ]
+    sets = [position_sets(info, cfg.mode) for info in reps.infos]
+    return [[decompose(m, note_sets) for m in note_layers]
+            for note_layers, note_sets in zip(matrices, sets)]
 
 
 def saliency_report(params, cfg: ModelConfig, vocab: Vocab,

@@ -569,10 +569,13 @@ def test_criterion_08_saliency_correctness(small_world):
     matrices = saliency_matrices(reps.attentions, reps.infos)
 
     worst = 0.0
-    for idx, info in enumerate(reps.infos):
-        probs = reps.attentions[0]
+    probs = reps.attentions[0]  # the only, last layer holds the read rows
+    blocks = zip(probs.queries, probs.blocks(probs.data), probs.blocks(probs.grad))
+    for idx, (info, (rows, a_rows, g_rows)) in enumerate(zip(reps.infos, blocks)):
         t = info.length
-        direct = np.abs(probs.data[idx, 0, :t, :t] * probs.grad[idx, 0, :t, :t])
+        a, g = np.zeros((t, t)), np.zeros((t, t))
+        a[rows], g[rows] = a_rows[0], g_rows[0]
+        direct = np.abs(a * g)
         worst = max(worst, float(np.max(np.abs(matrices[idx][0] - direct))))
 
     partition_ok = True

@@ -308,15 +308,13 @@ def test_attention_rows_match_full_causal_attention():
     np.testing.assert_allclose(rows[0].grad, full[0].grad[index], **close)
     for a, b in zip(rows[1:], full[1:]):
         np.testing.assert_allclose(a.grad, b.grad, **close)
-    assert kept.shape == kept_full.shape
-    read = np.zeros(kept.shape, dtype=bool)
-    for i, r in enumerate(queries):
-        read[i, :, r] = True
+    assert kept.shapes == [(heads, len(r), n) for r, n in zip(queries, lengths)]
     for a, b in ((kept.data, kept_full.data), (kept.grad, kept_full.grad)):
-        np.testing.assert_allclose(a[read], b[read], **close)
-        assert not a[~read].any()
+        for r, block, block_full in zip(queries, kept.blocks(a), kept_full.blocks(b)):
+            np.testing.assert_allclose(block, block_full[:, r], **close)
     # the full op's gradient is exactly zero at the rows no loss reads
-    assert not kept_full.grad[~read].any()
+    for r, n, block_full in zip(queries, lengths, kept_full.blocks(kept_full.grad)):
+        assert not block_full[:, np.setdiff1d(np.arange(n), r)].any()
 
 
 def _capture(x):
@@ -352,7 +350,7 @@ def test_attention_matches_unfused_composition_note_by_note():
     q, k, v = (t(a) for a in qkv)
     out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
     ad.backward(ad.tsum(ad.mul(out, t(w, grad=False))))
-    assert kept.shape == (len(lengths), heads, max(lengths), max(lengths))
+    assert kept.shapes == [(heads, n, n) for n in lengths]
     start = 0
     for i, n in enumerate(lengths):
         span = slice(start, start + n)
@@ -364,10 +362,8 @@ def test_attention_matches_unfused_composition_note_by_note():
         np.testing.assert_allclose(out.data[span], ref.data[0], **close)
         for fused, part in zip((q, k, v), parts):
             np.testing.assert_allclose(fused.grad[span], part.grad[0], **close)
-        np.testing.assert_allclose(kept.data[i, :, :n, :n], probs.data[0], **close)
-        np.testing.assert_allclose(kept.grad[i, :, :n, :n], probs.grad[0], **close)
-        assert not kept.data[i, :, n:].any() and not kept.data[i, :, :, n:].any()
-        assert not kept.grad[i, :, n:].any() and not kept.grad[i, :, :, n:].any()
+        np.testing.assert_allclose(kept.blocks(kept.data)[i], probs.data[0], **close)
+        np.testing.assert_allclose(kept.blocks(kept.grad)[i], probs.grad[0], **close)
 
 
 def test_batched_attention_matches_unfused_composition():
@@ -376,16 +372,14 @@ def test_batched_attention_matches_unfused_composition():
     arrays = [rng.normal(size=s) for s in shapes]
     w = t(rng.normal(size=shapes[0]), grad=False)
     fused_in, ref_in = [t(a) for a in arrays], [t(a) for a in arrays]
-    out, kept = ad.attention(*fused_in, heads, retain=True)
-    ref, probs = _unfused_attention(*ref_in, heads, np.ones((4, 5), bool))
+    out, _ = ad.attention(*fused_in, heads)
+    ref, _ = _unfused_attention(*ref_in, heads, np.ones((4, 5), bool))
     for o in (out, ref):
         ad.backward(ad.tsum(ad.mul(o, w)))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, ref.data, **close)
     for a, b in zip(fused_in, ref_in):
         np.testing.assert_allclose(a.grad, b.grad, **close)
-    np.testing.assert_allclose(kept.data, probs.data, **close)
-    np.testing.assert_allclose(kept.grad, probs.grad, **close)
 
 
 def test_ff_matches_unfused_composition():
@@ -405,6 +399,66 @@ def test_ff_matches_unfused_composition():
         np.testing.assert_allclose(a.grad, b.grad, **close)
 
 
+def test_retained_attention_holds_unpadded_blocks():
+    rng = np.random.default_rng(16)
+    heads, lengths = 2, [4, 1, 7, 3]
+    queries = _query_rows(lengths, rng)
+    rows = sum(len(r) for r in queries)
+    arrays = [rng.normal(size=(n, 6)) for n in (rows, sum(lengths), sum(lengths))]
+    w = t(rng.normal(size=(rows, 6)), grad=False)
+    runs = []
+    for grad in (True, False):
+        qkv = [t(a, grad=grad) for a in arrays]
+        out, kept = ad.attention(*qkv, heads, lengths, retain=True, queries=queries)
+        ad.backward(ad.tsum(ad.mul(out, w)))
+        runs.append((qkv, kept))
+    (qkv, kept), (qkv_free, kept_free) = runs
+    assert isinstance(kept, ad.Retained) and kept.is_leaf() and kept.requires_grad
+    size = sum(heads * len(r) * n for r, n in zip(queries, lengths))
+    assert kept.data.shape == kept.grad.shape == (size,)
+    for block, r, n in zip(kept.blocks(kept.grad), queries, lengths):
+        assert block.shape == (heads, len(r), n) and np.shares_memory(block, kept.grad)
+    # with grad-free q, k and v the tape starts at the retained leaf, and
+    # the backward pass writes the same dL/dA and nothing else
+    assert all(x.grad is None for x in qkv_free) and all(x.grad is not None for x in qkv)
+    assert np.array_equal(kept_free.data, kept.data)
+    assert np.array_equal(kept_free.grad, kept.grad)
+
+
+SKIP_CASES = {
+    "add_bias": (lambda ts: ad.add(*ts), [(2, 3, 4), (3, 4)]),
+    "mul": (lambda ts: ad.mul(*ts), [(2, 5), (2, 5)]),
+    "matmul": (lambda ts: ad.matmul(*ts), [(2, 3, 4), (2, 4, 3)]),
+    "embedding_lookup": (lambda ts: ad.embedding_lookup(ts[0], [0, 2, 2, 1]), [(4, 3)]),
+    "layer_norm": (lambda ts: ad.layer_norm(*ts), [(3, 6), (6,), (6,)]),
+    "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    "attention_rows": (
+        lambda ts: ad.attention(*ts, 2, [3, 1, 2], queries=[[0, 2], [0], [1]])[0],
+        [(4, 4), (6, 4), (6, 4)]),
+    "attention_cross": (
+        lambda ts: ad.attention(*ts, 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_CASES))
+def test_backward_skips_parents_without_grad(name):
+    build, shapes = SKIP_CASES[name]
+    rng = np.random.default_rng(17)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    out = build([t(a) for a in arrays])
+    g = rng.normal(size=out.shape)
+    want = out._backward_fn(g)
+    masks = [[j != k for j in range(len(arrays))] for k in range(len(arrays))]
+    masks += [[j == k for j in range(len(arrays))] for k in range(len(arrays))]
+    for mask in masks:
+        out = build([t(a, grad=m) for a, m in zip(arrays, mask)])
+        if not any(mask):  # a single-parent op records nothing without grad
+            assert out.is_leaf() and not out.requires_grad
+            continue
+        for m, got, ref in zip(mask, out._backward_fn(g), want):
+            assert (got is None) if not m else np.array_equal(got, ref), (name, mask)
+
+
 def test_attention_and_ff_shape_errors():
     x = t(np.zeros((5, 4)))
     with pytest.raises(ShapeError):
@@ -415,6 +469,10 @@ def test_attention_and_ff_shape_errors():
         ad.attention(x, x, x, 3, [5])  # width not divisible by heads
     with pytest.raises(ShapeError):
         ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((3, 3, 4))), t(np.zeros((3, 3, 4))), 2)
+    batched = t(np.zeros((2, 3, 4)))
+    ad.attention(batched, batched, batched, 2)
+    with pytest.raises(ShapeError):
+        ad.attention(batched, batched, batched, 2, retain=True)  # retain needs packed rows
     q = t(np.zeros((3, 4)))
     ad.attention(q, x, x, 2, [2, 3], queries=[[0, 1], [1]])
     # unordered, repeated, out of range, empty, too few rows, too many segments

@@ -1,12 +1,18 @@
 """End-to-end checks for the command-line interface.
 
-Everything runs through main(argv) in-process on a small synthetic
-dataset; the heavyweight fixtures (dataset, trained checkpoint) are
+Everything runs through main(argv) on a small synthetic dataset,
+in-process except the golden-hash test, which pins one BLAS thread in a
+subprocess; the heavyweight fixtures (dataset, trained checkpoint) are
 session-scoped so the whole file stays fast.
 """
 
 import filecmp
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,8 @@ from mlrm.autodiff import Tensor
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.cli import _write_manifest, main
 from mlrm.saliency import CSV_FIELDS, SaliencyReport, write_report
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_MODEL = {
     "model": {"hidden_text": 32, "visual_tokens": 4, "lm_layers": 2,
@@ -376,6 +384,44 @@ def test_analyze_outputs_and_determinism(tmp_path, dataset, trained, capsys):
         assert total == pytest.approx(1.0, abs=1e-12)
     for name in ("saliency.csv", "saliency.json"):
         assert filecmp.cmp(first / name, second / name, shallow=False)
+
+
+# sha256 of `mlrm analyze`'s outputs for the tiny 4-step model of each
+# variant on the `dataset` fixture, with one BLAS thread (the training bits
+# depend on the thread count): a leaner saliency backward must still write
+# the same bytes
+GOLDEN_ANALYZE = {
+    "basic": {
+        "saliency.csv": "77a811d66b977c541fee8b946e1d7116b24abf1f12797cf64acd5b6a8ee3d6f6",
+        "saliency.json": "2c4f35038736cd17eed77b1279b5b529383a76889b227c5c2ffda8abb95572ef",
+    },
+    "notellm2": {
+        "saliency.csv": "ae7c8f8cbec9cfd1a0a8de07839883f0c9b1ddd1254eae5a6cb26de8adfae740",
+        "saliency.json": "229bf42ffeec9dfcffcd26d4f40567f6dd33ae9f1708a44276f33c30c5f4374c",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_ANALYZE))
+def test_analyze_bytes_match_golden_hashes(tmp_path, dataset, mode):
+    run, out = tmp_path / "run", tmp_path / "an"
+    commands = [
+        ["train", "--config", write_config(tmp_path / "cfg.json"), "--mode", mode,
+         "--dataset", str(dataset), "--out", str(run)],
+        ["analyze", "--checkpoint", str(run / "checkpoint.mlrm"), "--dataset", str(dataset),
+         "--batches", "2", "--out", str(out)],
+    ]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    script = ("import sys; from mlrm.cli import main; "
+              f"sys.exit(any(main(argv) for argv in {commands!r}))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_ANALYZE[mode]}
+    assert got == GOLDEN_ANALYZE[mode]
 
 
 def test_failed_report_writes_keep_earlier_files(tmp_path, fill_disk):

@@ -340,6 +340,44 @@ def test_make_batches_each_pair_at_most_once():
     assert all(used[s] <= counts[s] for s in used)
 
 
+def _full_scan_batches(pairs, batch_pairs, seed, epoch):
+    """The loop make_batches had before it stopped scanning at a full batch:
+    every pass walks the whole remaining list. Returns (batches, number of
+    pairs deferred because they clashed with the open batch)."""
+    order = np.random.default_rng([seed, epoch]).permutation(len(pairs))
+    remaining = [pairs[i] for i in order]
+    batches, clashes = [], 0
+    while len(remaining) >= batch_pairs:
+        ids, used, deferred = [], set(), []
+        for pair in remaining:
+            if len(ids) == 2 * batch_pairs:
+                deferred.append(pair)
+            elif pair.query in used or pair.related in used:
+                deferred.append(pair)
+                clashes += 1
+            else:
+                ids += [pair.query, pair.related]
+                used.update((pair.query, pair.related))
+        if len(ids) < 2 * batch_pairs:
+            break
+        batches.append(ids)
+        remaining = deferred
+    return batches, clashes
+
+
+def test_make_batches_matches_full_scan():
+    # 200 notes under 400 pairs: many pairs share a note, so deferral runs
+    rng = np.random.default_rng(8)
+    pairs = [Pair(int(a), int(b), 1.0) for a, b in rng.integers(0, 200, (420, 2)) if a != b]
+    for seed in (0, 42, 7, 1):
+        for epoch in range(3):
+            for batch_pairs in (2, 16, 64):
+                want, clashes = _full_scan_batches(pairs, batch_pairs, seed, epoch)
+                got = make_batches(pairs, batch_pairs, seed, epoch)
+                assert [b.note_ids for b in got] == want
+                assert clashes > 0
+
+
 def test_make_batches_errors():
     with pytest.raises(BatchError):
         make_batches([Pair(1, 2, 1.0)], 2, seed=0, epoch=0)

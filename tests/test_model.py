@@ -196,12 +196,14 @@ def test_read_rows_leave_saliency_unchanged(setup, monkeypatch):
     # the full forward's last-layer attention gradient is exactly zero
     # outside the read rows, which the read-row forward does not retain
     last, last_full = reps.attentions[-1], full.attentions[-1]
-    for b, info in enumerate(reps.infos):
+    blocks = zip(reps.infos, last.queries, last.blocks(last.data),
+                 last_full.blocks(last_full.data), last_full.blocks(last_full.grad))
+    for b, (info, rows, probs, probs_full, grads_full) in enumerate(blocks):
         read = [info.visual_word_pos, info.compressed_pos]
-        unread = np.setdiff1d(np.arange(last.shape[2]), read)
-        assert not last.data[b][:, unread].any() and not last.grad[b][:, unread].any()
-        assert not last_full.grad[b][:, unread].any()
-        assert np.array_equal(last.data[b][:, read], last_full.data[b][:, read])
+        assert rows.tolist() == read and probs.shape == (cfg.lm_heads, 2, info.length)
+        unread = np.setdiff1d(np.arange(info.length), read)
+        assert not grads_full[:, unread].any()
+        assert np.array_equal(probs, probs_full[:, read])
         for layer in range(cfg.lm_layers):
             # zero entries must match exactly; the backward through the
             # last block's smaller products may round differently

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mlrm.autodiff import backward
+from mlrm import saliency
+from mlrm.autodiff import Retained, _topo_order, backward
 from mlrm.data import build_pairs, build_vocab, generate_synthetic, PairConfig, SyntheticConfig
 from mlrm.errors import ContractError, NumericError
 from mlrm.model import ModelConfig, embed_notes, init_params
@@ -117,10 +118,12 @@ def test_saliency_single_head_hadamard_oracle():
     matrices = saliency_matrices(reps.attentions, reps.infos)
     layer = reps.attentions[0]
     assert layer.grad is not None
-    for b, info in enumerate(reps.infos):
+    blocks = zip(layer.queries, layer.blocks(layer.data), layer.blocks(layer.grad))
+    for b, (info, (rows, probs, grads)) in enumerate(zip(reps.infos, blocks)):
+        # the only layer is the last: it holds the read rows alone
         t = info.length
-        a = layer.data[b, 0, :t, :t]
-        g = layer.grad[b, 0, :t, :t]
+        a, g = np.zeros((t, t)), np.zeros((t, t))
+        a[rows], g[rows] = probs[0], grads[0]
         want = np.abs(a * g)
         assert np.max(np.abs(matrices[b][0] - want)) <= 1e-12
         assert np.all(matrices[b][0] >= 0.0)
@@ -133,10 +136,9 @@ def test_saliency_sums_over_heads():
     layer0 = reps.attentions[0]
     b, info = 0, reps.infos[0]
     t = info.length
-    want = sum(
-        np.abs(layer0.data[b, h, :t, :t] * layer0.grad[b, h, :t, :t])
-        for h in range(cfg.lm_heads)
-    )
+    a, g = layer0.blocks(layer0.data)[b], layer0.blocks(layer0.grad)[b]
+    assert a.shape == g.shape == (cfg.lm_heads, t, t)
+    want = sum(np.abs(a[h] * g[h]) for h in range(cfg.lm_heads))
     assert np.allclose(matrices[b][0], want, rtol=0, atol=1e-15)
 
 
@@ -172,8 +174,8 @@ def test_decompose_matches_brute_force_scan():
     for b, info in enumerate(reps.infos):
         for layer in range(cfg.lm_layers):
             m = matrices[b][layer]
-            s_v, s_t, s_o = decompose(m, info, cfg.mode)
             p_v, p_t, p_o = position_sets(info, cfg.mode)
+            s_v, s_t, s_o = decompose(m, (p_v, p_t, p_o))
             for got, pset in ((s_v, p_v), (s_t, p_t), (s_o, p_o)):
                 entries = [float(m[i, j]) for i, j in zip(*np.nonzero(pset))]
                 want = np.mean(entries)
@@ -236,6 +238,25 @@ def test_report_param_grads_left_clean():
     saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),
                     batch_pairs=2, seed=0, max_notes=4)
     assert all(p.grad is None for p in params.values())
+
+
+def test_report_computes_no_parameter_gradients(monkeypatch):
+    params, cfg, vocab, by_id, pairs = world_with_pairs()
+    before = {name: p.data.tobytes() for name, p in params.items()}
+    grad_leaves = []
+
+    def spy(loss):
+        grad_leaves.extend(x for x in _topo_order(loss) if x.is_leaf() and x.requires_grad)
+        backward(loss)
+    monkeypatch.setattr(saliency, "backward", spy)
+    saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),
+                    batch_pairs=2, seed=0, max_notes=8)
+    # two batches, and the only leaves that take a gradient are the
+    # retained attention of each layer
+    assert len(grad_leaves) == 2 * cfg.lm_layers
+    assert all(isinstance(x, Retained) for x in grad_leaves)
+    assert all(p.grad is None for p in params.values())
+    assert {name: p.data.tobytes() for name, p in params.items()} == before
 
 
 def test_write_report_formats(tmp_path):
