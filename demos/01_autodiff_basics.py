@@ -2,8 +2,10 @@
 A tour of the reverse-mode engine
 =================================
 
-Build a small computation out of tracked tensors, pull gradients back
-through it, and cross-check one of them against a central difference.
+Build a small computation out of the ops the model runs (the fused
+feed-forward block, layer norm and packed causal attention), pull
+gradients back through it, and cross-check one of them against a
+central difference.
 """
 
 import numpy as np
@@ -15,41 +17,54 @@ rng = np.random.default_rng(0)
 
 # Leaf tensors opt in to gradient tracking; everything derived from them
 # records its parents on a tape.
-w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+w1 = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
+b1 = Tensor(np.zeros(8), requires_grad=True)
+w2 = Tensor(rng.standard_normal((8, 6)), requires_grad=True)
+b2 = Tensor(np.zeros(6), requires_grad=True)
+gain, bias = Tensor(np.ones(6)), Tensor(np.zeros(6))
+target = Tensor(rng.standard_normal((4, 6)))
 
-h = ad.gelu(ad.matmul(x, w))
-loss = ad.tmean(ad.mul(h, h))
+
+def forward():
+    # gelu(x @ w1 + b1) @ w2 + b2, then layer norm, against a fixed target
+    h = ad.layer_norm(ad.ff(x, w1, b1, w2, b2), gain, bias)
+    return ad.tmean(ad.mul(h, target))
+
+
+loss = forward()
 print("loss =", loss.item())
+print("tape:", [node.op for node in ad._topo_order(loss) if node.op])
 
 backward(loss)
-print("dloss/dw[0,0] =", w.grad[0, 0])
+print("dloss/dw1[0,0] =", w1.grad[0, 0])
 
 # The same quantity by central differences, no tape involved.
 eps = 1e-6
-keep = w.data[0, 0]
-w.data[0, 0] = keep + eps
-up = ad.tmean(ad.mul(ad.gelu(ad.matmul(x, w)), ad.gelu(ad.matmul(x, w)))).item()
-w.data[0, 0] = keep - eps
-down = ad.tmean(ad.mul(ad.gelu(ad.matmul(x, w)), ad.gelu(ad.matmul(x, w)))).item()
-w.data[0, 0] = keep
+keep = w1.data[0, 0]
+w1.data[0, 0] = keep + eps
+up = forward().item()
+w1.data[0, 0] = keep - eps
+down = forward().item()
+w1.data[0, 0] = keep
 print("finite difference =", (up - down) / (2 * eps))
 
-# Gradients accumulate, so clear them between backward passes.
-w.grad = None
-x.grad = None
+# Causal attention over two notes packed row after row, of 3 and 2 rows.
+# retain=True also returns the softmax probabilities, one [heads,
+# queries, keys] block per note: a query never sees a later position, so
+# every entry above the diagonal is exactly zero.
+lengths = [3, 2]
+q, k, v = (Tensor(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(3))
+out, probs = ad.attention(q, k, v, 2, lengths, retain=True)
+for n, block in zip(lengths, probs.blocks(probs.data)):
+    print(f"\nhead 0 probabilities of the {n}-row note:\n", block[0].round(4))
 
-# Softmax with a mask: masked columns get probability exactly zero, and
-# their logits receive exactly zero gradient.
-logits = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-mask = np.array([[True, True, False, True, False],
-                 [True, True, True, True, True]])
-probs = ad.masked_softmax(logits, mask)
-print("\nmasked probabilities:\n", probs.data.round(4))
-backward(ad.tsum(ad.mul(probs, probs)))
-print("gradient at the masked slots:", logits.grad[0, 2], logits.grad[0, 4])
+# Hence the first row's output gets exactly zero gradient from every
+# later value row.
+backward(ad.tsum(ad.narrow(out, 0, 0, 1)))
+print("\nlargest |gradient| at value rows 1-4:", np.abs(v.grad[1:]).max())
 
 # Inside no_grad() nothing is recorded; useful for evaluation loops.
 with no_grad():
-    silent = ad.matmul(x, w)
+    silent = ad.matmul(x, w1)
 print("\nrecorded under no_grad?", silent.requires_grad)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ContractError, MaskError, ShapeError
+from .errors import ContractError, ShapeError
 
 _ids = itertools.count()
 # recording is toggled per thread: a worker embedding under no_grad()
@@ -314,31 +314,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(table.data[ids], "embedding_lookup", (table,), back)
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to ``mask == True`` entries.
-
-    Disallowed entries are exactly zero in the output; each row is
-    stabilized by its own maximum over allowed entries. A row with no
-    allowed entry raises MaskError.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ShapeError(f"masked_softmax: mask shape {mask.shape} != logits shape {logits.shape}")
-    if not mask.any(axis=-1).all():
-        raise MaskError("masked_softmax: a row has every entry masked out")
-    # One buffer, in place: exp(-inf) is exactly 0 at disallowed entries.
-    out = np.where(mask, logits.data, -np.inf)
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        dx = g - (g * out).sum(axis=-1, keepdims=True)
-        dx *= out
-        return (dx,)
-    return _record(out, "masked_softmax", (logits,), back)
-
-
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     """[..., T, d] -> a [..., heads, T, d / heads] view."""
     return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
@@ -515,21 +490,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return (dx, (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None,
                 g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None)
     return _record(out, "layer_norm", (x, gain, bias), back)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based gelu."""
-    cdf = _erf(x.data * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-
-    def back(g):
-        dx = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        dx *= x.data
-        dx += cdf
-        dx *= g
-        return (dx,)
-    return _record(x.data * cdf, "gelu", (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:

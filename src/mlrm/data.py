@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import BatchError, ConfigError, DataError
-from .notes import Note, save_notes
+from .notes import Note, note_id, note_to_row, read_jsonl, write_jsonl
 from .prompting import Vocab, build_micl_prompt, check_prompt_budget, join_topics
 
 
@@ -99,54 +100,17 @@ def build_pairs(events: list[BehaviorEvent], cfg: PairConfig) -> list[Pair]:
     return pairs
 
 
-# ---------------------------------------------------------------------------
-# Event / pair serialization
-
-
-def save_events(path, events: list[BehaviorEvent]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(json.dumps({"user": e.user, "viewed": e.viewed, "clicked": e.clicked},
-                                separators=(",", ":")))
-            fh.write("\n")
-
-
-def load_events(path) -> list[BehaviorEvent]:
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                events.append(BehaviorEvent(int(row["user"]), int(row["viewed"]),
-                                            int(row["clicked"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad event record ({exc})") from None
-    return events
-
-
-def save_pairs(path, pairs: list[Pair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps({"query": p.query, "related": p.related, "score": p.score},
-                                separators=(",", ":")))
-            fh.write("\n")
+def _pair_from_row(row: dict) -> Pair:
+    query, related, score = note_id(row, "query"), note_id(row, "related"), row["score"]
+    if query == related:
+        raise DataError(f"pair of note {query} with itself")
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise DataError(f"pair score must be a finite number, got {score!r}")
+    return Pair(query, related, float(score))
 
 
 def load_pairs(path) -> list[Pair]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                pairs.append(Pair(int(row["query"]), int(row["related"]),
-                                  float(row["score"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad pair record ({exc})") from None
-    return pairs
+    return read_jsonl(path, _pair_from_row)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +296,13 @@ def generate_dataset(cfg: SyntheticConfig, out_dir, pair_cfg: PairConfig | None 
     os.makedirs(out_dir, exist_ok=True)
     files = {name: os.path.join(out_dir, name) for name in
              ("notes.jsonl", "events.jsonl", "pairs.jsonl", "vocab.txt", "meta.json")}
-    save_notes(files["notes.jsonl"], notes)
-    save_events(files["events.jsonl"], events)
-    save_pairs(files["pairs.jsonl"], pairs)
+    write_jsonl(files["notes.jsonl"], map(note_to_row, notes))
+    write_jsonl(files["events.jsonl"], map(vars, events))
+    write_jsonl(files["pairs.jsonl"], map(vars, pairs))
     vocab.save(files["vocab.txt"])
-    with open(files["meta.json"], "w", encoding="utf-8") as fh:
-        json.dump({"config": vars(cfg), "clusters": meta["cluster"],
-                   "subtopics": meta["subtopic"]}, fh, separators=(",", ":"))
+    with atomic_write(files["meta.json"]) as fh:
+        fh.write(json.dumps({"config": vars(cfg), "clusters": meta["cluster"],
+                             "subtopics": meta["subtopic"]}, separators=(",", ":")).encode())
     return files
 
 

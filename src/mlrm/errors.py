@@ -10,10 +10,6 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-class MaskError(ValueError):
-    """A softmax row has no allowed entry."""
-
-
 class LayoutError(ValueError):
     """A prompt layout breaks its placeholder invariants."""
 

@@ -1,4 +1,4 @@
-"""Note records and their JSONL serialization."""
+"""Note records, and the one reader and writer of the JSONL dataset files."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import DataError
 
 
@@ -30,55 +31,70 @@ class Note:
         )
 
 
-def note_to_json(note: Note) -> str:
-    return json.dumps(
-        {
-            "id": note.id,
-            "title": note.title,
-            "topics": note.topics,
-            "content": note.content,
-            "image": note.image.tolist(),
-        },
-        separators=(",", ":"),
-    )
+def note_to_row(note: Note) -> dict:
+    return {"id": note.id, "title": note.title, "topics": note.topics,
+            "content": note.content, "image": note.image.tolist()}
 
 
-def note_from_json(line: str) -> Note:
-    row = json.loads(line)
-    try:
-        title, topics, content = row["title"], row["topics"], row["content"]
-        note_id, image = row["id"], row["image"]
-    except KeyError as missing:
-        raise DataError(f"note record missing field {missing}") from None
+def note_id(row: dict, key: str) -> int:
+    """``row[key]`` as a note id: a JSON integer in [0, 2**63)."""
+    value = row[key]
+    if type(value) is not int or value >= 2**63:  # bool is a subclass of int
+        raise DataError(f"{key} must be an int64 note id, got {value!r}")
+    if value < 0:
+        raise DataError(f"negative note id {value} in {key}")
+    return value
+
+
+def note_from_row(row: dict) -> Note:
+    title, topics, content = row["title"], row["topics"], row["content"]
     if not isinstance(title, str) or not isinstance(content, str):
         raise DataError("note title and content must be strings")
     if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
         raise DataError("note topics must be a list of strings")
-    return Note(id=int(note_id), title=title, topics=topics, content=content,
-                image=np.asarray(image, dtype=np.float64))
+    image = np.asarray(row["image"])
+    if image.ndim != 2 or image.dtype.kind not in "iuf" or not np.isfinite(image).all():
+        raise DataError("note image must be a 2-D array of finite numbers")
+    return Note(id=note_id(row, "id"), title=title, topics=topics, content=content,
+                image=image.astype(np.float64, copy=False))
 
 
-def save_notes(path, notes) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for note in notes:
-            fh.write(note_to_json(note))
-            fh.write("\n")
+def read_jsonl(path, parse) -> list:
+    """``parse(row)`` for each non-blank line of a JSONL file, ``row``
+    being the JSON object on that line. A line that is not a UTF-8 JSON
+    object, lacks a field or is rejected by ``parse`` raises DataError
+    naming ``path:lineno``."""
+    records = []
+    # surrogateescape turns bytes that are not UTF-8 into lone surrogates,
+    # which encode() rejects below, so the error names the right line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                if not line.isascii():
+                    line.encode("utf-8")
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise DataError("not a JSON object")
+                records.append(parse(row))
+            except KeyError as missing:
+                raise DataError(f"{path}:{lineno}: missing field {missing}") from None
+            except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def write_jsonl(path, rows) -> None:
+    """One compact JSON object per line, written atomically."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, separators=(",", ":")).encode("utf-8"))
+            fh.write(b"\n")
 
 
 def load_notes(path) -> list[Note]:
-    notes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                notes.append(note_from_json(line))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad note record ({exc})") from None
-    ids = [n.id for n in notes]
-    if len(set(ids)) != len(ids):
+    notes = read_jsonl(path, note_from_row)
+    if len({n.id for n in notes}) != len(notes):
         raise DataError(f"{path}: duplicate note ids")
-    if ids and min(ids) < 0:
-        raise DataError(f"{path}: negative note id {min(ids)}")
     return notes

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, DataError, LayoutError
 from .notes import Note
 
@@ -34,11 +35,6 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Split into words and single punctuation marks."""
     return _TOKEN_RE.findall(text)
-
-
-def detokenize(tokens) -> str:
-    """Inverse of tokenize up to whitespace placement."""
-    return " ".join(tokens)
 
 
 def join_topics(topics) -> str:
@@ -102,14 +98,9 @@ class Vocab:
     def encode(self, tokens) -> list[int]:
         return [self.index.get(tok, UNK_ID) for tok in tokens]
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok)
-                fh.write("\n")
+        with atomic_write(path) as fh:
+            fh.write("".join(tok + "\n" for tok in self.tokens).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Vocab":

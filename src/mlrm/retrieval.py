@@ -206,20 +206,13 @@ def random_baseline(k: int, pool_size: int) -> float:
 
 
 def slice_pairs(pairs: list[Pair], notes_by_id: dict[int, Note], kind: str) -> list[Pair]:
-    if kind == "all":
-        return list(pairs)
-    try:
-        side, _ = kind.split("_")
-    except ValueError:
-        raise ConfigError(f"unknown slice {kind!r}") from None
     if kind not in SLICES:
         raise ConfigError(f"unknown slice {kind!r}, expected one of {SLICES}")
-
-    def wanted(p: Pair) -> bool:
-        note = notes_by_id[p.query if kind.endswith("query") else p.related]
-        return length_class(note) == side
-
-    return [p for p in pairs if wanted(p)]
+    if kind == "all":
+        return list(pairs)
+    side, _, end = kind.partition("_")
+    return [p for p in pairs
+            if length_class(notes_by_id[p.query if end == "query" else p.related]) == side]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlrm import autodiff as ad
-from mlrm.errors import ContractError, MaskError, ShapeError
+from mlrm.errors import ContractError, ShapeError
 
 from fdcheck import assert_grad_close, central_diff
+from refops import gelu, masked_softmax
 
 
 def t(arr, grad=True):
@@ -44,33 +45,38 @@ def test_matmul_shape_errors():
         ad.matmul(t(np.ones((2, 2, 3))), t(np.ones((3, 3, 2))))
 
 
+def causal_probs(q, k, lengths, heads=1):
+    """Per-segment [heads, T, T] probabilities of packed causal attention:
+    the masked softmax inside ``attention``, whose mask hides every later
+    position."""
+    _, kept = ad.attention(t(q), t(k), t(np.zeros_like(k)), heads, lengths, retain=True)
+    return kept.blocks(kept.data)
+
+
+def assert_causal_rows(lengths, blocks):
+    """Later positions hold exactly zero and every row sums to one."""
+    for n, block in zip(lengths, blocks):
+        assert np.all(block[:, ~np.tri(n, dtype=bool)] == 0.0)
+        np.testing.assert_allclose(block.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_masked_softmax_rows_sum_to_one_and_masked_exactly_zero():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(6, 9)) * 5
-    mask = rng.random((6, 9)) < 0.6
-    mask[:, 0] = True
-    out = ad.masked_softmax(t(x), mask).data
-    assert np.all(out[~mask] == 0.0)
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    lengths = [1, 4, 6]
+    q, k = (rng.normal(size=(11, 6)) * 5 for _ in range(2))
+    assert_causal_rows(lengths, causal_probs(q, k, lengths, heads=2))
 
 
 def test_masked_softmax_uniform_under_equal_logits():
-    mask = np.array([[True, True, False, True]])
-    out = ad.masked_softmax(t(np.zeros((1, 4))), mask).data
-    np.testing.assert_allclose(out[0], [1 / 3, 1 / 3, 0.0, 1 / 3], atol=1e-15)
-
-
-def test_masked_softmax_degenerate_row_raises():
-    mask = np.array([[True, True], [False, False]])
-    with pytest.raises(MaskError):
-        ad.masked_softmax(t(np.zeros((2, 2))), mask)
+    (block,) = causal_probs(np.zeros((4, 2)), np.ones((4, 2)), [4])
+    np.testing.assert_allclose(block[0], np.tri(4) / np.arange(1.0, 5.0)[:, None], atol=1e-15)
 
 
 def test_masked_softmax_stability_under_large_logits():
-    x = np.array([[1e4, 1e4 - 1.0]])
-    out = ad.masked_softmax(t(x), np.ones((1, 2), bool)).data
-    assert np.isfinite(out).all()
-    np.testing.assert_allclose(out[0, 0], 1 / (1 + np.e ** -1), rtol=1e-12)
+    # one head of width 1, so the query-key products are the logits
+    (block,) = causal_probs(np.ones((2, 1)), np.array([[1e4], [1e4 - 1.0]]), [2])
+    assert np.isfinite(block).all()
+    np.testing.assert_allclose(block[0, 1, 0], 1 / (1 + np.e ** -1), rtol=1e-12)
 
 
 def test_layer_norm_constant_vector_is_zero_before_affine():
@@ -79,8 +85,10 @@ def test_layer_norm_constant_vector_is_zero_before_affine():
 
 
 def test_gelu_fixed_points():
-    out = ad.gelu(t(np.array([0.0, 100.0, -100.0])))
-    np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-12)
+    # with identity weights and zero biases the feed-forward block is gelu
+    eye, zero = t(np.eye(3)), t(np.zeros(3))
+    out = ad.ff(t(np.array([[0.0, 100.0, -100.0]])), eye, zero, eye, zero)
+    np.testing.assert_allclose(out.data, [[0.0, 100.0, 0.0]], atol=1e-12)
 
 
 def test_sigmoid_symmetry_and_range():
@@ -173,14 +181,13 @@ def test_gradient_accumulates_across_backward_calls():
 def test_backward_determinism_bitwise():
     def run():
         rng = np.random.default_rng(7)
-        a = t(rng.normal(size=(5, 6)))
-        b = t(rng.normal(size=(6, 4)))
-        h = ad.gelu(ad.matmul(a, b))
-        p = ad.masked_softmax(h, np.tril(np.ones((5, 4), bool), k=2))
-        ad.backward(scalar_loss(p))
-        return a.grad.copy(), b.grad.copy()
+        ts = [t(rng.normal(size=s)) for s in [(7, 4), (4, 8), (8,), (8, 4), (4,)]]
+        h = ad.ff(*ts)
+        out, _ = ad.attention(h, h, h, 2, [3, 4])
+        ad.backward(scalar_loss(out))
+        return [x.grad.copy() for x in ts]
     g1, g2 = run(), run()
-    assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+    assert all(np.array_equal(a, b) for a, b in zip(g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +224,12 @@ CASES = {
     "concat": (lambda ts: ad.concat(ts, axis=1), [(3, 2), (3, 3)]),
     "narrow": (lambda ts: ad.narrow(ts[0], 0, 1, 2), [(4, 3)]),
     "masked_softmax": (
-        lambda ts: ad.masked_softmax(ts[0], np.tril(np.ones((4, 4), bool))), [(4, 4)]),
+        lambda ts: masked_softmax(ts[0], np.tril(np.ones((4, 4), bool))), [(4, 4)]),
     "layer_norm": (
         lambda ts: ad.layer_norm(ts[0], ad.Tensor(np.ones(6)), ad.Tensor(np.zeros(6))), [(3, 6)]),
     "layer_norm_affine": (
         lambda ts: ad.layer_norm(ts[0], ts[1], ts[2]), [(3, 6), (6,), (6,)]),
-    "gelu": (lambda ts: ad.gelu(ts[0]), [(3, 4)]),
+    "gelu": (lambda ts: gelu(ts[0]), [(3, 4)]),
     "sigmoid": (lambda ts: ad.sigmoid(ts[0]), [(5,)]),
     "exp": (lambda ts: ad.exp(ts[0]), [(3, 3)]),
     "log1p": (lambda ts: ad.log1p(ts[0]), [(6,)]),
@@ -336,7 +343,7 @@ def _unfused_attention(q, k, v, heads, mask):
     qh, kh, vh = split(q), split(k), split(v)
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
                       1.0 / np.sqrt(q.shape[-1] // heads))
-    probs = _capture(ad.masked_softmax(scores, np.broadcast_to(mask, scores.shape)))
+    probs = _capture(masked_softmax(scores, np.broadcast_to(mask, scores.shape)))
     out = ad.matmul(probs, vh)
     b, h, t, dh = out.shape
     return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, h * dh)), probs
@@ -388,7 +395,7 @@ def test_ff_matches_unfused_composition():
     w = t(rng.normal(size=(2, 5, 4)), grad=False)
     fused_in, ref_in = [t(a) for a in arrays], [t(a) for a in arrays]
     x, w1, b1, w2, b2 = ref_in
-    h = ad.gelu(ad.add(ad.matmul(ad.reshape(x, (10, 4)), w1), b1))
+    h = gelu(ad.add(ad.matmul(ad.reshape(x, (10, 4)), w1), b1))
     ref = ad.reshape(ad.add(ad.matmul(h, w2), b2), (2, 5, 4))
     out = ad.ff(*fused_in)
     for o in (out, ref):
@@ -489,15 +496,11 @@ def test_attention_and_ff_shape_errors():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**31 - 1))
-def test_masked_softmax_rows_property(rows, cols, seed):
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.integers(0, 2**31 - 1))
+def test_masked_softmax_rows_property(lengths, seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rows, cols)) * 10
-    mask = rng.random((rows, cols)) < 0.5
-    mask[np.arange(rows), rng.integers(0, cols, rows)] = True
-    out = ad.masked_softmax(t(x), mask).data
-    assert np.all(out[~mask] == 0.0)
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+    q, k = (rng.normal(size=(sum(lengths), 4)) * 10 for _ in range(2))
+    assert_causal_rows(lengths, causal_probs(q, k, lengths, heads=2))
 
 
 @settings(max_examples=30, deadline=None)

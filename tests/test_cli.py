@@ -1,9 +1,10 @@
 """End-to-end checks for the command-line interface.
 
 Everything runs through main(argv) on a small synthetic dataset,
-in-process except the golden-hash test, which pins one BLAS thread in a
-subprocess; the heavyweight fixtures (dataset, trained checkpoint) are
-session-scoped so the whole file stays fast.
+in-process except the golden-hash and BLAS-thread tests, which need
+their own BLAS settings and so run in subprocesses; the heavyweight
+fixtures (dataset, trained checkpoint) are session-scoped so the whole
+file stays fast.
 """
 
 import filecmp
@@ -422,6 +423,40 @@ def test_analyze_bytes_match_golden_hashes(tmp_path, dataset, mode):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_ANALYZE[mode]}
     assert got == GOLDEN_ANALYZE[mode]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_outputs_do_not_depend_on_blas_thread_settings(tmp_path):
+    # A multi-threaded BLAS splits the weight-gradient reductions by thread
+    # count, so the package pins one thread unless the caller sets one.
+    # Unset (all cores) and pinned runs must write the same bytes.
+    ds = tmp_path / "ds"
+    assert main(["gen-data", "--seed", "42", "--notes", "300", "--out", str(ds)]) == 0
+    outputs = {}
+    for label, value in (("unset", None), ("one", "1")):
+        run, ev = tmp_path / label / "run", tmp_path / label / "eval"
+        commands = [
+            ["train", "--mode", "notellm2", "--steps", "3", "--dataset", str(ds),
+             "--out", str(run)],
+            ["eval", "--checkpoint", str(run / "checkpoint.mlrm"), "--pool",
+             str(ds / "notes.jsonl"), "--pairs", str(ds / "pairs.jsonl"), "--k", "1,10",
+             "--out", str(ev)],
+        ]
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(dict.fromkeys(BLAS_VARS, value) if value else {})
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        script = ("import sys; from mlrm.cli import main; "
+                  f"sys.exit(any(main(argv) for argv in {commands!r}))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[label] = {p.name: p.read_bytes() for p in
+                          (run / "checkpoint.mlrm", run / "metrics.jsonl",
+                           ev / "eval.csv", ev / "eval.json")}
+    assert outputs["unset"] == outputs["one"]
 
 
 def test_failed_report_writes_keep_earlier_files(tmp_path, fill_disk):

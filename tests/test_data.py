@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlrm.cli import main
 from mlrm.data import (
     BehaviorEvent,
     Pair,
@@ -17,15 +18,12 @@ from mlrm.data import (
     cooccurrence,
     generate_dataset,
     generate_synthetic,
-    load_events,
     load_pairs,
     make_batches,
-    save_events,
-    save_pairs,
     split_pairs,
 )
 from mlrm.errors import BatchError, ConfigError, DataError
-from mlrm.notes import Note, load_notes, note_to_json
+from mlrm.notes import Note, load_notes, note_to_row, read_jsonl, write_jsonl
 from mlrm.prompting import UNK_ID, Vocab, length_class, tokenize
 
 
@@ -151,19 +149,23 @@ def test_pair_config_validation():
         PairConfig(per_query=0)
 
 
+def load_events(path):
+    return read_jsonl(path, lambda row: BehaviorEvent(**row))
+
+
 def test_event_and_pair_round_trip(tmp_path):
     events = [BehaviorEvent(1, 2, 3), BehaviorEvent(4, 5, 6)]
     pairs = [Pair(1, 2, 0.25), Pair(3, 4, 1.5)]
-    save_events(tmp_path / "e.jsonl", events)
-    save_pairs(tmp_path / "p.jsonl", pairs)
+    write_jsonl(tmp_path / "e.jsonl", map(vars, events))
+    write_jsonl(tmp_path / "p.jsonl", map(vars, pairs))
     assert load_events(tmp_path / "e.jsonl") == events
     assert load_pairs(tmp_path / "p.jsonl") == pairs
 
 
-def test_load_events_reports_bad_line(tmp_path):
+def test_read_jsonl_reports_bad_line(tmp_path):
     path = tmp_path / "e.jsonl"
-    path.write_text('{"user":1,"viewed":2,"clicked":3}\n{"user":1}\n')
-    with pytest.raises(DataError, match="2"):
+    path.write_text('{"user":1,"viewed":2,"clicked":3}\n\n{"user":1}\n')
+    with pytest.raises(DataError, match="e.jsonl:3: "):
         load_events(path)
 
 
@@ -402,10 +404,104 @@ def test_split_pairs_deterministic_disjoint():
     ("title", 5), ("content", None), ("topics", "food"), ("topics", ["food", 3]),
 ])
 def test_load_notes_rejects_bad_field_types(tmp_path, field, value):
-    row = json.loads(note_to_json(Note(id=1, title="t", topics=["food"], content="c",
-                                       image=np.zeros((2, 2)))))
+    row = note_to_row(Note(id=1, title="t", topics=["food"], content="c",
+                           image=np.zeros((2, 2))))
     row[field] = value
     path = tmp_path / "notes.jsonl"
     path.write_text(json.dumps(row) + "\n")
     with pytest.raises(DataError, match=field):
         load_notes(path)
+
+
+NOTE_ROW = {"id": 1, "title": "t", "topics": ["food"], "content": "c", "image": [[0.0, 1.0]]}
+PAIR_ROW = {"query": 1, "related": 2, "score": 0.5}
+LOADERS = {"notes": load_notes, "pairs": load_pairs}
+NAN, INF = float("nan"), float("inf")
+LOOSE_ROWS = [
+    ("notes", {"id": 2.7}), ("notes", {"id": True}), ("notes", {"id": "2"}),
+    ("notes", {"id": 2**63}), ("notes", {"image": [[NAN]]}), ("notes", {"image": [1.0]}),
+    ("notes", {"image": [["1.0"]]}),
+    ("pairs", {"query": 1.9, "related": True, "score": "nan"}),
+    ("pairs", {"query": 1.0}), ("pairs", {"related": "2"}), ("pairs", {"related": -2}),
+    ("pairs", {"score": NAN}), ("pairs", {"score": -INF}), ("pairs", {"score": None}),
+    ("pairs", {"score": False}), ("pairs", {"score": 10**400}), ("pairs", {"related": 1}),
+]
+
+
+@pytest.mark.parametrize("kind, row", [
+    pytest.param(kind, row, id=kind + "-" + ",".join(f"{k}={v!r:.12}" for k, v in row.items()))
+    for kind, row in LOOSE_ROWS])
+def test_reader_rejects_loose_field_types(tmp_path, kind, row):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps({**(NOTE_ROW if kind == "notes" else PAIR_ROW), **row}) + "\n")
+    with pytest.raises(DataError, match=f"{kind}.jsonl:1: "):
+        LOADERS[kind](path)
+
+
+def test_reader_accepts_strict_rows(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('\n{"query":0,"related":3,"score":2}\n  \n')
+    assert load_pairs(path) == [Pair(0, 3, 2.0)]
+
+
+NOT_ID = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                   st.integers(max_value=-1), st.integers(min_value=2**63),
+                   st.lists(st.integers(0, 3), max_size=2))
+NOT_TEXT = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+                     st.lists(st.text(max_size=2), max_size=2))
+BAD_FIELDS = {
+    "notes": {
+        "id": NOT_ID, "title": NOT_TEXT, "content": NOT_TEXT,
+        "topics": st.one_of(st.text(max_size=3), st.integers(), st.none(),
+                            st.lists(st.integers(), min_size=1, max_size=2)),
+        "image": st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+                           st.lists(st.floats(allow_nan=False), max_size=3),
+                           st.sampled_from([[[NAN]], [[INF, 0.0]], [["a"]], [[True]],
+                                            [[1.0], [1.0, 2.0]], [[[1.0]]], {"a": 1}])),
+    },
+    "pairs": {
+        "query": NOT_ID, "related": NOT_ID,
+        "score": st.one_of(st.booleans(), st.text(max_size=3), st.none(),
+                           st.sampled_from([NAN, INF, -INF, 10**400]),
+                           st.lists(st.floats(), max_size=2)),
+    },
+}
+
+
+@st.composite
+def malformed_line(draw, kind):
+    """One line that the reader of ``kind`` files must reject."""
+    row = dict(NOTE_ROW if kind == "notes" else PAIR_ROW)
+    how = draw(st.sampled_from(["field", "missing", "truncated", "not_object", "not_utf8"]))
+    if how == "field":
+        field = draw(st.sampled_from(sorted(BAD_FIELDS[kind])))
+        row[field] = draw(BAD_FIELDS[kind][field])
+    elif how == "missing":
+        del row[draw(st.sampled_from(sorted(row)))]
+    line = json.dumps(row).encode()
+    if how == "truncated":
+        line = line[:draw(st.integers(1, len(line) - 1))]
+    elif how == "not_object":
+        line = json.dumps(draw(st.one_of(st.integers(), st.text(), st.none(),
+                                         st.lists(st.integers())))).encode()
+    elif how == "not_utf8":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + b"\xff" + line[at:]
+    return line
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), malformed_line(kind))))
+def test_malformed_lines_raise_data_error_and_exit_3(tmp_path_factory, case):
+    kind, line = case
+    ds = tmp_path_factory.mktemp("fuzz")
+    good = {"notes": {**NOTE_ROW, "id": 0}, "pairs": {**PAIR_ROW, "query": 0}}
+    for name in LOADERS:
+        lines = [json.dumps(good[name]).encode()] + ([line] if name == kind else [])
+        (ds / f"{name}.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    (ds / "vocab.txt").write_text("")
+    with pytest.raises(DataError, match=f"{kind}.jsonl:2: "):
+        LOADERS[kind](ds / f"{kind}.jsonl")
+    assert main(["train", "--dataset", str(ds), "--out", str(ds / "run")]) == 3
+    assert not (ds / "run").exists()

@@ -1,9 +1,11 @@
-"""Every import in the package and the tests is used.
+"""Every import in the package and the tests is used, and every public
+autodiff function is used by the package.
 
-An AST scan, so it needs no linter: a module's imported names must each
+AST scans, so they need no linter. A module's imported names must each
 appear as a name or as the root of an attribute chain somewhere else in
 the same module. Package ``__init__`` files, which import to re-export,
-and ``from __future__`` imports are exempt.
+and ``from __future__`` imports are exempt. An autodiff function that
+only the tests call belongs in the tests.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in (ROOT / "src" / "mlrm", ROOT / "tests")
+PACKAGE = ROOT / "src" / "mlrm"
+FILES = sorted(p for d in (PACKAGE, ROOT / "tests")
                for p in d.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,3 +41,49 @@ def test_no_unused_imports(path):
 
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
+
+
+def autodiff_references(source: str, in_autodiff: bool) -> set[str]:
+    """Names of autodiff functions that a package module refers to:
+    through ``from .autodiff import f``, as ``ad.f`` after ``from .
+    import autodiff as ad``, or, inside autodiff itself, by plain name
+    outside the function's own body."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module == "autodiff":
+                    names[alias.asname or alias.name] = alias.name
+                elif node.module is None and alias.name == "autodiff":
+                    modules.add(alias.asname or alias.name)
+    refs = set()
+    for top in tree.body:
+        own = top.name if in_autodiff and isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                refs.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id != own \
+                    and (in_autodiff or node.id in names):
+                refs.add(names.get(node.id, node.id))
+    return refs
+
+
+def test_every_autodiff_function_is_used_by_the_package():
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set().union(*(autodiff_references(p.read_text(encoding="utf-8"),
+                                             p.name == "autodiff.py")
+                         for p in PACKAGE.glob("*.py")))
+    assert sorted(public - used) == []
+
+
+def test_autodiff_scan_resolves_bindings():
+    source = ("from . import autodiff as ad\nfrom .autodiff import exp as e\n"
+              "y = ad.ff(x)\nz = e(y)\nw = x.reshape(2)\n")
+    assert autodiff_references(source, False) == {"ff", "exp"}
+    # f's call inside its own body does not count; g's call of f does
+    own = "def f(x):\n    return f(x)\ndef g(x):\n    return f(x)\n"
+    assert autodiff_references(own, True) == {"f", "x"}
