@@ -3,9 +3,9 @@ A tour of the reverse-mode engine
 =================================
 
 Build a small computation out of the ops the model runs (the fused
-feed-forward block, layer norm and packed causal attention), pull
-gradients back through it, and cross-check one of them against a
-central difference.
+feed-forward block, layer norm, the contrastive loss and packed causal
+attention), pull gradients back through it, and cross-check one of them
+against a central difference.
 """
 
 import numpy as np
@@ -23,13 +23,17 @@ b1 = Tensor(np.zeros(8), requires_grad=True)
 w2 = Tensor(rng.standard_normal((8, 6)), requires_grad=True)
 b2 = Tensor(np.zeros(6), requires_grad=True)
 gain, bias = Tensor(np.ones(6)), Tensor(np.zeros(6))
-target = Tensor(rng.standard_normal((4, 6)))
+tau = Tensor(np.asarray(1.0), requires_grad=True)
+# rows 0 and 1 are one related pair, rows 2 and 3 another
+partner = np.array([1, 0, 3, 2])
 
 
 def forward():
-    # gelu(x @ w1 + b1) @ w2 + b2, then layer norm, against a fixed target
+    # gelu(x @ w1 + b1) @ w2 + b2, then layer norm; the loss pulls each
+    # row toward its partner's and away from the other rows, on cosine
+    # similarities scaled by exp(tau)
     h = ad.layer_norm(ad.ff(x, w1, b1, w2, b2), gain, bias)
-    return ad.tmean(ad.mul(h, target))
+    return ad.contrastive(h, h, partner, tau)
 
 
 loss = forward()
@@ -37,7 +41,7 @@ print("loss =", loss.item())
 print("tape:", [node.op for node in ad._topo_order(loss) if node.op])
 
 backward(loss)
-print("dloss/dw1[0,0] =", w1.grad[0, 0])
+print("dloss/dw1[0,0] =", w1.grad[0, 0], " dloss/dtau =", tau.grad)
 
 # The same quantity by central differences, no tape involved.
 eps = 1e-6
@@ -60,8 +64,9 @@ for n, block in zip(lengths, probs.blocks(probs.data)):
     print(f"\nhead 0 probabilities of the {n}-row note:\n", block[0].round(4))
 
 # Hence the first row's output gets exactly zero gradient from every
-# later value row.
-backward(ad.tsum(ad.narrow(out, 0, 0, 1)))
+# later value row. Its entries summed (a [1, 4] @ [4, 1] product) make a
+# one-element loss.
+backward(ad.matmul(ad.narrow(out, 0, 0, 1), Tensor(np.ones((4, 1)))))
 print("\nlargest |gradient| at value rows 1-4:", np.abs(v.grad[1:]).max())
 
 # Inside no_grad() nothing is recorded; useful for evaluation loops.

@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Deliberately small: float64 everywhere, a dynamic graph rebuilt on every
-forward pass, and no broadcasting except bias addition over leading axes
-plus a handful of explicit row-wise helpers. The backward sweep is a
+forward pass, and no broadcasting except bias addition over leading axes.
+The model's attention, feed-forward block and contrastive loss are each
+one fused op with a hand-written backward. The backward sweep is a
 single-threaded reverse pass over a topologically ordered tape, so
 gradients are bitwise reproducible for identical inputs. Backward
 functions compute a parent's gradient only when that parent requires
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 _ids = itertools.count()
 # recording is toggled per thread: a worker embedding under no_grad()
@@ -189,16 +190,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (g * b.data if a.requires_grad else None,
                 g * a.data if b.requires_grad else None)
     return _record(a.data * b.data, "mul", (a, b), back)
-
-
-def smul(s: Tensor, x: Tensor) -> Tensor:
-    """Scale a tensor by a scalar tensor (gradient flows to both)."""
-    if s.size != 1:
-        raise ShapeError(f"smul: scale factor must be scalar, got shape {s.shape}")
-
-    def back(g):
-        return np.asarray((g * x.data).sum()).reshape(s.shape), g * s.data
-    return _record(s.data * x.data, "smul", (s, x), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -503,67 +494,62 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, "sigmoid", (x,), back)
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
+def contrastive(queries: Tensor, candidates: Tensor, partner, tau: Tensor) -> Tensor:
+    """In-batch contrastive loss: the mean over rows i of
+    -log softmax(candidate partner[i] | every candidate but i), on cosine
+    similarities scaled by exp(tau). ``partner`` must be an involution
+    without fixed points; pass one tensor as both tables for the
+    within-table loss.
+
+    The positive logit is subtracted before ``exp``, so row i's term is
+    log1p of a sum of non-positive-shifted exponentials; this stays
+    accurate when the positive dominates and the term is tiny, where
+    logsumexp minus the positive loses every digit. Forward and backward
+    repeat the numpy steps of the unfused composition in
+    ``tests/refops.py`` in its order, so both give the same bits.
+    """
+    n = queries.shape[0]
+    partner = np.asarray(partner)
+    if queries.ndim != 2 or candidates.shape != queries.shape \
+            or partner.shape != (n,) or tau.size != 1:
+        raise ShapeError(f"contrastive: tables {queries.shape}/{candidates.shape}, "
+                         f"partner {partner.shape}, tau {tau.shape}")
+    tables = (queries,) if candidates is queries else (queries, candidates)
+    norms = []  # per table: squared row norms, their -1/2 power, unit rows
+    for x in tables:
+        sq = (x.data * x.data).sum(axis=1)
+        bad = np.flatnonzero(sq == 0.0)
+        if bad.size:
+            raise NumericError(f"zero-norm embedding at row {bad[0]}")
+        inv = sq ** -0.5
+        norms.append((sq, inv, x.data * inv[:, None]))
+    q, c = norms[0][2], norms[-1][2]
+    ct = np.ascontiguousarray(c.T)
+    rows = np.arange(n)
+    sims = q @ ct
+    shifted = sims - sims[rows, partner][:, None]
+    scale = np.exp(tau.data)
+    ex = np.exp(scale * shifted)
+    keep = np.ones((n, n))
+    keep[rows, rows] = 0.0
+    keep[rows, partner] = 0.0
+    terms = (ex * keep).sum(axis=1)
+    loss = np.asarray(np.log1p(terms).sum()) / float(n)
 
     def back(g):
-        return (g * out,)
-    return _record(out, "exp", (x,), back)
-
-
-def log1p(x: Tensor) -> Tensor:
-    """log(1 + x), precise for tiny x (used by the contrastive loss)."""
-    def back(g):
-        return (g / (1.0 + x.data),)
-    return _record(np.log1p(x.data), "log1p", (x,), back)
-
-
-def power(x: Tensor, p: float) -> Tensor:
-    """Elementwise x**p for a python exponent."""
-    p = float(p)
-    out = x.data ** p
-
-    def back(g):
-        return (g * p * x.data ** (p - 1.0),)
-    return _record(out, "power", (x,), back)
-
-
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over all elements (axis None, scalar result) or one axis."""
-    if axis is None:
-        def back(g):
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return _record(np.asarray(x.data.sum()), "sum", (x,), back)
-    ax = axis % x.ndim
-
-    def back(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), x.shape).copy(),)
-    return _record(x.data.sum(axis=ax), "sum", (x,), back)
-
-
-def tmean(x: Tensor, axis: int | None = None) -> Tensor:
-    n = x.size if axis is None else x.shape[axis % x.ndim]
-    return divs(tsum(x, axis), n)
-
-
-def add_rows(x: Tensor, r: Tensor) -> Tensor:
-    """Add r[i] to every entry of row i of a matrix."""
-    if x.ndim != 2 or r.shape != (x.shape[0],):
-        raise ShapeError(f"add_rows: expected matrix and per-row vector, got {x.shape} and {r.shape}")
-
-    def back(g):
-        return g, g.sum(axis=1)
-    return _record(x.data + r.data[:, None], "add_rows", (x, r), back)
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of a matrix by s[i]."""
-    if x.ndim != 2 or s.shape != (x.shape[0],):
-        raise ShapeError(f"scale_rows: expected matrix and per-row vector, got {x.shape} and {s.shape}")
-
-    def back(g):
-        return g * s.data[:, None], (g * x.data).sum(axis=1)
-    return _record(x.data * s.data[:, None], "scale_rows", (x, s), back)
+        dlogits = ((g / float(n)) / (1.0 + terms))[:, None] * keep * ex
+        dsims = dlogits * scale
+        dsims[rows, partner] -= dsims.sum(axis=1)  # through the subtracted positive
+        dq = dsims @ ct.T if queries.requires_grad else None
+        dc = np.ascontiguousarray((q.T @ dsims).T) if candidates.requires_grad else None
+        grads = [dq, dc] if len(tables) == 2 else [None if dq is None else dq + dc]
+        for i, (x, (sq, inv, _)) in enumerate(zip(tables, norms)):
+            if grads[i] is not None:
+                # through |x|^2: d(x * x)/dx adds x twice, as a product's two parents do
+                half = ((grads[i] * x.data).sum(axis=1) * -0.5 * sq ** -1.5)[:, None] * x.data
+                grads[i] = grads[i] * inv[:, None] + half + half
+        return (*grads, (dlogits * shifted).sum() * scale if tau.requires_grad else None)
+    return _record(loss, "contrastive", (*tables, tau), back)
 
 
 def first_nonfinite(root: Tensor) -> Tensor | None:

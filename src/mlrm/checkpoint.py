@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import uuid
@@ -73,20 +74,27 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"checkpoint truncated while reading {what}")
-    return buf
+    # checked before reading, so a corrupt length or shape cannot make the
+    # read allocate more than the file holds
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"checkpoint truncated: {what} needs {n} bytes, {left} are left")
+    return fh.read(n)
 
 
 def _read_record(fh) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "record name length"))
-    name = _read_exact(fh, name_len, "record name").decode("utf-8")
+    try:
+        name = _read_exact(fh, name_len, "record name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint record name is not UTF-8 ({exc})") from None
     (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of {name}"))
     shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of {name}"))
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = _read_exact(fh, 8 * count, f"payload of {name}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    payload = _read_exact(fh, 8 * math.prod(shape), f"payload of {name}")
+    try:
+        data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    except ValueError as exc:  # more dimensions than numpy supports
+        raise FormatError(f"checkpoint record {name!r} of rank {rank}: {exc}") from None
     return name, data
 
 

@@ -104,8 +104,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                tokens = [line.rstrip("\n") for line in fh]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: vocabulary is not UTF-8 ({exc})") from None
         while tokens and tokens[-1] == "":
             tokens.pop()
         if len(tokens) < len(RESERVED):

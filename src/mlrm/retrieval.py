@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -135,13 +136,17 @@ def load_table(path, provenance: dict | None = None) -> EmbeddingTable:
         if len(header) != 8:
             raise FormatError(f"{path}: truncated header")
         count, dim = struct.unpack("<II", header)
-        row = _row_dtype(dim)
-        blob = fh.read(count * row.itemsize)
-        if len(blob) != count * row.itemsize:
-            raise FormatError(f"{path}: truncated table body")
-        if fh.read(1):
+        # checked before building the row type or reading, so a corrupt
+        # header can neither overflow numpy nor allocate past the file
+        row_bytes, body = 8 + 4 * dim, os.fstat(fh.fileno()).st_size - fh.tell()
+        if row_bytes >= 2**31:
+            raise FormatError(f"{path}: header dim {dim} is too large for a table row")
+        if count * row_bytes > body:
+            raise FormatError(f"{path}: truncated table body: the header claims {count} "
+                              f"rows of {row_bytes} bytes, the file holds {body} bytes")
+        if count * row_bytes < body:
             raise FormatError(f"{path}: trailing bytes after the table body")
-    rows = np.frombuffer(blob, dtype=row)
+        rows = np.frombuffer(fh.read(body), dtype=_row_dtype(dim))
     return EmbeddingTable(ids=rows["id"].astype(np.int64),
                           vectors=rows["vector"].astype(np.float32),
                           provenance=provenance or {})

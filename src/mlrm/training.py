@@ -1,12 +1,8 @@
 """Contrastive objectives, optimizer, schedule and the training loop.
 
-The in-batch loss is computed in a factored form: for each row the
-positive logit is subtracted from every candidate logit before
-exponentiation, which turns the per-row term into log1p(sum of
-exponentials of non-positive-shifted logits). This is algebraically the
-usual -log(softmax) but stays fully accurate when the positive dominates
-and the true loss is tiny; the naive logsumexp-minus-numerator form
-loses all significant digits there.
+Every variant trains on the in-batch contrastive loss of
+``autodiff.contrastive`` (see there for its factored, tiny-loss-accurate
+form), over one embedding table or across two.
 """
 
 from __future__ import annotations
@@ -22,22 +18,12 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    add_rows,
     backward,
+    contrastive,
     divs,
-    exp,
     first_nonfinite,
-    log1p,
-    matmul,
-    mul,
     no_grad,
-    power,
     scale,
-    scale_rows,
-    smul,
-    tmean,
-    transpose,
-    tsum,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Pair, make_batches, split_pairs
@@ -115,69 +101,21 @@ def _check_partner(partner: np.ndarray, n: int) -> np.ndarray:
     return partner
 
 
-def _normalize_rows(emb: Tensor) -> Tensor:
-    if emb.ndim != 2:
-        raise ContractError(f"expected an embedding matrix, got shape {emb.shape}")
-    sq = tsum(mul(emb, emb), axis=1)
-    bad = np.flatnonzero(sq.data == 0.0)
-    if bad.size:
-        raise NumericError(f"zero-norm embedding at row {bad[0]}")
-    return scale_rows(emb, power(sq, -0.5))
+def contrastive_loss(queries: Tensor, candidates: Tensor, partner,
+                     tau: Tensor) -> Tensor:
+    """In-batch contrastive loss of ``queries`` against ``candidates``.
 
-
-def _paired_loss(queries: Tensor, candidates: Tensor, partner: np.ndarray,
-                 tau: Tensor) -> Tensor:
-    """Mean over rows of -log softmax(positive | all candidates but self).
-
-    Inputs must be row-normalized. The positive for row i is candidate
-    partner(i); candidate i itself is excluded from the denominator.
+    Row i of ``queries`` is pulled toward candidates[partner(i)] against
+    every other candidate but candidates[i]; the similarity is cosine and
+    the logit scale is exp(tau). Pass one table twice for the
+    within-table loss. A batch of one pair has no negatives, so its loss
+    is exactly zero.
     """
-    n = queries.shape[0]
-    sims = matmul(queries, transpose(candidates))
-    pos = tsum(mul(sims, _indicator(partner)), axis=1)
-    shifted = add_rows(sims, scale(pos, -1.0))
-    logits = smul(exp(tau), shifted)
-    keep = np.ones((n, n))
-    idx = np.arange(n)
-    keep[idx, idx] = 0.0
-    keep[idx, partner] = 0.0
-    masked = mul(exp(logits), Tensor(keep))
-    return tmean(log1p(tsum(masked, axis=1)))
-
-
-def _indicator(partner: np.ndarray) -> Tensor:
-    n = partner.shape[0]
-    m = np.zeros((n, n))
-    m[np.arange(n), partner] = 1.0
-    return Tensor(m)
-
-
-def contrastive_loss(emb: Tensor, partner, tau: Tensor) -> Tensor:
-    """In-batch contrastive loss over one embedding table.
-
-    Row i is pulled toward row partner(i) against every other row; the
-    similarity is cosine and the logit scale is exp(tau). A batch of one
-    pair has no negatives, so the loss is exactly zero.
-    """
-    partner = _check_partner(partner, emb.shape[0])
-    normed = _normalize_rows(emb)
-    return _paired_loss(normed, normed, partner, tau)
-
-
-def cross_contrastive_loss(queries: Tensor, candidates: Tensor, partner,
-                           tau: Tensor) -> Tensor:
-    """Contrastive loss with queries and candidates from different tables.
-
-    Row i of ``queries`` is matched against the whole ``candidates``
-    table; its positive is candidates[partner(i)] and candidates[i] is
-    excluded. With identical tables this reduces to contrastive_loss.
-    """
-    if queries.shape != candidates.shape:
-        raise ContractError(f"query/candidate shape mismatch: "
-                            f"{queries.shape} vs {candidates.shape}")
+    if queries.ndim != 2 or queries.shape != candidates.shape:
+        raise ContractError(f"expected two embedding matrices of one shape, got "
+                            f"{queries.shape} and {candidates.shape}")
     partner = _check_partner(partner, queries.shape[0])
-    return _paired_loss(_normalize_rows(queries), _normalize_rows(candidates),
-                        partner, tau)
+    return contrastive(queries, candidates, partner, tau)
 
 
 def final_loss(loss_visual: Tensor, loss_multimodal: Tensor, alpha: float) -> Tensor:
@@ -205,23 +143,18 @@ def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
         e_m = reps.out_multimodal
         e_i = image_reps.out_multimodal
         e_t = text_reps.out_multimodal
-        terms = [
-            contrastive_loss(e_i, partner, tau),
-            contrastive_loss(e_t, partner, tau),
-            contrastive_loss(e_m, partner, tau),
-            cross_contrastive_loss(e_i, e_t, partner, tau),
-            cross_contrastive_loss(e_i, e_m, partner, tau),
-            cross_contrastive_loss(e_t, e_m, partner, tau),
-        ]
+        terms = [contrastive_loss(a, b, partner, tau) for a, b in (
+            (e_i, e_i), (e_t, e_t), (e_m, e_m), (e_i, e_t), (e_i, e_m), (e_t, e_m))]
         total = terms[0]
         for term in terms[1:]:
             total = add(total, term)
         return divs(total, 6.0), reps
     if mode in MICL_PROMPT_MODES:
-        loss_v = contrastive_loss(reps.out_visual, partner, tau)
-        loss_m = contrastive_loss(reps.out_multimodal, partner, tau)
+        loss_v = contrastive_loss(reps.out_visual, reps.out_visual, partner, tau)
+        loss_m = contrastive_loss(reps.out_multimodal, reps.out_multimodal, partner, tau)
         return final_loss(loss_v, loss_m, loss_cfg.alpha), reps
-    return contrastive_loss(reps.out_multimodal, partner, tau), reps
+    e_m = reps.out_multimodal
+    return contrastive_loss(e_m, e_m, partner, tau), reps
 
 
 # ---------------------------------------------------------------------------

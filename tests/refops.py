@@ -1,16 +1,19 @@
 """Reference ops that the model does not run, built on the engine's tape.
 
-The model runs the fused ``autodiff.attention`` and ``autodiff.ff``. An
-explicit masked softmax and gelu are their independent references: the
-fused ops must match compositions of these, and each keeps its own
-finite-difference cases.
+The model runs the fused ``autodiff.attention``, ``autodiff.ff`` and
+``autodiff.contrastive``. An explicit masked softmax and gelu are the
+references of the first two: the fused ops must match compositions of
+these. The elementwise, reduction and row-wise primitives below compose
+the reference contrastive loss (``contrastive_composition``), which the
+fused op must match bit for bit, and give the tests scalar reductions.
+Each keeps its own finite-difference cases.
 """
 
 import numpy as np
 from scipy.special import erf
 
 from mlrm import autodiff as ad
-from mlrm.errors import ShapeError
+from mlrm.errors import NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -52,3 +55,105 @@ def gelu(x):
         dx *= g
         return (dx,)
     return ad._record(x.data * cdf, "gelu", (x,), back)
+
+
+def smul(s, x):
+    """Scale a tensor by a scalar tensor (gradient flows to both)."""
+    if s.size != 1:
+        raise ShapeError(f"smul: scale factor must be scalar, got shape {s.shape}")
+
+    def back(g):
+        return np.asarray((g * x.data).sum()).reshape(s.shape), g * s.data
+    return ad._record(s.data * x.data, "smul", (s, x), back)
+
+
+def exp(x):
+    out = np.exp(x.data)
+
+    def back(g):
+        return (g * out,)
+    return ad._record(out, "exp", (x,), back)
+
+
+def log1p(x):
+    """log(1 + x), precise for tiny x."""
+    def back(g):
+        return (g / (1.0 + x.data),)
+    return ad._record(np.log1p(x.data), "log1p", (x,), back)
+
+
+def power(x, p):
+    """Elementwise x**p for a python exponent."""
+    p = float(p)
+    out = x.data ** p
+
+    def back(g):
+        return (g * p * x.data ** (p - 1.0),)
+    return ad._record(out, "power", (x,), back)
+
+
+def tsum(x, axis=None):
+    """Sum over all elements (axis None, scalar result) or one axis."""
+    if axis is None:
+        def back(g):
+            return (np.broadcast_to(g, x.shape).copy(),)
+        return ad._record(np.asarray(x.data.sum()), "sum", (x,), back)
+    ax = axis % x.ndim
+
+    def back(g):
+        return (np.broadcast_to(np.expand_dims(g, ax), x.shape).copy(),)
+    return ad._record(x.data.sum(axis=ax), "sum", (x,), back)
+
+
+def tmean(x, axis=None):
+    n = x.size if axis is None else x.shape[axis % x.ndim]
+    return ad.divs(tsum(x, axis), n)
+
+
+def add_rows(x, r):
+    """Add r[i] to every entry of row i of a matrix."""
+    if x.ndim != 2 or r.shape != (x.shape[0],):
+        raise ShapeError(f"add_rows: expected matrix and per-row vector, got {x.shape} and {r.shape}")
+
+    def back(g):
+        return g, g.sum(axis=1)
+    return ad._record(x.data + r.data[:, None], "add_rows", (x, r), back)
+
+
+def scale_rows(x, s):
+    """Multiply row i of a matrix by s[i]."""
+    if x.ndim != 2 or s.shape != (x.shape[0],):
+        raise ShapeError(f"scale_rows: expected matrix and per-row vector, got {x.shape} and {s.shape}")
+
+    def back(g):
+        return g * s.data[:, None], (g * x.data).sum(axis=1)
+    return ad._record(x.data * s.data[:, None], "scale_rows", (x, s), back)
+
+
+def _normalize_rows(emb):
+    sq = tsum(ad.mul(emb, emb), axis=1)
+    bad = np.flatnonzero(sq.data == 0.0)
+    if bad.size:
+        raise NumericError(f"zero-norm embedding at row {bad[0]}")
+    return scale_rows(emb, power(sq, -0.5))
+
+
+def contrastive_composition(queries, candidates, partner, tau):
+    """``autodiff.contrastive`` as 22 tape nodes (27 with two tables):
+    unit rows, cosine similarities, the positive subtracted row by row,
+    exp of the scaled logits, the masked row sum, log1p and the mean."""
+    same = candidates is queries
+    q = _normalize_rows(queries)
+    c = q if same else _normalize_rows(candidates)
+    n = q.shape[0]
+    rows = np.arange(n)
+    sims = ad.matmul(q, ad.transpose(c))
+    indicator = np.zeros((n, n))
+    indicator[rows, partner] = 1.0
+    pos = tsum(ad.mul(sims, ad.Tensor(indicator)), axis=1)
+    logits = smul(exp(tau), add_rows(sims, ad.scale(pos, -1.0)))
+    keep = np.ones((n, n))
+    keep[rows, rows] = 0.0
+    keep[rows, partner] = 0.0
+    masked = ad.mul(exp(logits), ad.Tensor(keep))
+    return tmean(log1p(tsum(masked, axis=1)))

@@ -56,7 +56,8 @@ from mlrm.training import (
 )
 
 from fdcheck import central_diff
-from refops import gelu, masked_softmax
+from refops import (add_rows, exp, gelu, log1p, masked_softmax, power, scale_rows, smul,
+                    tmean, tsum)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -123,7 +124,7 @@ def _weighted(rng, shape):
     w = Tensor(rng.standard_normal(shape))
 
     def reduce_loss(out):
-        return ad.tsum(ad.mul(out, w))
+        return tsum(ad.mul(out, w))
 
     return reduce_loss
 
@@ -152,7 +153,7 @@ def _primitive_cases(rng):
     yield "add", lambda t: red(ad.add(t[0], t[1])), [a, b]
     yield "add_broadcast", lambda t: red(ad.add(t[0], t[1])), [a, vec.copy()]
     yield "mul", lambda t: red(ad.mul(t[0], t[1])), [a, b]
-    yield "smul", lambda t: red(ad.smul(t[0], t[1])), [np.asarray(c), a]
+    yield "smul", lambda t: red(smul(t[0], t[1])), [np.asarray(c), a]
     yield "scale", lambda t: red(ad.scale(t[0], c)), [a]
     yield "divs", lambda t: red(ad.divs(t[0], c)), [a]
     yield "addc", lambda t: red(ad.addc(t[0], c)), [a]
@@ -173,16 +174,16 @@ def _primitive_cases(rng):
            lambda t: red(ad.layer_norm(t[0], t[1], t[2])), [a, gain, bias])
     yield "gelu", lambda t: red(gelu(t[0])), [a]
     yield "sigmoid", lambda t: red(ad.sigmoid(t[0])), [a]
-    yield "exp", lambda t: red(ad.exp(t[0])), [a]
-    yield "log1p", lambda t: red(ad.log1p(t[0])), [pos - 0.4]
-    yield "power", lambda t: red(ad.power(t[0], -0.5)), [pos]
-    yield "tsum_all", lambda t: ad.tsum(t[0]), [a]
-    yield "tsum_axis", lambda t: red_rows(ad.tsum(t[0], axis=1)), [a]
-    yield "tmean_all", lambda t: ad.tmean(t[0]), [a]
-    yield "tmean_axis", lambda t: red_cols(ad.tmean(t[0], axis=0)), [a]
-    yield ("add_rows", lambda t: red(ad.add_rows(t[0], t[1])),
+    yield "exp", lambda t: red(exp(t[0])), [a]
+    yield "log1p", lambda t: red(log1p(t[0])), [pos - 0.4]
+    yield "power", lambda t: red(power(t[0], -0.5)), [pos]
+    yield "tsum_all", lambda t: tsum(t[0]), [a]
+    yield "tsum_axis", lambda t: red_rows(tsum(t[0], axis=1)), [a]
+    yield "tmean_all", lambda t: tmean(t[0]), [a]
+    yield "tmean_axis", lambda t: red_cols(tmean(t[0], axis=0)), [a]
+    yield ("add_rows", lambda t: red(add_rows(t[0], t[1])),
            [a, rng.standard_normal(n)])
-    yield ("scale_rows", lambda t: red(ad.scale_rows(t[0], t[1])),
+    yield ("scale_rows", lambda t: red(scale_rows(t[0], t[1])),
            [a, rng.standard_normal(n)])
     # fused ops: causal segments of unequal lengths, and cross-attention
     # of n queries over n + 1 keys
@@ -213,6 +214,14 @@ def _primitive_cases(rng):
     yield ("ff", lambda t: red(ad.ff(*t)),
            [a, rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m),
             rng.standard_normal((2 * m, m)), rng.standard_normal(m)])
+    # the loss over 2n rows (n pairs), within one table and across two;
+    # built from the draws above, so the model check below sees the same rng
+    partner = np.arange(2 * n) ^ 1
+    table, other = np.vstack([a, b]), np.vstack([b, a])
+    yield ("contrastive",
+           lambda t: ad.contrastive(t[0], t[0], partner, t[1]), [table, np.asarray(c)])
+    yield ("contrastive_cross",
+           lambda t: ad.contrastive(t[0], t[1], partner, t[2]), [table, other, np.asarray(c)])
 
 
 def test_criterion_01_gradient_suite(small_world):
@@ -357,8 +366,8 @@ def test_criterion_04_loss_oracles():
     tau = Tensor(np.asarray(3.0))
     rng = np.random.default_rng(8)
 
-    single = contrastive_loss(Tensor(rng.standard_normal((2, 6))),
-                              np.array([1, 0]), tau).item()
+    pair = Tensor(rng.standard_normal((2, 6)))
+    single = contrastive_loss(pair, pair, np.array([1, 0]), tau).item()
     zero_ok = single == 0.0
 
     worst_brute = 0.0
@@ -367,7 +376,8 @@ def test_criterion_04_loss_oracles():
             n = 2 * batch_pairs
             emb = rng.standard_normal((n, 8))
             partner = np.arange(n) ^ 1
-            got = contrastive_loss(Tensor(emb), partner, tau).item()
+            table = Tensor(emb)
+            got = contrastive_loss(table, table, partner, tau).item()
             want = brute_contrastive(emb, partner, 3.0)
             worst_brute = max(worst_brute, abs(got - want))
 
@@ -376,7 +386,8 @@ def test_criterion_04_loss_oracles():
     basis = np.zeros((4, 4))
     basis[0, 0] = basis[1, 0] = 1.0
     basis[2, 1] = basis[3, 1] = 1.0
-    got = contrastive_loss(Tensor(basis), np.array([1, 0, 3, 2]), tau).item()
+    table = Tensor(basis)
+    got = contrastive_loss(table, table, np.array([1, 0, 3, 2]), tau).item()
     want = math.log1p(2.0 * math.exp(-math.exp(3.0)))
     ortho_err = rel_err(got, want)
 

@@ -9,7 +9,8 @@ from mlrm import autodiff as ad
 from mlrm.errors import ContractError, ShapeError
 
 from fdcheck import assert_grad_close, central_diff
-from refops import gelu, masked_softmax
+from refops import (add_rows, contrastive_composition, exp, gelu, log1p, masked_softmax,
+                    power, scale_rows, smul, tmean, tsum)
 
 
 def t(arr, grad=True):
@@ -19,7 +20,7 @@ def t(arr, grad=True):
 def scalar_loss(x):
     """Reduce any tensor to a scalar with nontrivial entry weights."""
     w = ad.Tensor(np.arange(1, x.size + 1, dtype=np.float64).reshape(x.shape) / x.size)
-    return ad.tsum(ad.mul(x, w))
+    return tsum(ad.mul(x, w))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_embedding_lookup_gathers_rows():
 def test_embedding_lookup_repeated_ids_accumulate_grad():
     table = t(np.zeros((4, 2)))
     out = ad.embedding_lookup(table, np.array([1, 1, 3]))
-    ad.backward(ad.tsum(out))
+    ad.backward(tsum(out))
     np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
@@ -173,8 +174,8 @@ def test_retained_tensor_keeps_value_and_grad():
 
 def test_gradient_accumulates_across_backward_calls():
     x = t(np.array([3.0]))
-    ad.backward(ad.tsum(ad.scale(x, 2.0)))
-    ad.backward(ad.tsum(ad.scale(x, 5.0)))
+    ad.backward(tsum(ad.scale(x, 2.0)))
+    ad.backward(tsum(ad.scale(x, 5.0)))
     np.testing.assert_array_equal(x.grad, [7.0])
 
 
@@ -212,7 +213,7 @@ CASES = {
     "add_bias": (lambda ts: ad.add(ts[0], ts[1]), [(3, 4), (4,)]),
     "add_bias_matrix": (lambda ts: ad.add(ts[0], ts[1]), [(2, 3, 4), (3, 4)]),
     "mul": (lambda ts: ad.mul(ts[0], ts[1]), [(2, 5), (2, 5)]),
-    "smul": (lambda ts: ad.smul(ts[0], ts[1]), [(), (3, 3)]),
+    "smul": (lambda ts: smul(ts[0], ts[1]), [(), (3, 3)]),
     "scale": (lambda ts: ad.scale(ts[0], -1.7), [(4, 2)]),
     "divs": (lambda ts: ad.divs(ts[0], 3.0), [(5,)]),
     "addc": (lambda ts: ad.addc(ts[0], 0.3), [(4,)]),
@@ -231,14 +232,14 @@ CASES = {
         lambda ts: ad.layer_norm(ts[0], ts[1], ts[2]), [(3, 6), (6,), (6,)]),
     "gelu": (lambda ts: gelu(ts[0]), [(3, 4)]),
     "sigmoid": (lambda ts: ad.sigmoid(ts[0]), [(5,)]),
-    "exp": (lambda ts: ad.exp(ts[0]), [(3, 3)]),
-    "log1p": (lambda ts: ad.log1p(ts[0]), [(6,)]),
-    "power": (lambda ts: ad.power(ts[0], -0.5), [(5,)]),
-    "sum_all": (lambda ts: ad.tsum(ts[0]), [(3, 4)]),
-    "sum_axis": (lambda ts: ad.tsum(ts[0], axis=1), [(3, 4)]),
-    "mean": (lambda ts: ad.tmean(ts[0], axis=0), [(3, 4)]),
-    "add_rows": (lambda ts: ad.add_rows(ts[0], ts[1]), [(3, 4), (3,)]),
-    "scale_rows": (lambda ts: ad.scale_rows(ts[0], ts[1]), [(3, 4), (3,)]),
+    "exp": (lambda ts: exp(ts[0]), [(3, 3)]),
+    "log1p": (lambda ts: log1p(ts[0]), [(6,)]),
+    "power": (lambda ts: power(ts[0], -0.5), [(5,)]),
+    "sum_all": (lambda ts: tsum(ts[0]), [(3, 4)]),
+    "sum_axis": (lambda ts: tsum(ts[0], axis=1), [(3, 4)]),
+    "mean": (lambda ts: tmean(ts[0], axis=0), [(3, 4)]),
+    "add_rows": (lambda ts: add_rows(ts[0], ts[1]), [(3, 4), (3,)]),
+    "scale_rows": (lambda ts: scale_rows(ts[0], ts[1]), [(3, 4), (3,)]),
     "embedding_lookup": (
         lambda ts: ad.embedding_lookup(ts[0], np.array([0, 2, 2, 1])), [(4, 3)]),
     "attention_causal": (
@@ -246,6 +247,10 @@ CASES = {
     "attention_cross": (
         lambda ts: ad.attention(ts[0], ts[1], ts[2], 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    "contrastive": (
+        lambda ts: ad.contrastive(ts[0], ts[0], [1, 0, 3, 2, 5, 4], ts[1]), [(6, 3), ()]),
+    "contrastive_cross": (
+        lambda ts: ad.contrastive(ts[0], ts[1], [1, 0, 3, 2], ts[2]), [(4, 3), (4, 3), ()]),
 }
 
 POSITIVE_ONLY = {"log1p", "power"}
@@ -306,10 +311,10 @@ def test_attention_rows_match_full_causal_attention():
     w_full[index] = w  # the full op's other rows do not reach the loss
     full = [t(a) for a in qkv]
     out_full, kept_full = ad.attention(*full, heads, lengths, retain=True)
-    ad.backward(ad.tsum(ad.mul(out_full, t(w_full, grad=False))))
+    ad.backward(tsum(ad.mul(out_full, t(w_full, grad=False))))
     rows = [t(qkv[0][index]), t(qkv[1]), t(qkv[2])]
     out, kept = ad.attention(*rows, heads, lengths, retain=True, queries=queries)
-    ad.backward(ad.tsum(ad.mul(out, t(w, grad=False))))
+    ad.backward(tsum(ad.mul(out, t(w, grad=False))))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, out_full.data[index], **close)
     np.testing.assert_allclose(rows[0].grad, full[0].grad[index], **close)
@@ -356,7 +361,7 @@ def test_attention_matches_unfused_composition_note_by_note():
     w = rng.normal(size=(sum(lengths), d))
     q, k, v = (t(a) for a in qkv)
     out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
-    ad.backward(ad.tsum(ad.mul(out, t(w, grad=False))))
+    ad.backward(tsum(ad.mul(out, t(w, grad=False))))
     assert kept.shapes == [(heads, n, n) for n in lengths]
     start = 0
     for i, n in enumerate(lengths):
@@ -364,7 +369,7 @@ def test_attention_matches_unfused_composition_note_by_note():
         start += n
         parts = [t(a[None, span]) for a in qkv]
         ref, probs = _unfused_attention(*parts, heads, np.tri(n, dtype=bool))
-        ad.backward(ad.tsum(ad.mul(ref, t(w[None, span], grad=False))))
+        ad.backward(tsum(ad.mul(ref, t(w[None, span], grad=False))))
         close = dict(rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data[span], ref.data[0], **close)
         for fused, part in zip((q, k, v), parts):
@@ -382,7 +387,7 @@ def test_batched_attention_matches_unfused_composition():
     out, _ = ad.attention(*fused_in, heads)
     ref, _ = _unfused_attention(*ref_in, heads, np.ones((4, 5), bool))
     for o in (out, ref):
-        ad.backward(ad.tsum(ad.mul(o, w)))
+        ad.backward(tsum(ad.mul(o, w)))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, ref.data, **close)
     for a, b in zip(fused_in, ref_in):
@@ -399,11 +404,33 @@ def test_ff_matches_unfused_composition():
     ref = ad.reshape(ad.add(ad.matmul(h, w2), b2), (2, 5, 4))
     out = ad.ff(*fused_in)
     for o in (out, ref):
-        ad.backward(ad.tsum(ad.mul(o, w)))
+        ad.backward(tsum(ad.mul(o, w)))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, ref.data, **close)
     for a, b in zip(fused_in, ref_in):
         np.testing.assert_allclose(a.grad, b.grad, **close)
+
+
+@pytest.mark.parametrize("tables", [1, 2])
+def test_contrastive_matches_composition_bitwise(tables):
+    # the fused loss repeats the composition's arithmetic step for step,
+    # so the loss and every gradient agree to the last bit
+    rng = np.random.default_rng(18)
+    for n, d in ((2, 5), (8, 3), (32, 16)):
+        arrays = [rng.normal(size=(n, d)) for _ in range(tables)] + [rng.normal(size=())]
+        perm, partner = rng.permutation(n), np.empty(n, dtype=np.int64)
+        partner[perm[0::2]], partner[perm[1::2]] = perm[1::2], perm[0::2]
+        runs = []
+        for loss_fn in (ad.contrastive, contrastive_composition):
+            ts = [t(a) for a in arrays]
+            loss = loss_fn(ts[0], ts[tables - 1], partner, ts[-1])
+            # an upstream gradient other than 1, as the blended losses send
+            ad.backward(ad.scale(loss, 0.9))
+            runs.append([loss.data] + [x.grad for x in ts])
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        ad.contrastive(t(np.ones((4, 3))), t(np.ones((4, 2))), [1, 0, 3, 2], t(0.0))
 
 
 def test_retained_attention_holds_unpadded_blocks():
@@ -417,7 +444,7 @@ def test_retained_attention_holds_unpadded_blocks():
     for grad in (True, False):
         qkv = [t(a, grad=grad) for a in arrays]
         out, kept = ad.attention(*qkv, heads, lengths, retain=True, queries=queries)
-        ad.backward(ad.tsum(ad.mul(out, w)))
+        ad.backward(tsum(ad.mul(out, w)))
         runs.append((qkv, kept))
     (qkv, kept), (qkv_free, kept_free) = runs
     assert isinstance(kept, ad.Retained) and kept.is_leaf() and kept.requires_grad
@@ -444,6 +471,8 @@ SKIP_CASES = {
         [(4, 4), (6, 4), (6, 4)]),
     "attention_cross": (
         lambda ts: ad.attention(*ts, 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
+    "contrastive": (
+        lambda ts: ad.contrastive(ts[0], ts[1], [1, 0, 3, 2], ts[2]), [(4, 3), (4, 3), ()]),
 }
 
 
@@ -514,7 +543,7 @@ def test_matmul_matches_numpy(n, m, seed):
 def test_first_nonfinite_names_origin():
     x = t(np.array([1.0, -1.0]))
     with np.errstate(invalid="ignore"):
-        y = ad.power(x, 0.5)  # produces a nan
+        y = power(x, 0.5)  # produces a nan
     z = ad.scale(y, 2.0)
     bad = ad.first_nonfinite(z)
     assert bad is not None and bad.op == "power"

@@ -11,6 +11,7 @@ import filecmp
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,16 @@ def test_train_missing_dataset_is_data_error(tmp_path, capsys):
                  "--out", str(out)]) == 3
     capsys.readouterr()
     assert not out.exists()
+
+
+def test_non_utf8_vocab_is_data_error(tmp_path, dataset, capsys):
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    with open(copy / "vocab.txt", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    assert main(["train", "--config", write_config(tmp_path / "cfg.json"),
+                 "--dataset", str(copy), "--out", str(tmp_path / "run")]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_train_requires_some_dataset(tmp_path, capsys):
@@ -396,9 +407,21 @@ GOLDEN_ANALYZE = {
         "saliency.csv": "77a811d66b977c541fee8b946e1d7116b24abf1f12797cf64acd5b6a8ee3d6f6",
         "saliency.json": "2c4f35038736cd17eed77b1279b5b529383a76889b227c5c2ffda8abb95572ef",
     },
+    "late_fusion": {
+        "saliency.csv": "1817317271b460df83eb19a9b9f0bc1a5e3f7e0f1fa2f6efd92759ac8822de28",
+        "saliency.json": "e4745e25bf234faccf81df52f80ba3ec53cb06ef0a942943dfcdc644042006c4",
+    },
+    "micl": {
+        "saliency.csv": "a06f4e122ac83a752121da5557540c0e16331c1553992c66bd11812ff1ef2efb",
+        "saliency.json": "8af1e9686853f890d3052d235248c697a790bde7e4da2de19e8b85e68b8e989e",
+    },
     "notellm2": {
         "saliency.csv": "ae7c8f8cbec9cfd1a0a8de07839883f0c9b1ddd1254eae5a6cb26de8adfae740",
         "saliency.json": "229bf42ffeec9dfcffcd26d4f40567f6dd33ae9f1708a44276f33c30c5f4374c",
+    },
+    "only_late_fusion": {
+        "saliency.csv": "5e6eff1bd82a258442dd08e70b84f55ba17f392b8d1be1487b62de3f3bd40cfb",
+        "saliency.json": "6d05ea359d54318eb618c2910e270754e8d6ccaed8187983488b8eac7fa90c7f",
     },
 }
 
@@ -521,6 +544,15 @@ def test_query_excludes_self_and_is_sorted(exported, capsys):
 def test_query_unknown_id_is_data_error(exported, capsys):
     assert main(["query", "--table", str(exported), "--note-id", "99999"]) == 3
     capsys.readouterr()
+
+
+def test_query_table_with_oversized_dim_is_format_error(tmp_path, exported, capsys):
+    blob = bytearray(exported.read_bytes())
+    blob[12:16] = (2**31).to_bytes(4, "little")  # the header's dim
+    table = tmp_path / "table.mlrm"
+    table.write_bytes(bytes(blob))
+    assert main(["query", "--table", str(table), "--note-id", "3"]) == 3
+    assert "too large" in capsys.readouterr().err
 
 
 def test_query_k_exceeding_pool_is_config_error(exported, capsys):

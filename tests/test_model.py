@@ -13,6 +13,8 @@ from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_to
 from mlrm.saliency import saliency_matrices
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
 
+from refops import tsum
+
 
 def tiny_cfg(vocab_size, **kw):
     base = dict(
@@ -127,11 +129,11 @@ def test_default_notellm2_batch_tape_size():
     params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
     loss, _ = batch_loss(params, cfg, vocab, notes, np.arange(32) ^ 1, LossConfig())
     tape = ad._topo_order(loss)
-    assert len(tape) <= 293
+    assert len(tape) <= 251
     ops = Counter(node.op for node in tape)
     # two LM layers and two connector layers of self- and cross-attention;
-    # the frozen vision encoder records nothing
-    assert ops["attention"] == 6 and ops["ff"] == 4
+    # the frozen vision encoder records nothing; one loss node per table
+    assert ops["attention"] == 6 and ops["ff"] == 4 and ops["contrastive"] == 2
     assert not ops["masked_softmax"] and not ops["gelu"]
 
 
@@ -368,7 +370,7 @@ def test_image_cache_shared_across_seeds(setup):
 def test_frozen_vision_gets_no_grad(setup):
     cfg, params, vocab, notes = setup
     rep = mm.embed_notes(params, cfg, vocab, notes[:1])
-    ad.backward(ad.tsum(rep.out_multimodal))
+    ad.backward(tsum(rep.out_multimodal))
     for name, tensor in params.items():
         if name.startswith("vision."):
             assert not tensor.requires_grad and tensor.grad is None
@@ -384,7 +386,7 @@ def test_unfrozen_vision_gets_grad():
     cfg = tiny_cfg(vocab_size=len(vocab), freeze_vision=False)
     params = mm.init_params(cfg, seed=0)
     rep = mm.embed_notes(params, cfg, vocab, notes[:1])
-    ad.backward(ad.tsum(rep.out_multimodal))
+    ad.backward(tsum(rep.out_multimodal))
     assert params["vision.patch_proj.w"].grad is not None
 
 
@@ -426,7 +428,7 @@ def test_end_to_end_gradients_match_fd(setup):
 
     def loss_value():
         reps = mm.embed_notes(params, cfg, vocab, batch_notes)
-        return ad.tsum(ad.mul(reps.out_multimodal, reps.out_multimodal))
+        return tsum(ad.mul(reps.out_multimodal, reps.out_multimodal))
 
     for name, tensor in params.items():
         tensor.grad = None

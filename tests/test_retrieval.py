@@ -172,6 +172,20 @@ def test_table_file_corruption(tmp_path):
         load_table(trailing)
 
 
+@pytest.mark.parametrize("count, dim", [(1, 2**31), (0, 2**31), (2**32 - 1, 4)],
+                         ids=["dim-2^31", "empty-dim-2^31", "count-past-file"])
+def test_table_header_is_checked_against_the_file(tmp_path, count, dim):
+    # a header that claims more rows, or wider ones, than the file holds
+    # is a format error before any row type is built or byte is read
+    path = tmp_path / "emb.mlrm"
+    save_table(path, random_table(n=3, dim=4))
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = struct.pack("<II", count, dim)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="too large|truncated"):
+        load_table(path)
+
+
 def test_table_rejects_negative_ids():
     with pytest.raises(DataError, match="negative"):
         EmbeddingTable(ids=np.asarray([0, -1]), vectors=np.ones((2, 3), np.float32))

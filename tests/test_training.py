@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mlrm.training import (
     batch_loss,
     clip_gradients,
     contrastive_loss,
-    cross_contrastive_loss,
     final_loss,
     grad_norm,
     init_state,
@@ -49,9 +49,16 @@ def pairs_partner(n: int) -> np.ndarray:
     return np.arange(n) ^ 1
 
 
+def within_loss(emb, partner, tau) -> Tensor:
+    """The loss over one table: ``emb`` (an array or a Tensor) as both."""
+    table = emb if isinstance(emb, Tensor) else Tensor(emb)
+    return contrastive_loss(table, table, partner, tau if isinstance(tau, Tensor)
+                            else Tensor(np.asarray(tau)))
+
+
 def test_single_pair_loss_is_exactly_zero():
     emb = Tensor(np.random.default_rng(0).normal(size=(2, 8)), requires_grad=True)
-    loss = contrastive_loss(emb, pairs_partner(2), Tensor(np.asarray(3.0)))
+    loss = within_loss(emb, pairs_partner(2), 3.0)
     assert loss.item() == 0.0
 
 
@@ -59,7 +66,7 @@ def test_orthogonal_pairs_closed_form():
     emb = np.zeros((4, 16))
     emb[0, 0] = emb[1, 0] = 1.0
     emb[2, 1] = emb[3, 1] = 1.0
-    loss = contrastive_loss(Tensor(emb), pairs_partner(4), Tensor(np.asarray(3.0)))
+    loss = within_loss(emb, pairs_partner(4), 3.0)
     expected = math.log1p(2.0 * math.exp(-math.exp(3.0)))
     assert abs(loss.item() - expected) <= 1e-12 * expected
 
@@ -71,7 +78,7 @@ def test_loss_matches_brute_force():
             emb = rng.normal(size=(n, 12))
             tau = float(rng.uniform(-1.0, 3.0))
             partner = pairs_partner(n)
-            got = contrastive_loss(Tensor(emb), partner, Tensor(np.asarray(tau))).item()
+            got = within_loss(emb, partner, tau).item()
             want = brute_loss(emb, partner, tau)
             # abs floor covers the reference's own last-ulp noise near zero
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
@@ -81,13 +88,12 @@ def test_loss_permutation_invariant():
     rng = np.random.default_rng(3)
     emb = rng.normal(size=(8, 10))
     partner = pairs_partner(8)
-    base = contrastive_loss(Tensor(emb), partner, Tensor(np.asarray(1.0))).item()
+    base = within_loss(emb, partner, 1.0).item()
     for seed in range(4):
         perm = np.random.default_rng(seed).permutation(8)
         inv = np.empty(8, dtype=np.int64)
         inv[perm] = np.arange(8)
-        moved = contrastive_loss(Tensor(emb[perm]), inv[partner[perm]],
-                                 Tensor(np.asarray(1.0))).item()
+        moved = within_loss(emb[perm], inv[partner[perm]], 1.0).item()
         assert moved == pytest.approx(base, rel=1e-12)
 
 
@@ -95,18 +101,21 @@ def test_loss_rejects_bad_partner_maps():
     emb = Tensor(np.ones((4, 3)))
     tau = Tensor(np.asarray(0.0))
     with pytest.raises(ContractError):
-        contrastive_loss(emb, np.array([0, 1, 3, 2]), tau)  # fixed points
+        within_loss(emb, np.array([0, 1, 3, 2]), tau)  # fixed points
     with pytest.raises(ContractError):
-        contrastive_loss(emb, np.array([1, 2, 3, 0]), tau)  # 4-cycle
+        within_loss(emb, np.array([1, 2, 3, 0]), tau)  # 4-cycle
     with pytest.raises(ContractError):
-        contrastive_loss(emb, np.array([1, 0]), tau)        # wrong length
+        within_loss(emb, np.array([1, 0]), tau)        # wrong length
 
 
 def test_loss_rejects_zero_norm_rows():
     emb = np.ones((4, 3))
     emb[2] = 0.0
     with pytest.raises(NumericError, match="row 2"):
-        contrastive_loss(Tensor(emb), pairs_partner(4), Tensor(np.asarray(0.0)))
+        within_loss(emb, pairs_partner(4), 0.0)
+    with pytest.raises(NumericError, match="row 2"):
+        contrastive_loss(Tensor(np.ones((4, 3))), Tensor(emb), pairs_partner(4),
+                         Tensor(np.asarray(0.0)))
 
 
 def test_loss_gradients_match_finite_differences():
@@ -116,18 +125,18 @@ def test_loss_gradients_match_finite_differences():
 
     emb = Tensor(emb0.copy(), requires_grad=True)
     tau = Tensor(np.asarray(0.7), requires_grad=True)
-    loss = contrastive_loss(emb, partner, tau)
+    loss = within_loss(emb, partner, tau)
     backward(loss)
 
     def f_emb(arrays):
-        return contrastive_loss(Tensor(arrays[0]), partner, Tensor(np.asarray(0.7))).item()
+        return within_loss(arrays[0], partner, 0.7).item()
 
     num_emb = central_diff(f_emb, [emb0.copy()], 0)
     assert np.allclose(emb.grad, num_emb, rtol=1e-4, atol=1e-8)
 
     h = 1e-6
-    hi = contrastive_loss(Tensor(emb0), partner, Tensor(np.asarray(0.7 + h))).item()
-    lo = contrastive_loss(Tensor(emb0), partner, Tensor(np.asarray(0.7 - h))).item()
+    hi = within_loss(emb0, partner, 0.7 + h).item()
+    lo = within_loss(emb0, partner, 0.7 - h).item()
     num_tau = (hi - lo) / (2.0 * h)
     assert float(tau.grad) == pytest.approx(num_tau, rel=1e-4, abs=1e-8)
 
@@ -137,15 +146,15 @@ def test_cross_loss_collapses_to_within_table_loss():
     emb = rng.normal(size=(6, 9))
     partner = pairs_partner(6)
     tau = Tensor(np.asarray(0.5))
-    within = contrastive_loss(Tensor(emb), partner, tau).item()
-    across = cross_contrastive_loss(Tensor(emb), Tensor(emb.copy()), partner, tau).item()
+    within = within_loss(emb, partner, tau).item()
+    across = contrastive_loss(Tensor(emb), Tensor(emb.copy()), partner, tau).item()
     assert across == within
 
 
 def test_cross_loss_shape_mismatch():
     with pytest.raises(ContractError):
-        cross_contrastive_loss(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 5))),
-                               pairs_partner(4), Tensor(np.asarray(0.0)))
+        contrastive_loss(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 5))),
+                         pairs_partner(4), Tensor(np.asarray(0.0)))
 
 
 def test_final_loss_examples():
@@ -201,8 +210,8 @@ def test_blended_modes_recompose_from_representations():
         params, cfg, vocab, notes, partner = loss_setup(mode)
         loss, reps = batch_loss(params, cfg, vocab, notes, partner, LossConfig())
         tau = params[TAU_NAME]
-        lv = contrastive_loss(reps.out_visual, partner, tau)
-        lm = contrastive_loss(reps.out_multimodal, partner, tau)
+        lv = within_loss(reps.out_visual, partner, tau)
+        lm = within_loss(reps.out_multimodal, partner, tau)
         assert loss.item() == final_loss(lv, lm, 9.0).item()
 
 
@@ -210,7 +219,7 @@ def test_single_table_modes_recompose():
     for mode in ("basic", "late_fusion", "only_late_fusion"):
         params, cfg, vocab, notes, partner = loss_setup(mode)
         loss, reps = batch_loss(params, cfg, vocab, notes, partner, LossConfig())
-        again = contrastive_loss(reps.out_multimodal, partner, params[TAU_NAME])
+        again = within_loss(reps.out_multimodal, partner, params[TAU_NAME])
         assert loss.item() == again.item()
 
 
@@ -223,14 +232,8 @@ def test_omni_mode_is_mean_of_six_terms():
         for m in ("multimodal", "image_only", "text_only")
     }
     e_m, e_i, e_t = tables["multimodal"], tables["image_only"], tables["text_only"]
-    terms = [
-        contrastive_loss(e_i, partner, tau).item(),
-        contrastive_loss(e_t, partner, tau).item(),
-        contrastive_loss(e_m, partner, tau).item(),
-        cross_contrastive_loss(e_i, e_t, partner, tau).item(),
-        cross_contrastive_loss(e_i, e_m, partner, tau).item(),
-        cross_contrastive_loss(e_t, e_m, partner, tau).item(),
-    ]
+    terms = [contrastive_loss(a, b, partner, tau).item() for a, b in (
+        (e_i, e_i), (e_t, e_t), (e_m, e_m), (e_i, e_t), (e_i, e_m), (e_t, e_m))]
     assert loss.item() == pytest.approx(sum(terms) / 6.0, rel=1e-12)
 
 
@@ -508,6 +511,47 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trunc.write_bytes(path.read_bytes()[:20])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(trunc)
+
+
+def _corrupt_first_record(tmp_path, **fields):
+    """A one-record checkpoint (``w``, shape [2, 2]) with its name byte,
+    rank or dims overwritten."""
+    path = tmp_path / "ck.mlrm"
+    save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))}, None, 1, {"model": {}}, ["<PAD>"])
+    blob = bytearray(path.read_bytes())
+    # magic 8, version 4, count 4, name length 4, then the 1-byte name
+    if "name" in fields:
+        blob[20:21] = fields["name"]
+    if "rank" in fields:
+        blob[21:25] = struct.pack("<I", fields["rank"])
+    if "dims" in fields:
+        blob[25:33] = struct.pack("<II", *fields["dims"])
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def test_checkpoint_record_name_must_be_utf8(tmp_path):
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_checkpoint(_corrupt_first_record(tmp_path, name=b"\xff"))
+
+
+@pytest.mark.parametrize("fields", [{"rank": 0x7FFFFFFF}, {"dims": (0xFFFFFFFF, 2)}],
+                         ids=["rank", "dims"])
+def test_checkpoint_sizes_are_checked_before_reading(tmp_path, fields):
+    # a rank or dims that claim gigabytes past the end of a small file are
+    # a format error, raised before the read could try to allocate them
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(_corrupt_first_record(tmp_path, **fields))
+
+
+def test_checkpoint_rank_beyond_numpy_is_format_error(tmp_path):
+    # a record of 100 unit dims and one float fits the file, but no
+    # ndarray has that many dimensions
+    path = tmp_path / "ck.mlrm"
+    path.write_bytes(b"MLRMCKPT" + struct.pack("<III", 1, 1, 1) + b"w"
+                     + struct.pack("<101I", 100, *[1] * 100) + struct.pack("<d", 1.0) + b"{}")
+    with pytest.raises(FormatError, match="rank 100"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_without_moments(tmp_path):
