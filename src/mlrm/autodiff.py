@@ -2,15 +2,16 @@
 
 Deliberately small: float64 everywhere, a dynamic graph rebuilt on every
 forward pass, and no broadcasting except bias addition over leading axes.
-The model's attention, feed-forward block and contrastive loss are each
-one fused op with a hand-written backward. The backward sweep is a
-single-threaded reverse pass over a topologically ordered tape, so
-gradients are bitwise reproducible for identical inputs. Backward
-functions compute a parent's gradient only when that parent requires
-grad. On request the packed attention op also returns its probabilities
-as a leaf that requires grad (``Retained``); a loss over grad-free
-parameters then records the tape from the first such leaf on, and the
-sweep computes only what reaches them (used for attention saliency).
+The model's attention, feed-forward block, late-fusion gate and
+contrastive loss are each one fused op with a hand-written backward.
+The backward sweep is a single-threaded reverse pass over a
+topologically ordered tape, so gradients are bitwise reproducible for
+identical inputs. Backward functions compute a parent's gradient only
+when that parent requires grad. On request the packed attention op
+also returns its probabilities as a leaf that requires grad
+(``Retained``); a loss over grad-free parameters then records the tape
+from the first such leaf on, and the sweep computes only what reaches
+them (used for attention saliency).
 """
 
 from __future__ import annotations
@@ -181,17 +182,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g):
-        return (g * b.data if a.requires_grad else None,
-                g * a.data if b.requires_grad else None)
-    return _record(a.data * b.data, "mul", (a, b), back)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python constant."""
     c = float(c)
@@ -211,13 +201,6 @@ def divs(x: Tensor, c: float) -> Tensor:
     return _record(x.data / c, "divs", (x,), back)
 
 
-def addc(x: Tensor, c: float) -> Tensor:
-    """Add a python constant elementwise."""
-    def back(g):
-        return (g,)
-    return _record(x.data + float(c), "addc", (x,), back)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, 2-D or batched with identical leading dims."""
     if a.ndim < 2 or b.ndim < 2:
@@ -231,17 +214,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
                 np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
     return _record(a.data @ b.data, "matmul", (a, b), back)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
-    if sorted(perm) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: {perm} is not a permutation of rank {x.ndim}")
-    inverse = tuple(np.argsort(perm))
-
-    def back(g):
-        return (np.ascontiguousarray(g.transpose(inverse)),)
-    return _record(np.ascontiguousarray(x.data.transpose(perm)), "transpose", (x,), back)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -483,15 +455,38 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, "layer_norm", (x, gain, bias), back)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def gate_fuse(v: Tensor, n: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Late-fusion gate over rows [B, h]: z = sigmoid([v; n] W^T + b),
+    then z * v + (1 - z) * n.
+
+    Forward and backward repeat the numpy steps of the unfused composition
+    in ``tests/refops.py`` in its order, so both give the same bits. v is
+    listed twice on the tape, first for its product with z and then for
+    its part of [v; n], so a v shared by two gates sums its four
+    gradients in the composition's grouping.
+    """
+    if v.shape != n.shape or v.ndim != 2:
+        raise ShapeError(f"gate_fuse: need equal [B, h] shapes, got {v.shape} and {n.shape}")
+    h = v.shape[1]
+    if w.shape != (h, 2 * h) or b.shape != (h,):
+        raise ShapeError(f"gate_fuse: weights {w.shape}/{b.shape} do not fit dim {h}")
+    x = np.concatenate([v.data, n.data], axis=1)
+    wt = np.ascontiguousarray(w.data.T)
+    a = x @ wt + b.data
     # Split by sign so neither branch exponentiates a positive argument.
-    out = np.where(x.data >= 0,
-                   1.0 / (1.0 + np.exp(-np.clip(x.data, 0, None))),
-                   np.exp(np.clip(x.data, None, 0)) / (1.0 + np.exp(np.clip(x.data, None, 0))))
+    z = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.clip(a, 0, None))),
+                 np.exp(np.clip(a, None, 0)) / (1.0 + np.exp(np.clip(a, None, 0))))
+    rest = 1.0 - z
 
     def back(g):
-        return (g * out * (1.0 - out),)
-    return _record(out, "sigmoid", (x,), back)
+        da = (g * v.data - g * n.data) * z * rest
+        dx = da @ wt.T if v.requires_grad or n.requires_grad else None
+        dv, dn = (None, None) if dx is None else np.split(dx, [h], axis=1)
+        return (g * z if v.requires_grad else None, dv if v.requires_grad else None,
+                g * rest + dn if n.requires_grad else None,
+                np.ascontiguousarray((x.T @ da).T) if w.requires_grad else None,
+                da.sum(axis=(0,)) if b.requires_grad else None)
+    return _record(z * v.data + rest * n.data, "gate_fuse", (v, v, n, w, b), back)
 
 
 def contrastive(queries: Tensor, candidates: Tensor, partner, tau: Tensor) -> Tensor:

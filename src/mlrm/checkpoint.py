@@ -160,7 +160,11 @@ def load_checkpoint(path):
     first = {k[len(_M_PREFIX):]: a for k, a in arrays.items() if k.startswith(_M_PREFIX)}
     second = {k[len(_V_PREFIX):]: a for k, a in arrays.items() if k.startswith(_V_PREFIX)}
     if _T_NAME in arrays:
-        moments = {"m": first, "v": second, "t": int(arrays[_T_NAME])}
+        t = float(arrays[_T_NAME].ravel()[0]) if arrays[_T_NAME].size == 1 else math.nan
+        if not (math.isfinite(t) and t >= 0 and t.is_integer()):
+            raise FormatError(f"{path}: optimizer step {arrays[_T_NAME]} is not a "
+                              f"non-negative integer")
+        moments = {"m": first, "v": second, "t": int(t)}
     plain = {k: a for k, a in arrays.items()
              if not k.startswith((_M_PREFIX, _V_PREFIX)) and k != _T_NAME}
     step = trailer.pop("step")

@@ -125,7 +125,7 @@ def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

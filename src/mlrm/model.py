@@ -413,19 +413,6 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
 # Fusion and projection
 
 
-def gate_fuse(v: Tensor, n: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """z = sigmoid(W [v; n] + b); return z * v + (1 - z) * n over rows [B, h]."""
-    if v.shape != n.shape or v.ndim != 2:
-        raise ShapeError(f"gate_fuse: need equal [B, h] shapes, got {v.shape} and {n.shape}")
-    h = v.shape[1]
-    if w.shape != (h, 2 * h) or b.shape != (h,):
-        raise ShapeError(f"gate_fuse: weights {w.shape}/{b.shape} do not fit dim {h}")
-    x = ad.concat([v, n], axis=1)
-    z = ad.sigmoid(ad.add(ad.matmul(x, ad.transpose(w)), b))
-    one_minus = ad.addc(ad.scale(z, -1.0), 1.0)
-    return ad.add(ad.mul(z, v), ad.mul(one_minus, n))
-
-
 def project(params: dict, x: Tensor) -> Tensor:
     """Shared linear projector [B, h] -> [B, out_dim] (no bias, so it is
     exactly linear)."""
@@ -545,11 +532,11 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
 
     fused_v = fused_m = None
     if mode == "notellm2":
-        fused_v = gate_fuse(v, n_v, params["fusion.gate_visual.w"],
-                            params["fusion.gate_visual.b"])
+        fused_v = ad.gate_fuse(v, n_v, params["fusion.gate_visual.w"],
+                               params["fusion.gate_visual.b"])
     if mode in GATE_MULTIMODAL_MODES:
-        fused_m = gate_fuse(v, n_m, params["fusion.gate_multimodal.w"],
-                            params["fusion.gate_multimodal.b"])
+        fused_m = ad.gate_fuse(v, n_m, params["fusion.gate_multimodal.w"],
+                               params["fusion.gate_multimodal.b"])
 
     visual_path = fused_v if fused_v is not None else n_v
     out_v = project(params, visual_path) if visual_path is not None else None

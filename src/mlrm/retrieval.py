@@ -327,6 +327,8 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ConfigError("recall cutoffs must be positive")
+    if max_pairs is not None and max_pairs < 1:
+        raise ConfigError(f"max_pairs must be positive, got {max_pairs}")
     sizes = {len(t) for t in tables.values()}
     if len(sizes) > 1:
         raise ConfigError(f"tables disagree on pool size: {sorted(sizes)}")

@@ -1,12 +1,14 @@
 """Reference ops that the model does not run, built on the engine's tape.
 
-The model runs the fused ``autodiff.attention``, ``autodiff.ff`` and
-``autodiff.contrastive``. An explicit masked softmax and gelu are the
-references of the first two: the fused ops must match compositions of
-these. The elementwise, reduction and row-wise primitives below compose
-the reference contrastive loss (``contrastive_composition``), which the
-fused op must match bit for bit, and give the tests scalar reductions.
-Each keeps its own finite-difference cases.
+The model runs the fused ``autodiff.attention``, ``autodiff.ff``,
+``autodiff.gate_fuse`` and ``autodiff.contrastive``. An explicit masked
+softmax and gelu are the references of the first two: the fused ops must
+match compositions of these. The elementwise, reduction and row-wise
+primitives below compose the reference late-fusion gate
+(``gate_fuse_composition``) and contrastive loss
+(``contrastive_composition``), which the fused ops must match bit for
+bit, and give the tests scalar reductions. Each keeps its own
+finite-difference cases.
 """
 
 import numpy as np
@@ -55,6 +57,46 @@ def gelu(x):
         dx *= g
         return (dx,)
     return ad._record(x.data * cdf, "gelu", (x,), back)
+
+
+def mul(a, b):
+    """Elementwise product of same-shape tensors."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+
+    def back(g):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
+    return ad._record(a.data * b.data, "mul", (a, b), back)
+
+
+def addc(x, c):
+    """Add a python constant elementwise."""
+    def back(g):
+        return (g,)
+    return ad._record(x.data + float(c), "addc", (x,), back)
+
+
+def transpose(x, axes=None):
+    perm = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
+    if sorted(perm) != list(range(x.ndim)):
+        raise ShapeError(f"transpose: {perm} is not a permutation of rank {x.ndim}")
+    inverse = tuple(np.argsort(perm))
+
+    def back(g):
+        return (np.ascontiguousarray(g.transpose(inverse)),)
+    return ad._record(np.ascontiguousarray(x.data.transpose(perm)), "transpose", (x,), back)
+
+
+def sigmoid(x):
+    # Split by sign so neither branch exponentiates a positive argument.
+    out = np.where(x.data >= 0,
+                   1.0 / (1.0 + np.exp(-np.clip(x.data, 0, None))),
+                   np.exp(np.clip(x.data, None, 0)) / (1.0 + np.exp(np.clip(x.data, None, 0))))
+
+    def back(g):
+        return (g * out * (1.0 - out),)
+    return ad._record(out, "sigmoid", (x,), back)
 
 
 def smul(s, x):
@@ -130,8 +172,22 @@ def scale_rows(x, s):
     return ad._record(x.data * s.data[:, None], "scale_rows", (x, s), back)
 
 
+def gate_fuse_composition(v, n, w, b):
+    """``autodiff.gate_fuse`` as 10 tape nodes: z = sigmoid([v; n] W^T + b),
+    then z * v + (1 - z) * n."""
+    if v.shape != n.shape or v.ndim != 2:
+        raise ShapeError(f"gate_fuse: need equal [B, h] shapes, got {v.shape} and {n.shape}")
+    h = v.shape[1]
+    if w.shape != (h, 2 * h) or b.shape != (h,):
+        raise ShapeError(f"gate_fuse: weights {w.shape}/{b.shape} do not fit dim {h}")
+    x = ad.concat([v, n], axis=1)
+    z = sigmoid(ad.add(ad.matmul(x, transpose(w)), b))
+    one_minus = addc(ad.scale(z, -1.0), 1.0)
+    return ad.add(mul(z, v), mul(one_minus, n))
+
+
 def _normalize_rows(emb):
-    sq = tsum(ad.mul(emb, emb), axis=1)
+    sq = tsum(mul(emb, emb), axis=1)
     bad = np.flatnonzero(sq.data == 0.0)
     if bad.size:
         raise NumericError(f"zero-norm embedding at row {bad[0]}")
@@ -147,13 +203,13 @@ def contrastive_composition(queries, candidates, partner, tau):
     c = q if same else _normalize_rows(candidates)
     n = q.shape[0]
     rows = np.arange(n)
-    sims = ad.matmul(q, ad.transpose(c))
+    sims = ad.matmul(q, transpose(c))
     indicator = np.zeros((n, n))
     indicator[rows, partner] = 1.0
-    pos = tsum(ad.mul(sims, ad.Tensor(indicator)), axis=1)
+    pos = tsum(mul(sims, ad.Tensor(indicator)), axis=1)
     logits = smul(exp(tau), add_rows(sims, ad.scale(pos, -1.0)))
     keep = np.ones((n, n))
     keep[rows, rows] = 0.0
     keep[rows, partner] = 0.0
-    masked = ad.mul(exp(logits), ad.Tensor(keep))
+    masked = mul(exp(logits), ad.Tensor(keep))
     return tmean(log1p(tsum(masked, axis=1)))

@@ -26,7 +26,7 @@ from mlrm.data import (
     generate_synthetic,
 )
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
-from mlrm.model import ModelConfig, assemble, embed_layouts, embed_notes, gate_fuse
+from mlrm.model import ModelConfig, assemble, embed_layouts, embed_notes
 from mlrm.prompting import IMG_ID, build_micl_prompt
 from mlrm.retrieval import (
     EmbeddingTable,
@@ -56,8 +56,8 @@ from mlrm.training import (
 )
 
 from fdcheck import central_diff
-from refops import (add_rows, exp, gelu, log1p, masked_softmax, power, scale_rows, smul,
-                    tmean, tsum)
+from refops import (add_rows, addc, exp, gelu, log1p, masked_softmax, mul, power, scale_rows,
+                    sigmoid, smul, tmean, transpose, tsum)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -124,7 +124,7 @@ def _weighted(rng, shape):
     w = Tensor(rng.standard_normal(shape))
 
     def reduce_loss(out):
-        return tsum(ad.mul(out, w))
+        return tsum(mul(out, w))
 
     return reduce_loss
 
@@ -152,13 +152,13 @@ def _primitive_cases(rng):
 
     yield "add", lambda t: red(ad.add(t[0], t[1])), [a, b]
     yield "add_broadcast", lambda t: red(ad.add(t[0], t[1])), [a, vec.copy()]
-    yield "mul", lambda t: red(ad.mul(t[0], t[1])), [a, b]
+    yield "mul", lambda t: red(mul(t[0], t[1])), [a, b]
     yield "smul", lambda t: red(smul(t[0], t[1])), [np.asarray(c), a]
     yield "scale", lambda t: red(ad.scale(t[0], c)), [a]
     yield "divs", lambda t: red(ad.divs(t[0], c)), [a]
-    yield "addc", lambda t: red(ad.addc(t[0], c)), [a]
+    yield "addc", lambda t: red(addc(t[0], c)), [a]
     yield "matmul", lambda t: red_sq(ad.matmul(t[0], t[1])), [a, gt]
-    yield "transpose", lambda t: red_t(ad.transpose(t[0])), [a]
+    yield "transpose", lambda t: red_t(transpose(t[0])), [a]
     yield "reshape", lambda t: red_flat(ad.reshape(t[0], (n * m,))), [a]
     yield "concat", lambda t: red_cat(ad.concat([t[0], t[1]], axis=0)), [a, b]
     yield "narrow", lambda t: red_nar(ad.narrow(t[0], 1, 1, m - 1)), [a]
@@ -173,7 +173,7 @@ def _primitive_cases(rng):
     yield ("layer_norm",
            lambda t: red(ad.layer_norm(t[0], t[1], t[2])), [a, gain, bias])
     yield "gelu", lambda t: red(gelu(t[0])), [a]
-    yield "sigmoid", lambda t: red(ad.sigmoid(t[0])), [a]
+    yield "sigmoid", lambda t: red(sigmoid(t[0])), [a]
     yield "exp", lambda t: red(exp(t[0])), [a]
     yield "log1p", lambda t: red(log1p(t[0])), [pos - 0.4]
     yield "power", lambda t: red(power(t[0], -0.5)), [pos]
@@ -211,9 +211,13 @@ def _primitive_cases(rng):
     red_cross = _weighted(rng, (2, n, d))
     yield ("attention_cross",
            lambda t: red_cross(ad.attention(t[0], t[1], t[2], 2)[0]), cross)
-    yield ("ff", lambda t: red(ad.ff(*t)),
-           [a, rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m),
-            rng.standard_normal((2 * m, m)), rng.standard_normal(m)])
+    ff_weights = [rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m),
+                  rng.standard_normal((2 * m, m)), rng.standard_normal(m)]
+    yield "ff", lambda t: red(ad.ff(*t)), [a] + ff_weights
+    # the gate over rows of width m, from the draws above, so the model
+    # check below sees the same rng
+    yield ("gate_fuse", lambda t: red(ad.gate_fuse(*t)),
+           [a, b, ff_weights[0], ff_weights[3]])
     # the loss over 2n rows (n pairs), within one table and across two;
     # built from the draws above, so the model check below sees the same rng
     partner = np.arange(2 * n) ^ 1
@@ -419,7 +423,7 @@ def test_criterion_05_gate_properties():
         b = Tensor(rng.standard_normal(h))
         v = rng.standard_normal((rows, h))
         n = rng.standard_normal((rows, h))
-        fused = gate_fuse(Tensor(v), Tensor(n), w, b).data
+        fused = ad.gate_fuse(Tensor(v), Tensor(n), w, b).data
         x = np.concatenate([v, n], axis=1)
         z = 1.0 / (1.0 + np.exp(-(x @ w.data.T + b.data)))
         if not (np.all(z > 0.0) and np.all(z < 1.0)):
@@ -427,7 +431,7 @@ def test_criterion_05_gate_properties():
         lo, hi = np.minimum(v, n), np.maximum(v, n)
         if not (np.all(fused >= lo - slack) and np.all(fused <= hi + slack)):
             between = False
-        same = gate_fuse(Tensor(v), Tensor(v), w, b).data
+        same = ad.gate_fuse(Tensor(v), Tensor(v), w, b).data
         worst_equal = max(worst_equal, float(np.max(np.abs(same - v))))
     ok = z_in_range and between and worst_equal <= 1e-12
     verdict(5, ok, f"gate: z in (0,1) and fused between inputs on "

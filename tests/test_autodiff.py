@@ -9,8 +9,9 @@ from mlrm import autodiff as ad
 from mlrm.errors import ContractError, ShapeError
 
 from fdcheck import assert_grad_close, central_diff
-from refops import (add_rows, contrastive_composition, exp, gelu, log1p, masked_softmax,
-                    power, scale_rows, smul, tmean, tsum)
+from refops import (add_rows, addc, contrastive_composition, exp, gate_fuse_composition, gelu,
+                    log1p, masked_softmax, mul, power, scale_rows, sigmoid, smul, tmean,
+                    transpose, tsum)
 
 
 def t(arr, grad=True):
@@ -20,7 +21,7 @@ def t(arr, grad=True):
 def scalar_loss(x):
     """Reduce any tensor to a scalar with nontrivial entry weights."""
     w = ad.Tensor(np.arange(1, x.size + 1, dtype=np.float64).reshape(x.shape) / x.size)
-    return tsum(ad.mul(x, w))
+    return tsum(mul(x, w))
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +97,10 @@ def test_sigmoid_symmetry_and_range():
     # Strict bounds are representable up to |x| ~ 36; beyond that the
     # double rounds to exactly 0 or 1, which the saturation case covers.
     x = np.linspace(-30, 30, 101)
-    out = ad.sigmoid(t(x)).data
+    out = sigmoid(t(x)).data
     assert ((out > 0) & (out < 1)).all()
     np.testing.assert_allclose(out + out[::-1], 1.0, atol=1e-12)
-    saturated = ad.sigmoid(t(np.array([-500.0, 500.0]))).data
+    saturated = sigmoid(t(np.array([-500.0, 500.0]))).data
     assert np.isfinite(saturated).all()
     assert saturated[0] < 1e-200 and saturated[1] == 1.0
 
@@ -137,7 +138,7 @@ def test_add_bias_broadcast_only():
     with pytest.raises(ShapeError):
         ad.add(x, t(np.zeros((3, 1))))
     with pytest.raises(ShapeError):
-        ad.mul(x, t(np.zeros(4)))
+        mul(x, t(np.zeros(4)))
 
 
 def test_no_grad_blocks_recording():
@@ -212,15 +213,15 @@ CASES = {
     "add": (lambda ts: ad.add(ts[0], ts[1]), [(3, 4), (3, 4)]),
     "add_bias": (lambda ts: ad.add(ts[0], ts[1]), [(3, 4), (4,)]),
     "add_bias_matrix": (lambda ts: ad.add(ts[0], ts[1]), [(2, 3, 4), (3, 4)]),
-    "mul": (lambda ts: ad.mul(ts[0], ts[1]), [(2, 5), (2, 5)]),
+    "mul": (lambda ts: mul(ts[0], ts[1]), [(2, 5), (2, 5)]),
     "smul": (lambda ts: smul(ts[0], ts[1]), [(), (3, 3)]),
     "scale": (lambda ts: ad.scale(ts[0], -1.7), [(4, 2)]),
     "divs": (lambda ts: ad.divs(ts[0], 3.0), [(5,)]),
-    "addc": (lambda ts: ad.addc(ts[0], 0.3), [(4,)]),
+    "addc": (lambda ts: addc(ts[0], 0.3), [(4,)]),
     "matmul": (lambda ts: ad.matmul(ts[0], ts[1]), [(3, 4), (4, 2)]),
     "matmul_batched": (lambda ts: ad.matmul(ts[0], ts[1]), [(2, 3, 4), (2, 4, 3)]),
-    "transpose": (lambda ts: ad.transpose(ts[0]), [(3, 5)]),
-    "transpose_axes": (lambda ts: ad.transpose(ts[0], (1, 0, 2)), [(2, 3, 4)]),
+    "transpose": (lambda ts: transpose(ts[0]), [(3, 5)]),
+    "transpose_axes": (lambda ts: transpose(ts[0], (1, 0, 2)), [(2, 3, 4)]),
     "reshape": (lambda ts: ad.reshape(ts[0], (2, 6)), [(3, 4)]),
     "concat": (lambda ts: ad.concat(ts, axis=1), [(3, 2), (3, 3)]),
     "narrow": (lambda ts: ad.narrow(ts[0], 0, 1, 2), [(4, 3)]),
@@ -231,7 +232,7 @@ CASES = {
     "layer_norm_affine": (
         lambda ts: ad.layer_norm(ts[0], ts[1], ts[2]), [(3, 6), (6,), (6,)]),
     "gelu": (lambda ts: gelu(ts[0]), [(3, 4)]),
-    "sigmoid": (lambda ts: ad.sigmoid(ts[0]), [(5,)]),
+    "sigmoid": (lambda ts: sigmoid(ts[0]), [(5,)]),
     "exp": (lambda ts: exp(ts[0]), [(3, 3)]),
     "log1p": (lambda ts: log1p(ts[0]), [(6,)]),
     "power": (lambda ts: power(ts[0], -0.5), [(5,)]),
@@ -247,6 +248,11 @@ CASES = {
     "attention_cross": (
         lambda ts: ad.attention(ts[0], ts[1], ts[2], 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    "gate_fuse": (lambda ts: ad.gate_fuse(*ts), [(3, 4), (3, 4), (4, 8), (4,)]),
+    # one v into two gates, as notellm2 wires its visual summary
+    "gate_fuse_shared": (
+        lambda ts: ad.add(ad.gate_fuse(*ts[:4]), ad.gate_fuse(ts[0], *ts[4:])),
+        [(3, 4), (3, 4), (4, 8), (4,), (3, 4), (4, 8), (4,)]),
     "contrastive": (
         lambda ts: ad.contrastive(ts[0], ts[0], [1, 0, 3, 2, 5, 4], ts[1]), [(6, 3), ()]),
     "contrastive_cross": (
@@ -311,10 +317,10 @@ def test_attention_rows_match_full_causal_attention():
     w_full[index] = w  # the full op's other rows do not reach the loss
     full = [t(a) for a in qkv]
     out_full, kept_full = ad.attention(*full, heads, lengths, retain=True)
-    ad.backward(tsum(ad.mul(out_full, t(w_full, grad=False))))
+    ad.backward(tsum(mul(out_full, t(w_full, grad=False))))
     rows = [t(qkv[0][index]), t(qkv[1]), t(qkv[2])]
     out, kept = ad.attention(*rows, heads, lengths, retain=True, queries=queries)
-    ad.backward(tsum(ad.mul(out, t(w, grad=False))))
+    ad.backward(tsum(mul(out, t(w, grad=False))))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, out_full.data[index], **close)
     np.testing.assert_allclose(rows[0].grad, full[0].grad[index], **close)
@@ -344,14 +350,14 @@ def _unfused_attention(q, k, v, heads, mask):
     [B, T, d] batch; returns (output, probabilities with their gradient)."""
     def split(x):
         b, t, d = x.shape
-        return ad.transpose(ad.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
+        return transpose(ad.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
     qh, kh, vh = split(q), split(k), split(v)
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
+    scores = ad.scale(ad.matmul(qh, transpose(kh, (0, 1, 3, 2))),
                       1.0 / np.sqrt(q.shape[-1] // heads))
     probs = _capture(masked_softmax(scores, np.broadcast_to(mask, scores.shape)))
     out = ad.matmul(probs, vh)
     b, h, t, dh = out.shape
-    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, h * dh)), probs
+    return ad.reshape(transpose(out, (0, 2, 1, 3)), (b, t, h * dh)), probs
 
 
 def test_attention_matches_unfused_composition_note_by_note():
@@ -361,7 +367,7 @@ def test_attention_matches_unfused_composition_note_by_note():
     w = rng.normal(size=(sum(lengths), d))
     q, k, v = (t(a) for a in qkv)
     out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
-    ad.backward(tsum(ad.mul(out, t(w, grad=False))))
+    ad.backward(tsum(mul(out, t(w, grad=False))))
     assert kept.shapes == [(heads, n, n) for n in lengths]
     start = 0
     for i, n in enumerate(lengths):
@@ -369,7 +375,7 @@ def test_attention_matches_unfused_composition_note_by_note():
         start += n
         parts = [t(a[None, span]) for a in qkv]
         ref, probs = _unfused_attention(*parts, heads, np.tri(n, dtype=bool))
-        ad.backward(tsum(ad.mul(ref, t(w[None, span], grad=False))))
+        ad.backward(tsum(mul(ref, t(w[None, span], grad=False))))
         close = dict(rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data[span], ref.data[0], **close)
         for fused, part in zip((q, k, v), parts):
@@ -387,7 +393,7 @@ def test_batched_attention_matches_unfused_composition():
     out, _ = ad.attention(*fused_in, heads)
     ref, _ = _unfused_attention(*ref_in, heads, np.ones((4, 5), bool))
     for o in (out, ref):
-        ad.backward(tsum(ad.mul(o, w)))
+        ad.backward(tsum(mul(o, w)))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, ref.data, **close)
     for a, b in zip(fused_in, ref_in):
@@ -404,7 +410,7 @@ def test_ff_matches_unfused_composition():
     ref = ad.reshape(ad.add(ad.matmul(h, w2), b2), (2, 5, 4))
     out = ad.ff(*fused_in)
     for o in (out, ref):
-        ad.backward(tsum(ad.mul(o, w)))
+        ad.backward(tsum(mul(o, w)))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, ref.data, **close)
     for a, b in zip(fused_in, ref_in):
@@ -433,6 +439,34 @@ def test_contrastive_matches_composition_bitwise(tables):
         ad.contrastive(t(np.ones((4, 3))), t(np.ones((4, 2))), [1, 0, 3, 2], t(0.0))
 
 
+@pytest.mark.parametrize("v_grad", [True, False])
+def test_gate_fuse_matches_composition_bitwise(v_grad):
+    # one v feeds two gates, as in notellm2; the fused op repeats the
+    # composition's arithmetic and its grouping of v's four gradient
+    # terms, so the outputs and every gradient agree to the last bit
+    rng = np.random.default_rng(19)
+    for rows, h in ((1, 3), (4, 8), (32, 16)):
+        shapes = [(rows, h)] * 3 + [(h, 2 * h), (h,)] * 2
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        weights = [t(rng.normal(size=(rows, h)), grad=False) for _ in range(2)]
+        runs = []
+        for gate in (ad.gate_fuse, gate_fuse_composition):
+            ts = [t(a, grad=v_grad or i > 0) for i, a in enumerate(arrays)]
+            v, n1, n2, w1, b1, w2, b2 = ts
+            outs = [gate(v, n1, w1, b1), gate(v, n2, w2, b2)]
+            ad.backward(ad.add(*(tsum(mul(o, w)) for o, w in zip(outs, weights))))
+            runs.append([o.data for o in outs] + [x.grad for x in ts])
+        assert (runs[0][2] is None) == (not v_grad)
+        for got, want in zip(*runs):
+            assert (got is want is None) or got.tobytes() == want.tobytes()
+    x = t(np.ones((2, 3)))
+    for v, n, w, b in ((x, t(np.ones((2, 4))), t(np.ones((3, 6))), t(np.ones(3))),
+                       (x, x, t(np.ones((3, 3))), t(np.ones(3))),
+                       (x, x, t(np.ones((3, 6))), t(np.ones(2)))):
+        with pytest.raises(ShapeError):
+            ad.gate_fuse(v, n, w, b)
+
+
 def test_retained_attention_holds_unpadded_blocks():
     rng = np.random.default_rng(16)
     heads, lengths = 2, [4, 1, 7, 3]
@@ -444,7 +478,7 @@ def test_retained_attention_holds_unpadded_blocks():
     for grad in (True, False):
         qkv = [t(a, grad=grad) for a in arrays]
         out, kept = ad.attention(*qkv, heads, lengths, retain=True, queries=queries)
-        ad.backward(tsum(ad.mul(out, w)))
+        ad.backward(tsum(mul(out, w)))
         runs.append((qkv, kept))
     (qkv, kept), (qkv_free, kept_free) = runs
     assert isinstance(kept, ad.Retained) and kept.is_leaf() and kept.requires_grad
@@ -461,7 +495,7 @@ def test_retained_attention_holds_unpadded_blocks():
 
 SKIP_CASES = {
     "add_bias": (lambda ts: ad.add(*ts), [(2, 3, 4), (3, 4)]),
-    "mul": (lambda ts: ad.mul(*ts), [(2, 5), (2, 5)]),
+    "mul": (lambda ts: mul(*ts), [(2, 5), (2, 5)]),
     "matmul": (lambda ts: ad.matmul(*ts), [(2, 3, 4), (2, 4, 3)]),
     "embedding_lookup": (lambda ts: ad.embedding_lookup(ts[0], [0, 2, 2, 1]), [(4, 3)]),
     "layer_norm": (lambda ts: ad.layer_norm(*ts), [(3, 6), (6,), (6,)]),
@@ -473,6 +507,7 @@ SKIP_CASES = {
         lambda ts: ad.attention(*ts, 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "contrastive": (
         lambda ts: ad.contrastive(ts[0], ts[1], [1, 0, 3, 2], ts[2]), [(4, 3), (4, 3), ()]),
+    "gate_fuse": (lambda ts: ad.gate_fuse(*ts), [(3, 4), (3, 4), (4, 8), (4,)]),
 }
 
 
@@ -491,8 +526,9 @@ def test_backward_skips_parents_without_grad(name):
         if not any(mask):  # a single-parent op records nothing without grad
             assert out.is_leaf() and not out.requires_grad
             continue
-        for m, got, ref in zip(mask, out._backward_fn(g), want):
-            assert (got is None) if not m else np.array_equal(got, ref), (name, mask)
+        # one slot per parent; gate_fuse lists v twice
+        for p, got, ref in zip(out._parents, out._backward_fn(g), want):
+            assert (got is None) if not p.requires_grad else np.array_equal(got, ref), (name, mask)
 
 
 def test_attention_and_ff_shape_errors():

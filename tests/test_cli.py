@@ -21,6 +21,7 @@ import pytest
 from mlrm.autodiff import Tensor
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.cli import _write_manifest, main
+from mlrm.errors import FormatError
 from mlrm.saliency import CSV_FIELDS, SaliencyReport, write_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,6 +197,15 @@ def test_non_utf8_vocab_is_data_error(tmp_path, dataset, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_config_error(tmp_path, dataset, capsys):
+    path = Path(write_config(tmp_path / "cfg.json"))
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    assert main(["train", "--config", str(path), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_requires_some_dataset(tmp_path, capsys):
     assert main(["train", "--mode", "basic", "--out", str(tmp_path / "o")]) == 2
     assert "dataset" in capsys.readouterr().err
@@ -308,6 +318,20 @@ def test_bad_checkpoint_records_are_format_errors(tmp_path, dataset, trained, ca
     assert not (tmp_path / "t.emb").exists()
 
 
+@pytest.mark.parametrize("t", [float("nan"), 2.5, -3.0])
+def test_bad_optimizer_step_is_format_error(tmp_path, dataset, trained, capsys, t):
+    arrays, moments, step, configs, vocab = load_checkpoint(trained)
+    moments["t"] = t
+    bad = tmp_path / "bad.mlrm"
+    save_checkpoint(bad, {k: Tensor(a) for k, a in arrays.items()}, moments, step,
+                    configs, vocab)
+    with pytest.raises(FormatError, match="optimizer step"):
+        load_checkpoint(bad)
+    assert main(["train", "--resume", str(bad), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "optimizer step" in capsys.readouterr().err
+
+
 def test_checkpoint_vocab_size_mismatch_is_format_error(tmp_path, dataset, trained, capsys):
     arrays, moments, step, configs, vocab = load_checkpoint(trained)
     bad = tmp_path / "bad.mlrm"
@@ -356,6 +380,18 @@ def test_eval_seed_averaging_shape(tmp_path, dataset, trained, capsys):
     entry = report["sources"]["multimodal"]["slices"]["all"]
     assert entry["n_pairs"] == [10, 10, 10]
     assert len(entry["per_seed"]["5"]) == 3
+
+
+@pytest.mark.parametrize("max_pairs", ["0", "-1"])
+def test_eval_nonpositive_max_pairs_is_config_error(tmp_path, dataset, trained, capsys,
+                                                    max_pairs):
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(trained),
+                 "--pool", str(dataset / "notes.jsonl"),
+                 "--pairs", str(dataset / "pairs.jsonl"),
+                 "--max-pairs", max_pairs, "--out", str(out)]) == 2
+    assert "max_pairs" in capsys.readouterr().err
+    assert not any((out / name).exists() for name in ("eval.json", "eval.csv", "manifest.json"))
 
 
 def test_eval_missing_checkpoint(tmp_path, dataset, capsys):

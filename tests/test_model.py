@@ -13,7 +13,7 @@ from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_to
 from mlrm.saliency import saliency_matrices
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
 
-from refops import tsum
+from refops import mul, tsum
 
 
 def tiny_cfg(vocab_size, **kw):
@@ -129,12 +129,15 @@ def test_default_notellm2_batch_tape_size():
     params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
     loss, _ = batch_loss(params, cfg, vocab, notes, np.arange(32) ^ 1, LossConfig())
     tape = ad._topo_order(loss)
-    assert len(tape) <= 251
+    assert len(tape) <= 233
     ops = Counter(node.op for node in tape)
     # two LM layers and two connector layers of self- and cross-attention;
-    # the frozen vision encoder records nothing; one loss node per table
+    # the frozen vision encoder records nothing; one node per gate and one
+    # loss node per table
     assert ops["attention"] == 6 and ops["ff"] == 4 and ops["contrastive"] == 2
-    assert not ops["masked_softmax"] and not ops["gelu"]
+    assert ops["gate_fuse"] == 2
+    assert not any(ops[op] for op in ("masked_softmax", "gelu", "sigmoid", "mul", "addc",
+                                      "transpose"))
 
 
 def _full_forward_llm(params, cfg, x, lengths, reads, retain_attention=False):
@@ -269,12 +272,12 @@ def test_gate_properties(setup):
     b = ad.Tensor(rng.normal(0, 0.2, h))
     v = ad.Tensor(rng.normal(size=(64, h)))
     n = ad.Tensor(rng.normal(size=(64, h)))
-    fused = mm.gate_fuse(v, n, w, b).data
+    fused = ad.gate_fuse(v, n, w, b).data
     lo = np.minimum(v.data, n.data)
     hi = np.maximum(v.data, n.data)
     assert (fused >= lo - 1e-12).all() and (fused <= hi + 1e-12).all()
     # equal inputs pass through exactly up to rounding
-    same = mm.gate_fuse(v, v, w, b).data
+    same = ad.gate_fuse(v, v, w, b).data
     np.testing.assert_allclose(same, v.data, rtol=0, atol=1e-12)
 
 
@@ -284,9 +287,9 @@ def test_gate_saturation():
     n = ad.Tensor(np.full((1, h), -3.0))
     w = ad.Tensor(np.zeros((h, 2 * h)))
     huge = ad.Tensor(np.full(h, 1e3))
-    assert np.allclose(mm.gate_fuse(v, n, w, huge).data, v.data)
+    assert np.allclose(ad.gate_fuse(v, n, w, huge).data, v.data)
     tiny = ad.Tensor(np.full(h, -1e3))
-    assert np.allclose(mm.gate_fuse(v, n, w, tiny).data, n.data)
+    assert np.allclose(ad.gate_fuse(v, n, w, tiny).data, n.data)
 
 
 def test_project_linearity(setup):
@@ -428,7 +431,7 @@ def test_end_to_end_gradients_match_fd(setup):
 
     def loss_value():
         reps = mm.embed_notes(params, cfg, vocab, batch_notes)
-        return tsum(ad.mul(reps.out_multimodal, reps.out_multimodal))
+        return tsum(mul(reps.out_multimodal, reps.out_multimodal))
 
     for name, tensor in params.items():
         tensor.grad = None

@@ -460,6 +460,9 @@ def test_evaluate_errors():
         evaluate(tables, [Pair(0, 999, 1.0)], notes, ks=[1])
     with pytest.raises(ConfigError):
         evaluate(tables, pairs, notes, ks=[0])
+    for max_pairs in (0, -1):
+        with pytest.raises(ConfigError):
+            evaluate(tables, pairs, notes, ks=[1], max_pairs=max_pairs)
     small = {"multimodal": random_table(n=30), "other": random_table(n=10)}
     with pytest.raises(ConfigError):
         evaluate(small, pairs, notes, ks=[1])
