@@ -2,16 +2,22 @@
 
 Deliberately small: float64 everywhere, a dynamic graph rebuilt on every
 forward pass, and no broadcasting except bias addition over leading axes.
-The model's attention, feed-forward block, late-fusion gate and
-contrastive loss are each one fused op with a hand-written backward.
-The backward sweep is a single-threaded reverse pass over a
-topologically ordered tape, so gradients are bitwise reproducible for
-identical inputs. Backward functions compute a parent's gradient only
-when that parent requires grad. On request the packed attention op
-also returns its probabilities as a leaf that requires grad
-(``Retained``); a loss over grad-free parameters then records the tape
-from the first such leaf on, and the sweep computes only what reaches
-them (used for attention saliency).
+The model's biased projections (``linear``), attention, feed-forward
+block, late-fusion gate and contrastive loss are each one fused op with
+a hand-written backward. The backward sweep is a single-threaded
+reverse pass over a topologically ordered tape, so gradients are bitwise
+reproducible for identical inputs. Backward functions compute a
+parent's gradient only when that parent requires grad. ``backward``
+consumes the graph, as PyTorch does by default: once the sweep ends,
+every interior node drops its backward function and its parent links,
+so the arrays the tape saved are freed even while the caller still
+holds the loss; only ``op`` stays, for diagnostics. Whatever walks the
+graph (``first_nonfinite``, ``_topo_order``) must run before it, and a
+second ``backward`` through a consumed node raises ``ContractError``.
+On request the packed attention op also returns its probabilities as a
+leaf that requires grad (``Retained``); a loss over grad-free parameters
+then records the tape from the first such leaf on, and the sweep
+computes only what reaches them (used for attention saliency).
 """
 
 from __future__ import annotations
@@ -135,16 +141,26 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss.
+    """Reverse sweep from a scalar loss, consuming its graph.
 
     Visits every tape node exactly once in reverse topological order,
     accumulating gradients. Leaves with ``requires_grad`` receive (or
-    accumulate into) ``.grad``.
+    accumulate into) ``.grad``. After the sweep every interior node
+    drops its backward function and parent links, so the saved
+    activations die with the last reference to the closures (PyTorch's
+    ``retain_graph=False``). Walk the graph (``first_nonfinite``,
+    ``_topo_order``) before calling this; a graph that an earlier call
+    consumed raises ``ContractError``.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    order = _topo_order(loss)
+    for t in order:
+        if t.op is not None and t._backward_fn is None:
+            raise ContractError(f"backward: the {t.op!r} node was consumed by an "
+                                f"earlier backward; rebuild the graph")
     flowing: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for t in reversed(_topo_order(loss)):
+    for t in reversed(order):
         g = flowing.pop(t.node_id, None)
         if g is None:
             continue
@@ -158,6 +174,11 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = flowing.get(p.node_id)
             flowing[p.node_id] = pg if acc is None else acc + pg
+    # Consume the graph once the sweep is done: the closures, and the
+    # arrays they saved, die with these references.
+    for t in order:
+        t._backward_fn = None
+        t._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +235,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
                 np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
     return _record(a.data @ b.data, "matmul", (a, b), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Biased projection x [N, d_in] @ w [d_in, d_out] + b [d_out].
+
+    Holds one [N, d_out] buffer where ``add(matmul(x, w), b)`` holds
+    two; forward and backward repeat that composition's numpy steps, so
+    both give the same bits.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def back(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=(0,)) if b.requires_grad else None)
+    return _record(out, "linear", (x, w, b), back)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -42,6 +42,7 @@ from .notes import load_notes
 from .prompting import Vocab
 from .retrieval import (
     build_table,
+    check_eval_options,
     evaluate,
     load_table,
     save_table,
@@ -268,6 +269,10 @@ def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.pool, "pool notes file")
     _require_file(args.pairs, "pairs file")
+    ks = _int_list(args.k, "--k")
+    check_eval_options(ks, args.max_pairs)
+    seeds = _int_list(args.seeds, "--seeds")
+    modalities = _modalities(args.modality)
     state = load_state(args.checkpoint)
     pool_notes = load_notes(args.pool)
     pairs = load_pairs(args.pairs)
@@ -276,9 +281,6 @@ def cmd_eval(args) -> int:
     if not pairs:
         raise DataError("no evaluation pairs fall inside the note pool")
 
-    ks = _int_list(args.k, "--k")
-    seeds = _int_list(args.seeds, "--seeds")
-    modalities = _modalities(args.modality)
     ckpt_hash = _sha256(args.checkpoint)
     image_cache: dict = {}
     tables = {}

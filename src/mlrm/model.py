@@ -188,12 +188,10 @@ def _rows(x: Tensor) -> Tensor:
     return x if x.ndim == 2 else ad.reshape(x, (x.size // x.shape[-1], x.shape[-1]))
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows: Tensor | None = None) -> Tensor:
-    """x [..., d_in] @ w [d_in, d_out] (+ bias); ``rows`` is x already
+def _linear(x: Tensor, w: Tensor, b: Tensor, rows: Tensor | None = None) -> Tensor:
+    """x [..., d_in] @ w [d_in, d_out] + b; ``rows`` is x already
     flattened by ``_rows``, for inputs that several projections share."""
-    out = ad.matmul(_rows(x) if rows is None else rows, w)
-    if b is not None:
-        out = ad.add(out, b)
+    out = ad.linear(_rows(x) if rows is None else rows, w, b)
     return out if x.ndim == 2 else ad.reshape(out, x.shape[:-1] + (w.shape[1],))
 
 

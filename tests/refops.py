@@ -1,10 +1,11 @@
 """Reference ops that the model does not run, built on the engine's tape.
 
-The model runs the fused ``autodiff.attention``, ``autodiff.ff``,
-``autodiff.gate_fuse`` and ``autodiff.contrastive``. An explicit masked
-softmax and gelu are the references of the first two: the fused ops must
-match compositions of these. The elementwise, reduction and row-wise
-primitives below compose the reference late-fusion gate
+The model runs the fused ``autodiff.linear``, ``autodiff.attention``,
+``autodiff.ff``, ``autodiff.gate_fuse`` and ``autodiff.contrastive``. An
+explicit masked softmax and gelu are the references of attention and the
+feed-forward block: the fused ops must match compositions of these. The
+elementwise, reduction and row-wise primitives below compose the
+reference biased projection (``linear_composition``), late-fusion gate
 (``gate_fuse_composition``) and contrastive loss
 (``contrastive_composition``), which the fused ops must match bit for
 bit, and give the tests scalar reductions. Each keeps its own
@@ -170,6 +171,11 @@ def scale_rows(x, s):
     def back(g):
         return g * s.data[:, None], (g * x.data).sum(axis=1)
     return ad._record(x.data * s.data[:, None], "scale_rows", (x, s), back)
+
+
+def linear_composition(x, w, b):
+    """``autodiff.linear`` as 2 tape nodes: x @ w, then + b."""
+    return ad.add(ad.matmul(x, w), b)
 
 
 def gate_fuse_composition(v, n, w, b):

@@ -214,6 +214,10 @@ def _primitive_cases(rng):
     ff_weights = [rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m),
                   rng.standard_normal((2 * m, m)), rng.standard_normal(m)]
     yield "ff", lambda t: red(ad.ff(*t)), [a] + ff_weights
+    # the biased projection of [a, b] rows back to width m, from the draws
+    # above, so the model check below sees the same rng
+    yield ("linear", lambda t: red(ad.linear(*t)),
+           [np.hstack([a, b]), ff_weights[2], ff_weights[3]])
     # the gate over rows of width m, from the draws above, so the model
     # check below sees the same rng
     yield ("gate_fuse", lambda t: red(ad.gate_fuse(*t)),

@@ -1,5 +1,8 @@
 """Unit and property tests for the reverse-mode tensor engine."""
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,8 @@ from mlrm.errors import ContractError, ShapeError
 
 from fdcheck import assert_grad_close, central_diff
 from refops import (add_rows, addc, contrastive_composition, exp, gate_fuse_composition, gelu,
-                    log1p, masked_softmax, mul, power, scale_rows, sigmoid, smul, tmean,
-                    transpose, tsum)
+                    linear_composition, log1p, masked_softmax, mul, power, scale_rows, sigmoid,
+                    smul, tmean, transpose, tsum)
 
 
 def t(arr, grad=True):
@@ -180,6 +183,35 @@ def test_gradient_accumulates_across_backward_calls():
     np.testing.assert_array_equal(x.grad, [7.0])
 
 
+def test_backward_frees_the_tape_while_the_loss_is_held():
+    rng = np.random.default_rng(21)
+    inputs = [t(rng.normal(size=s)) for s in [(3, 4), (4, 6), (6,), (6, 4), (4,)]]
+
+    def build():
+        # the ff output is kept alive only by the tape that consumes it
+        h = ad.ff(*inputs)
+        return scalar_loss(h), weakref.ref(h.data)
+    loss, saved = build()
+    assert saved() is not None
+    ad.backward(loss)
+    assert saved() is None
+    assert loss.op is not None and loss._parents == () and loss._backward_fn is None
+    assert all(x.grad is not None for x in inputs)
+
+
+def test_second_backward_on_a_consumed_graph_raises():
+    x = t(np.array([3.0]))
+    y = ad.scale(x, 2.0)
+    loss = tsum(y)
+    ad.backward(loss)
+    with pytest.raises(ContractError, match="consumed"):
+        ad.backward(loss)
+    # a new graph over a consumed node fails before touching any gradient
+    with pytest.raises(ContractError, match="'scale'"):
+        ad.backward(tsum(ad.scale(y, 5.0)))
+    np.testing.assert_array_equal(x.grad, [2.0])
+
+
 def test_backward_determinism_bitwise():
     def run():
         rng = np.random.default_rng(7)
@@ -220,6 +252,7 @@ CASES = {
     "addc": (lambda ts: addc(ts[0], 0.3), [(4,)]),
     "matmul": (lambda ts: ad.matmul(ts[0], ts[1]), [(3, 4), (4, 2)]),
     "matmul_batched": (lambda ts: ad.matmul(ts[0], ts[1]), [(2, 3, 4), (2, 4, 3)]),
+    "linear": (lambda ts: ad.linear(*ts), [(3, 4), (4, 5), (5,)]),
     "transpose": (lambda ts: transpose(ts[0]), [(3, 5)]),
     "transpose_axes": (lambda ts: transpose(ts[0], (1, 0, 2)), [(2, 3, 4)]),
     "reshape": (lambda ts: ad.reshape(ts[0], (2, 6)), [(3, 4)]),
@@ -417,6 +450,32 @@ def test_ff_matches_unfused_composition():
         np.testing.assert_allclose(a.grad, b.grad, **close)
 
 
+def test_linear_matches_composition_bitwise():
+    # the fused projection repeats matmul's and add's arithmetic, so the
+    # output and every gradient agree to the last bit, whichever inputs
+    # take a gradient
+    rng = np.random.default_rng(20)
+    for (n, d_in, d_out), grads in itertools.product(
+            ((1, 3, 2), (7, 5, 4), (33, 16, 48)), itertools.product((True, False), repeat=3)):
+        arrays = [rng.normal(size=s) for s in ((n, d_in), (d_in, d_out), (d_out,))]
+        w = t(rng.normal(size=(n, d_out)), grad=False)
+        runs = []
+        for op in (ad.linear, linear_composition):
+            ts = [t(a, grad=g) for a, g in zip(arrays, grads)]
+            out = op(*ts)
+            ad.backward(tsum(mul(out, w)))
+            runs.append([out.data] + [x.grad for x in ts])
+        for got, want in zip(*runs):
+            assert (got is want is None) or got.tobytes() == want.tobytes()
+    x = t(np.ones((2, 3)))
+    for w, b in ((t(np.ones((2, 4))), t(np.ones(4))), (t(np.ones((3, 4))), t(np.ones(3))),
+                 (t(np.ones((3, 4))), t(np.ones((1, 4))))):
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, b)
+    with pytest.raises(ShapeError):
+        ad.linear(t(np.ones((2, 2, 3))), t(np.ones((3, 4))), t(np.ones(4)))
+
+
 @pytest.mark.parametrize("tables", [1, 2])
 def test_contrastive_matches_composition_bitwise(tables):
     # the fused loss repeats the composition's arithmetic step for step,
@@ -497,6 +556,7 @@ SKIP_CASES = {
     "add_bias": (lambda ts: ad.add(*ts), [(2, 3, 4), (3, 4)]),
     "mul": (lambda ts: mul(*ts), [(2, 5), (2, 5)]),
     "matmul": (lambda ts: ad.matmul(*ts), [(2, 3, 4), (2, 4, 3)]),
+    "linear": (lambda ts: ad.linear(*ts), [(3, 4), (4, 5), (5,)]),
     "embedding_lookup": (lambda ts: ad.embedding_lookup(ts[0], [0, 2, 2, 1]), [(4, 3)]),
     "layer_norm": (lambda ts: ad.layer_norm(*ts), [(3, 6), (6,), (6,)]),
     "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),

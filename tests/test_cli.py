@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from mlrm import cli
 from mlrm.autodiff import Tensor
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.cli import _write_manifest, main
@@ -392,6 +393,22 @@ def test_eval_nonpositive_max_pairs_is_config_error(tmp_path, dataset, trained, 
                  "--max-pairs", max_pairs, "--out", str(out)]) == 2
     assert "max_pairs" in capsys.readouterr().err
     assert not any((out / name).exists() for name in ("eval.json", "eval.csv", "manifest.json"))
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "1,-5"), ("--max-pairs", "0")])
+def test_eval_rejects_bad_options_before_loading(tmp_path, dataset, trained, capsys,
+                                                monkeypatch, flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("eval did work before checking its options")
+    monkeypatch.setattr(cli, "load_state", never)
+    monkeypatch.setattr(cli, "build_table", never)
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(trained),
+                 "--pool", str(dataset / "notes.jsonl"),
+                 "--pairs", str(dataset / "pairs.jsonl"),
+                 flag, value, "--out", str(out)]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_missing_checkpoint(tmp_path, dataset, capsys):

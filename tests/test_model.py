@@ -129,13 +129,16 @@ def test_default_notellm2_batch_tape_size():
     params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
     loss, _ = batch_loss(params, cfg, vocab, notes, np.arange(32) ^ 1, LossConfig())
     tape = ad._topo_order(loss)
-    assert len(tape) <= 233
+    assert len(tape) <= 207
     ops = Counter(node.op for node in tape)
     # two LM layers and two connector layers of self- and cross-attention;
     # the frozen vision encoder records nothing; one node per gate and one
     # loss node per table
     assert ops["attention"] == 6 and ops["ff"] == 4 and ops["contrastive"] == 2
     assert ops["gate_fuse"] == 2
+    # every biased projection is one node: q, k, v and out in each of the
+    # six attentions, and the connector's and the visual read-out's
+    assert ops["linear"] == 26
     assert not any(ops[op] for op in ("masked_softmax", "gelu", "sigmoid", "mul", "addc",
                                       "transpose"))
 
