@@ -472,9 +472,43 @@ GOLDEN_ANALYZE = {
         "saliency.csv": "ae7c8f8cbec9cfd1a0a8de07839883f0c9b1ddd1254eae5a6cb26de8adfae740",
         "saliency.json": "229bf42ffeec9dfcffcd26d4f40567f6dd33ae9f1708a44276f33c30c5f4374c",
     },
+    "omni": {
+        "saliency.csv": "2e38e65a89eddfff6e420ae80c140d53fc409787ceea4c9e2e24f85f273fafc1",
+        "saliency.json": "d569439905eefd047e5e64ad289804641629f0f23ca9888479d27e5e3a349fdc",
+    },
     "only_late_fusion": {
         "saliency.csv": "5e6eff1bd82a258442dd08e70b84f55ba17f392b8d1be1487b62de3f3bd40cfb",
         "saliency.json": "6d05ea359d54318eb618c2910e270754e8d6ccaed8187983488b8eac7fa90c7f",
+    },
+}
+
+# sha256 of the checkpoint and metrics that the same 4-step training run
+# writes, one BLAS thread: a refactor of the forward, the loss or the
+# optimizer must leave the trained bytes alone
+GOLDEN_TRAIN = {
+    "basic": {
+        "checkpoint.mlrm": "7c914125ad9955d52ec0a71157a8efa5102c0ddb824c36a453a5c585ff286909",
+        "metrics.jsonl": "ae8e38c1bb29c68e03549d5e1467efaff24f25cea4465435252027dbbdc62510",
+    },
+    "late_fusion": {
+        "checkpoint.mlrm": "57c615721d09d175a7cc70b051e3635bdd0e3a1fc63c1f8321c7bfc69e20f9c3",
+        "metrics.jsonl": "17abbf993da74772d06bcc9921696dcd75e52870357b929cc7d76e9234379767",
+    },
+    "micl": {
+        "checkpoint.mlrm": "5f8f0404e82b18fe2690ddfc3785ea1a02759f473dedc8a0a9f0f33707abdc35",
+        "metrics.jsonl": "1264d3d46fdb416122e8ffcda6ad7b71980f8bc1456972cd344d059a42e10130",
+    },
+    "notellm2": {
+        "checkpoint.mlrm": "ccdf6512017f842887f0a059b95708bc3fd45179d6febdde66d59c70341a47fe",
+        "metrics.jsonl": "63de62c78d970896f173285a61a08eb35525a0f6765b6b1683b613211414e9c7",
+    },
+    "omni": {
+        "checkpoint.mlrm": "e43afcfb917e24c449a47b25980be4bdf9d9342e13f6c1e21eaab9b6f0e063db",
+        "metrics.jsonl": "0d3dc7331b8cda31fdbf12f62e3cad90f7577d02a8a1850022b1a7a9dce8b376",
+    },
+    "only_late_fusion": {
+        "checkpoint.mlrm": "eeb2a8cc150c37916f53325c52492400915d142fa65be73ebc0e2a012a4a98cb",
+        "metrics.jsonl": "2b663209d52a906ee9593d1c80c0ffaa7648eb4612803a42e60d3b0ce426c267",
     },
 }
 
@@ -496,6 +530,9 @@ def test_analyze_bytes_match_golden_hashes(tmp_path, dataset, mode):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+           for name in GOLDEN_TRAIN[mode]}
+    assert got == GOLDEN_TRAIN[mode]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_ANALYZE[mode]}
     assert got == GOLDEN_ANALYZE[mode]
