@@ -24,16 +24,15 @@ w2 = Tensor(rng.standard_normal((8, 6)), requires_grad=True)
 b2 = Tensor(np.zeros(6), requires_grad=True)
 gain, bias = Tensor(np.ones(6)), Tensor(np.zeros(6))
 tau = Tensor(np.asarray(1.0), requires_grad=True)
-# rows 0 and 1 are one related pair, rows 2 and 3 another
-partner = np.array([1, 0, 3, 2])
 
 
 def forward():
-    # gelu(x @ w1 + b1) @ w2 + b2, then layer norm; the loss pulls each
-    # row toward its partner's and away from the other rows, on cosine
-    # similarities scaled by exp(tau)
+    # gelu(x @ w1 + b1) @ w2 + b2, then layer norm; rows come in related
+    # pairs (0 with 1, 2 with 3), and the loss pulls each row toward its
+    # partner's and away from the other rows, on cosine similarities
+    # scaled by exp(tau)
     h = ad.layer_norm(ad.ff(x, w1, b1, w2, b2), gain, bias)
-    return ad.contrastive(h, h, partner, tau)
+    return ad.contrastive(h, h, tau)
 
 
 loss = forward()

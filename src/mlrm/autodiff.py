@@ -4,10 +4,12 @@ Deliberately small: float64 everywhere, a dynamic graph rebuilt on every
 forward pass, and no broadcasting except bias addition over leading axes.
 The model's biased projections (``linear``), attention, feed-forward
 block, late-fusion gate and contrastive loss are each one fused op with
-a hand-written backward. The backward sweep is a single-threaded
-reverse pass over a topologically ordered tape, so gradients are bitwise
-reproducible for identical inputs. Backward functions compute a
-parent's gradient only when that parent requires grad. ``backward``
+a hand-written backward; the loss reads rows 2k and 2k + 1 as one
+(query, related) pair, the layout of a training batch. The backward
+sweep is a single-threaded reverse pass over a topologically ordered
+tape, so gradients are bitwise reproducible for identical inputs.
+Backward functions compute a parent's gradient only when that parent
+requires grad. ``backward``
 consumes the graph, as PyTorch does by default: once the sweep ends,
 every interior node drops its backward function and its parent links,
 so the arrays the tape saved are freed even while the caller still
@@ -529,12 +531,12 @@ def gate_fuse(v: Tensor, n: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(z * v.data + rest * n.data, "gate_fuse", (v, v, n, w, b), back)
 
 
-def contrastive(queries: Tensor, candidates: Tensor, partner, tau: Tensor) -> Tensor:
-    """In-batch contrastive loss: the mean over rows i of
-    -log softmax(candidate partner[i] | every candidate but i), on cosine
-    similarities scaled by exp(tau). ``partner`` must be an involution
-    without fixed points; pass one tensor as both tables for the
-    within-table loss.
+def contrastive(queries: Tensor, candidates: Tensor, tau: Tensor) -> Tensor:
+    """In-batch contrastive loss over consecutive (query, related) rows:
+    the mean over rows i of -log softmax(candidate i ^ 1 | every
+    candidate but i), on cosine similarities scaled by exp(tau). Pass
+    one tensor as both tables for the within-table loss; a batch of one
+    pair has no negatives, so its loss is exactly zero.
 
     The positive logit is subtracted before ``exp``, so row i's term is
     log1p of a sum of non-positive-shifted exponentials; this stays
@@ -544,11 +546,9 @@ def contrastive(queries: Tensor, candidates: Tensor, partner, tau: Tensor) -> Te
     ``tests/refops.py`` in its order, so both give the same bits.
     """
     n = queries.shape[0]
-    partner = np.asarray(partner)
-    if queries.ndim != 2 or candidates.shape != queries.shape \
-            or partner.shape != (n,) or tau.size != 1:
-        raise ShapeError(f"contrastive: tables {queries.shape}/{candidates.shape}, "
-                         f"partner {partner.shape}, tau {tau.shape}")
+    if queries.ndim != 2 or candidates.shape != queries.shape or n % 2 or tau.size != 1:
+        raise ShapeError(f"contrastive: need two equal tables of an even row count and "
+                         f"a scalar tau, got {queries.shape}/{candidates.shape} and {tau.shape}")
     tables = (queries,) if candidates is queries else (queries, candidates)
     norms = []  # per table: squared row norms, their -1/2 power, unit rows
     for x in tables:
@@ -561,6 +561,7 @@ def contrastive(queries: Tensor, candidates: Tensor, partner, tau: Tensor) -> Te
     q, c = norms[0][2], norms[-1][2]
     ct = np.ascontiguousarray(c.T)
     rows = np.arange(n)
+    partner = rows ^ 1
     sims = q @ ct
     shifted = sims - sims[rows, partner][:, None]
     scale = np.exp(tau.data)

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_VARS, __version__
 from .checkpoint import atomic_write
 from .data import (
     PairConfig,
@@ -87,6 +87,16 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _blas() -> dict:
+    # training bytes depend on the BLAS build and its thread settings
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        name = "unknown"
+    return {"name": name, "threads": {var: os.environ.get(var) for var in BLAS_VARS}}
+
+
 def _write_manifest(path, command, *, config=None, seed=None,
                     inputs=None, outputs=None, counts=None, started=None):
     manifest = {
@@ -96,6 +106,7 @@ def _write_manifest(path, command, *, config=None, seed=None,
         "inputs": inputs or {},
         "outputs": outputs or {},
         "version": __version__,
+        "blas": _blas(),
         "started": started,
         "finished": _now(),
     }
@@ -198,6 +209,8 @@ def _fresh_state(args, file_cfg, vocab):
 
 def cmd_train(args) -> int:
     started = _now()
+    if args.checkpoint_every < 0:
+        raise ConfigError("--checkpoint-every must be 0 (off) or positive")
     file_cfg = _load_config_file(args.config)
     dataset = args.dataset or file_cfg.get("data", {}).get("dataset")
     if dataset is None:
@@ -310,13 +323,13 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = _now()
+    if args.batches < 1:
+        raise ConfigError("--batches must be at least 1")
     _require_file(args.checkpoint, "checkpoint")
     paths = _dataset_paths(args.dataset)
     state = load_state(args.checkpoint)
     notes = load_notes(paths["notes.jsonl"])
     pairs = load_pairs(paths["pairs.jsonl"])
-    if args.batches < 1:
-        raise ConfigError("--batches must be at least 1")
     batch_pairs = state.run.batch_pairs
     report = saliency_report(
         state.params, state.model_cfg, state.vocab, {n.id: n for n in notes},

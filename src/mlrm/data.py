@@ -5,7 +5,8 @@ and image prototypes, each cluster split into subtopics with their own
 detail words and image offsets. Users browse one (cluster, subtopic)
 neighborhood, so the click log links notes that share fine-grained
 vocabulary and imagery; with full modality correlation the mined pairs
-are almost entirely intra-cluster.
+are almost entirely intra-cluster. A training batch is a list of note
+ids holding its pairs one after another: query, related, query, ...
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class Pair:
 @dataclass
 class PairConfig:
     """Co-occurrence filtering: keep lower < score < upper, then the top
-    ``per_query`` partners per query, ties broken by ascending note id."""
+    ``per_query`` related notes per query, ties broken by ascending note id."""
 
     lower: float = 0.01
     upper: float = 30.0
@@ -84,7 +85,7 @@ def build_pairs(events: list[BehaviorEvent], cfg: PairConfig) -> list[Pair]:
 
     Scores outside the open interval (lower, upper) are treated as
     outliers and dropped; each query keeps its ``per_query`` best
-    partners. Output is sorted by (query, descending score, partner id).
+    related notes. Output is sorted by (query, descending score, related id).
     """
     scores = cooccurrence(events)
     by_query: dict[int, list[tuple[float, int]]] = {}
@@ -310,18 +311,6 @@ def generate_dataset(cfg: SyntheticConfig, out_dir, pair_cfg: PairConfig | None 
 # Batching
 
 
-@dataclass
-class Batch:
-    """2B distinct notes arranged as consecutive (query, partner) pairs."""
-
-    note_ids: list[int]
-
-    @property
-    def partner(self) -> np.ndarray:
-        idx = np.arange(len(self.note_ids))
-        return idx ^ 1  # fixed-point-free involution: swap within each pair
-
-
 def split_pairs(pairs: list[Pair], val_fraction: float, seed: int) -> tuple[list[Pair], list[Pair]]:
     """Withhold a deterministic fraction of pairs for validation."""
     perm = np.random.default_rng([seed, 7919]).permutation(len(pairs))
@@ -332,8 +321,10 @@ def split_pairs(pairs: list[Pair], val_fraction: float, seed: int) -> tuple[list
     return train, val
 
 
-def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> list[Batch]:
-    """Shuffle pairs for one epoch and pack duplicate-free batches.
+def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> list[list[int]]:
+    """Shuffle pairs for one epoch and pack duplicate-free batches of
+    2 * ``batch_pairs`` note ids, each pair's query right before its
+    related note: the row layout ``autodiff.contrastive`` expects.
 
     A pair whose notes already appear in the open batch is deferred to a
     later batch; each pair is used at most once per epoch. Raises when
@@ -345,7 +336,7 @@ def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> 
         raise BatchError(f"need at least {batch_pairs} pairs per batch, have {len(pairs)}")
     order = np.random.default_rng([seed, epoch]).permutation(len(pairs))
     remaining = [pairs[i] for i in order]
-    batches: list[Batch] = []
+    batches: list[list[int]] = []
     while len(remaining) >= batch_pairs:
         ids: list[int] = []
         used: set[int] = set()
@@ -361,7 +352,7 @@ def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> 
                 used.update((pair.query, pair.related))
         if len(ids) < 2 * batch_pairs:
             break
-        batches.append(Batch(ids))
+        batches.append(ids)
         remaining = deferred
     if not batches:
         raise BatchError("could not assemble a single duplicate-free batch; "

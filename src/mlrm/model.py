@@ -425,10 +425,7 @@ def project(params: dict, x: Tensor) -> Tensor:
 class BatchRepresentations:
     """Everything one batched forward produced, batch-major."""
 
-    mode: str
-    modality: str
     infos: list[AssembledInfo]
-    visual_summary: Tensor            # [B, h_t]
     raw_visual: Tensor | None         # [B, h_t] (micl-family)
     raw_multimodal: Tensor            # [B, h_t]
     fused_visual: Tensor | None       # [B, h_t]
@@ -480,30 +477,26 @@ def _vision_features(params, cfg, notes, text_only, image_cache):
 
 
 def embed_notes(params: dict, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
-                mode: str | None = None, modality: str = "multimodal",
-                retain_attention: bool = False,
+                modality: str = "multimodal", retain_attention: bool = False,
                 image_cache: dict | None = None) -> BatchRepresentations:
-    """Batched note embedding along the configured variant's wiring."""
-    mode = cfg.mode if mode is None else mode
-    if mode not in MODES:
-        raise ModeError(f"unknown variant {mode!r}")
+    """Batched note embedding along the wiring of the variant ``cfg.mode``."""
     if modality not in MODALITIES:
         raise ConfigError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
     if not notes:
         raise DataError("embed_notes: empty batch")
     if modality == "image_only":
         notes = [n.replace_text(title="", topics=[], content="") for n in notes]
-    layouts = [build_prompt(n, vocab, use_micl=mode in MICL_PROMPT_MODES) for n in notes]
-    return embed_layouts(params, cfg, layouts, notes, mode, modality,
+    layouts = [build_prompt(n, vocab, use_micl=cfg.mode in MICL_PROMPT_MODES) for n in notes]
+    return embed_layouts(params, cfg, layouts, notes, modality,
                          retain_attention=retain_attention, image_cache=image_cache)
 
 
 def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
-                  notes: list[Note], mode: str, modality: str = "multimodal",
+                  notes: list[Note], modality: str = "multimodal",
                   retain_attention: bool = False,
                   image_cache: dict | None = None) -> BatchRepresentations:
     """Lower-level entry point taking pre-built prompt layouts."""
-    ht = cfg.hidden_text
+    ht, mode = cfg.hidden_text, cfg.mode
     text_only = modality == "text_only"
     vision_feats = _vision_features(params, cfg, notes, text_only, image_cache)
     v = visual_summaries(params, cfg, vision_feats)
@@ -541,8 +534,7 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
     out_m = project(params, fused_m if fused_m is not None else n_m)
 
     return BatchRepresentations(
-        mode=mode, modality=modality, infos=infos,
-        visual_summary=v, raw_visual=n_v, raw_multimodal=n_m,
+        infos=infos, raw_visual=n_v, raw_multimodal=n_m,
         fused_visual=fused_v, fused_multimodal=fused_m,
         out_visual=out_v, out_multimodal=out_m,
         attentions=attentions,

@@ -128,7 +128,7 @@ def save_table(path, table: EmbeddingTable) -> None:
         fh.write(rows.tobytes())
 
 
-def load_table(path, provenance: dict | None = None) -> EmbeddingTable:
+def load_table(path) -> EmbeddingTable:
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise FormatError(f"{path}: not an embedding table (bad magic)")
@@ -148,8 +148,7 @@ def load_table(path, provenance: dict | None = None) -> EmbeddingTable:
             raise FormatError(f"{path}: trailing bytes after the table body")
         rows = np.frombuffer(fh.read(body), dtype=_row_dtype(dim))
     return EmbeddingTable(ids=rows["id"].astype(np.int64),
-                          vectors=rows["vector"].astype(np.float32),
-                          provenance=provenance or {})
+                          vectors=rows["vector"].astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -102,15 +102,14 @@ class SaliencyReport:
 
 
 def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
-                   partner, loss_cfg: LossConfig, image_cache=None):
+                   loss_cfg: LossConfig):
     """Loss -> backward -> per-note per-layer (S_v, S_t, S_o) triples.
 
     The loss runs over grad-free views of the parameters, so the tape
     starts at the first layer's retained attention and the backward pass
     computes no parameter gradient."""
     views = {name: Tensor(p.data) for name, p in params.items()}
-    loss, reps = batch_loss(views, cfg, vocab, notes, partner, loss_cfg,
-                            image_cache=image_cache, retain_attention=True)
+    loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg, retain_attention=True)
     backward(loss)
     matrices = saliency_matrices(reps.attentions, reps.infos)
     sets = [position_sets(info, cfg.mode) for info in reps.infos]
@@ -121,7 +120,7 @@ def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
 def saliency_report(params, cfg: ModelConfig, vocab: Vocab,
                     notes_by_id: dict[int, Note], pairs: list[Pair],
                     loss_cfg: LossConfig, *, batch_pairs: int = 16, seed: int = 0,
-                    max_notes: int = 1000, image_cache=None) -> SaliencyReport:
+                    max_notes: int = 1000) -> SaliencyReport:
     """Average the decomposition over sampled batches of paired notes."""
     batches = make_batches(pairs, batch_pairs, seed, 0)
     per_layer: list[list[tuple[float, float, float]]] = [[] for _ in range(cfg.lm_layers)]
@@ -129,9 +128,8 @@ def saliency_report(params, cfg: ModelConfig, vocab: Vocab,
     for batch in batches:
         if n_notes >= max_notes:
             break
-        notes = [notes_by_id[i] for i in batch.note_ids]
-        triples = batch_saliency(params, cfg, vocab, notes, batch.partner,
-                                 loss_cfg, image_cache=image_cache)
+        notes = [notes_by_id[i] for i in batch]
+        triples = batch_saliency(params, cfg, vocab, notes, loss_cfg)
         for note_triples in triples:
             for layer, triple in enumerate(note_triples):
                 per_layer[layer].append(triple)

@@ -2,7 +2,8 @@
 
 Every variant trains on the in-batch contrastive loss of
 ``autodiff.contrastive`` (see there for its factored, tiny-loss-accurate
-form), over one embedding table or across two.
+form), over one embedding table or across two, on batches laid out as
+consecutive (query, related) pairs by ``data.make_batches``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .autodiff import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Pair, make_batches, split_pairs
-from .errors import ConfigError, ContractError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .model import (
     MICL_PROMPT_MODES,
     MODES,
@@ -89,42 +91,13 @@ class OptimConfig:
 # Losses
 
 
-def _check_partner(partner: np.ndarray, n: int) -> np.ndarray:
-    partner = np.asarray(partner)
-    if partner.shape != (n,):
-        raise ContractError(f"partner map must have shape ({n},), got {partner.shape}")
-    idx = np.arange(n)
-    if np.any(partner == idx):
-        raise ContractError("partner map has a fixed point")
-    if not np.array_equal(partner[partner], idx):
-        raise ContractError("partner map is not an involution")
-    return partner
-
-
-def contrastive_loss(queries: Tensor, candidates: Tensor, partner,
-                     tau: Tensor) -> Tensor:
-    """In-batch contrastive loss of ``queries`` against ``candidates``.
-
-    Row i of ``queries`` is pulled toward candidates[partner(i)] against
-    every other candidate but candidates[i]; the similarity is cosine and
-    the logit scale is exp(tau). Pass one table twice for the
-    within-table loss. A batch of one pair has no negatives, so its loss
-    is exactly zero.
-    """
-    if queries.ndim != 2 or queries.shape != candidates.shape:
-        raise ContractError(f"expected two embedding matrices of one shape, got "
-                            f"{queries.shape} and {candidates.shape}")
-    partner = _check_partner(partner, queries.shape[0])
-    return contrastive(queries, candidates, partner, tau)
-
-
 def final_loss(loss_visual: Tensor, loss_multimodal: Tensor, alpha: float) -> Tensor:
     """Blend the two objectives: (L_v + alpha * L_m) / (1 + alpha)."""
     return divs(add(loss_visual, scale(loss_multimodal, float(alpha))), 1.0 + float(alpha))
 
 
 def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
-               notes: list[Note], partner, loss_cfg: LossConfig,
+               notes: list[Note], loss_cfg: LossConfig,
                image_cache: dict | None = None, retain_attention: bool = False):
     """Variant-dispatching objective; returns (loss, representations).
 
@@ -132,29 +105,22 @@ def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
     callers can inspect attention or embeddings regardless of mode.
     """
     tau = params[TAU_NAME]
-    mode = cfg.mode
     reps = embed_notes(params, cfg, vocab, notes, image_cache=image_cache,
                        retain_attention=retain_attention)
-    if mode == "omni":
-        image_reps = embed_notes(params, cfg, vocab, notes, modality="image_only",
-                                 image_cache=image_cache)
-        text_reps = embed_notes(params, cfg, vocab, notes, modality="text_only",
-                                image_cache=image_cache)
+    if cfg.mode == "omni":
         e_m = reps.out_multimodal
-        e_i = image_reps.out_multimodal
-        e_t = text_reps.out_multimodal
-        terms = [contrastive_loss(a, b, partner, tau) for a, b in (
+        e_i, e_t = (embed_notes(params, cfg, vocab, notes, modality=modality,
+                                image_cache=image_cache).out_multimodal
+                    for modality in ("image_only", "text_only"))
+        terms = [contrastive(a, b, tau) for a, b in (
             (e_i, e_i), (e_t, e_t), (e_m, e_m), (e_i, e_t), (e_i, e_m), (e_t, e_m))]
-        total = terms[0]
-        for term in terms[1:]:
-            total = add(total, term)
-        return divs(total, 6.0), reps
-    if mode in MICL_PROMPT_MODES:
-        loss_v = contrastive_loss(reps.out_visual, reps.out_visual, partner, tau)
-        loss_m = contrastive_loss(reps.out_multimodal, reps.out_multimodal, partner, tau)
+        return divs(reduce(add, terms), 6.0), reps
+    if cfg.mode in MICL_PROMPT_MODES:
+        loss_v = contrastive(reps.out_visual, reps.out_visual, tau)
+        loss_m = contrastive(reps.out_multimodal, reps.out_multimodal, tau)
         return final_loss(loss_v, loss_m, loss_cfg.alpha), reps
     e_m = reps.out_multimodal
-    return contrastive_loss(e_m, e_m, partner, tau), reps
+    return contrastive(e_m, e_m, tau), reps
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +345,9 @@ def validation_loss(params, model_cfg, vocab, notes_by_id, val_pairs,
     values = []
     with no_grad():
         for batch in batches:
-            notes = [notes_by_id[i] for i in batch.note_ids]
-            loss, _ = batch_loss(params, model_cfg, vocab, notes, batch.partner,
-                                 loss_cfg, image_cache=image_cache)
+            notes = [notes_by_id[i] for i in batch]
+            loss, _ = batch_loss(params, model_cfg, vocab, notes, loss_cfg,
+                                 image_cache=image_cache)
             values.append(loss.item())
     return math.fsum(sorted(values)) / len(values)
 
@@ -416,11 +382,9 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
         next(stream)
 
     for step in range(state.step + 1, stop + 1):
-        batch = next(stream)
-        batch_notes = [notes_by_id[i] for i in batch.note_ids]
+        batch_notes = [notes_by_id[i] for i in next(stream)]
         loss, _ = batch_loss(state.params, state.model_cfg, state.vocab,
-                             batch_notes, batch.partner, state.loss_cfg,
-                             image_cache=image_cache)
+                             batch_notes, state.loss_cfg, image_cache=image_cache)
         value = loss.item()
         if not math.isfinite(value):
             origin = first_nonfinite(loss)

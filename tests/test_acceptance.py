@@ -6,6 +6,7 @@ desk-scale training experiment (criterion 9) dominates the runtime at
 roughly ten minutes; everything else finishes in seconds.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -46,7 +47,6 @@ from mlrm.training import (
     OptimConfig,
     RunSettings,
     batch_loss,
-    contrastive_loss,
     final_loss,
     init_state,
     load_state,
@@ -224,12 +224,11 @@ def _primitive_cases(rng):
            [a, b, ff_weights[0], ff_weights[3]])
     # the loss over 2n rows (n pairs), within one table and across two;
     # built from the draws above, so the model check below sees the same rng
-    partner = np.arange(2 * n) ^ 1
     table, other = np.vstack([a, b]), np.vstack([b, a])
     yield ("contrastive",
-           lambda t: ad.contrastive(t[0], t[0], partner, t[1]), [table, np.asarray(c)])
+           lambda t: ad.contrastive(t[0], t[0], t[1]), [table, np.asarray(c)])
     yield ("contrastive_cross",
-           lambda t: ad.contrastive(t[0], t[1], partner, t[2]), [table, other, np.asarray(c)])
+           lambda t: ad.contrastive(t[0], t[1], t[2]), [table, other, np.asarray(c)])
 
 
 def test_criterion_01_gradient_suite(small_world):
@@ -249,11 +248,10 @@ def test_criterion_01_gradient_suite(small_world):
     # across every trainable tensor family
     notes, vocab = small_world
     batch = short_notes(notes, 4)
-    partner = np.array([1, 0, 3, 2])
     cfg = ModelConfig(vocab_size=len(vocab), mode="notellm2")
     state = init_state(cfg, LossConfig(), OptimConfig(), RunSettings(seed=3), vocab)
     params = state.params
-    loss, _ = batch_loss(params, cfg, vocab, batch, partner, state.loss_cfg)
+    loss, _ = batch_loss(params, cfg, vocab, batch, state.loss_cfg)
     backward(loss)
     trainable = sorted(n for n, p in params.items()
                        if p.requires_grad and p.grad is not None)
@@ -270,9 +268,9 @@ def test_criterion_01_gradient_suite(small_world):
         theta = params[name].data.ravel()
         keep = theta[flat]
         theta[flat] = keep + h
-        up, _ = batch_loss(params, cfg, vocab, batch, partner, state.loss_cfg)
+        up, _ = batch_loss(params, cfg, vocab, batch, state.loss_cfg)
         theta[flat] = keep - h
-        down, _ = batch_loss(params, cfg, vocab, batch, partner, state.loss_cfg)
+        down, _ = batch_loss(params, cfg, vocab, batch, state.loss_cfg)
         theta[flat] = keep
         numeric = (up.item() - down.item()) / (2 * h)
         got = params[name].grad.ravel()[flat]
@@ -303,7 +301,7 @@ def test_criterion_02_causal_isolation():
     clean = True
     for note in notes:
         layout = build_micl_prompt(note, vocab)
-        base = embed_layouts(state.params, cfg, [layout], [note], "micl")
+        base = embed_layouts(state.params, cfg, [layout], [note])
         base_nv = base.raw_visual.data.copy()
         tail = list(range(layout.img_emb_pos, layout.length))
         if len(tail) > 6:
@@ -316,7 +314,7 @@ def test_criterion_02_causal_isolation():
                 swap = (swap + 1) % len(vocab)
             ids[pos] = swap
             mutated = type(layout)(tuple(ids), layout.img_slot, layout.img_emb_pos)
-            rep = embed_layouts(state.params, cfg, [mutated], [note], "micl")
+            rep = embed_layouts(state.params, cfg, [mutated], [note])
             if not np.array_equal(rep.raw_visual.data, base_nv):
                 clean = False
             checked += 1
@@ -375,7 +373,7 @@ def test_criterion_04_loss_oracles():
     rng = np.random.default_rng(8)
 
     pair = Tensor(rng.standard_normal((2, 6)))
-    single = contrastive_loss(pair, pair, np.array([1, 0]), tau).item()
+    single = ad.contrastive(pair, pair, tau).item()
     zero_ok = single == 0.0
 
     worst_brute = 0.0
@@ -383,10 +381,9 @@ def test_criterion_04_loss_oracles():
         for _ in range(5):
             n = 2 * batch_pairs
             emb = rng.standard_normal((n, 8))
-            partner = np.arange(n) ^ 1
             table = Tensor(emb)
-            got = contrastive_loss(table, table, partner, tau).item()
-            want = brute_contrastive(emb, partner, 3.0)
+            got = ad.contrastive(table, table, tau).item()
+            want = brute_contrastive(emb, np.arange(n) ^ 1, 3.0)
             worst_brute = max(worst_brute, abs(got - want))
 
     # two orthogonal pairs: every negative similarity is 0, the positive
@@ -395,7 +392,7 @@ def test_criterion_04_loss_oracles():
     basis[0, 0] = basis[1, 0] = 1.0
     basis[2, 1] = basis[3, 1] = 1.0
     table = Tensor(basis)
-    got = contrastive_loss(table, table, np.array([1, 0, 3, 2]), tau).item()
+    got = ad.contrastive(table, table, tau).item()
     want = math.log1p(2.0 * math.exp(-math.exp(3.0)))
     ortho_err = rel_err(got, want)
 
@@ -582,9 +579,8 @@ def test_criterion_08_saliency_correctness(small_world):
                       visual_tokens=4, mode="micl")
     state = init_state(cfg, LossConfig(), OptimConfig(), RunSettings(seed=2), vocab)
     batch = short_notes(notes, 4)
-    partner = np.array([1, 0, 3, 2])
-    loss, reps = batch_loss(state.params, cfg, vocab, batch, partner,
-                            state.loss_cfg, retain_attention=True)
+    loss, reps = batch_loss(state.params, cfg, vocab, batch, state.loss_cfg,
+                            retain_attention=True)
     backward(loss)
     matrices = saliency_matrices(reps.attentions, reps.infos)
 
@@ -610,7 +606,7 @@ def test_criterion_08_saliency_correctness(small_world):
     # mICL folds the carrier of the visual compressed word into the
     # visual set: exactly one extra column vs the plain spliced prompt
     note = batch[0]
-    basic_rep = embed_notes(state.params, cfg, vocab, [note], mode="basic")
+    basic_rep = embed_notes(state.params, dataclasses.replace(cfg, mode="basic"), vocab, [note])
     micl_sets = position_sets(reps.infos[0], "micl")
     basic_sets = position_sets(basic_rep.infos[0], "basic")
     fold_ok = micl_sets[0].sum() == basic_sets[0].sum() + 1 == cfg.visual_tokens + 1

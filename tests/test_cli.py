@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlrm import cli
@@ -101,6 +102,16 @@ def test_gen_data_files_and_manifest_count(dataset):
     assert manifest["version"]
 
 
+def test_manifest_records_blas_facts(dataset):
+    # the training bytes depend on the BLAS and its thread count, so every
+    # manifest names both
+    blas = json.loads((dataset / "manifest.json").read_text())["blas"]
+    built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert blas["name"] == f"{built['name']} {built['version']}"
+    assert blas["threads"] == {var: os.environ.get(var) for var in BLAS_VARS}
+    assert all(value is not None for value in blas["threads"].values())
+
+
 def test_gen_data_same_seed_identical_files(tmp_path, dataset):
     again = tmp_path / "ds2"
     assert main(["gen-data", "--seed", "5", "--notes", "40", "--clusters", "2",
@@ -144,6 +155,25 @@ def test_train_outputs_and_rerun_identical(tmp_path, dataset):
                        shallow=False)
     assert filecmp.cmp(first / "metrics.jsonl", second / "metrics.jsonl",
                        shallow=False)
+
+
+def _forbid_loading(monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} read a file before checking its options")
+    for name in ("load_state", "load_notes", "load_pairs"):
+        monkeypatch.setattr(cli, name, never)
+
+
+@pytest.mark.parametrize("every", ["-1", "-2"])
+def test_train_rejects_negative_checkpoint_every(tmp_path, dataset, capsys, monkeypatch,
+                                                 every):
+    _forbid_loading(monkeypatch, "train")
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path / "cfg.json"),
+                 "--dataset", str(dataset), "--checkpoint-every", every,
+                 "--out", str(out)]) == 2
+    assert "--checkpoint-every" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_flag_beats_config_file(tmp_path, dataset):
@@ -590,12 +620,15 @@ def test_failed_report_writes_keep_earlier_files(tmp_path, fill_disk):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_analyze_rejects_zero_batches(tmp_path, dataset, trained, capsys):
+def test_analyze_rejects_zero_batches(tmp_path, dataset, trained, capsys, monkeypatch):
+    _forbid_loading(monkeypatch, "analyze")
+    out = tmp_path / "an"
     code = main(["analyze", "--checkpoint", str(trained),
                  "--dataset", str(dataset), "--batches", "0",
-                 "--out", str(tmp_path / "an")])
+                 "--out", str(out)])
     assert code == 2
-    capsys.readouterr()
+    assert "--batches" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -299,21 +299,19 @@ def test_make_batches_shapes_and_partner():
     batches = make_batches(pairs, 4, seed=1, epoch=0)
     assert len(batches) == 2  # 10 pairs, incomplete tail dropped
     for b in batches:
-        assert len(b.note_ids) == 8
-        assert len(set(b.note_ids)) == 8
-        p = b.partner
-        assert np.array_equal(p[p], np.arange(8))  # involution
-        assert np.all(p != np.arange(8))           # no fixed points
-        assert all(b.note_ids[p[2 * k]] == b.note_ids[2 * k + 1] for k in range(4))
+        assert len(b) == 8
+        assert len(set(b)) == 8
+        # consecutive rows are one mined pair: row i's partner is row i ^ 1
+        assert all(Pair(b[2 * k], b[2 * k + 1], 1.0) in pairs for k in range(4))
 
 
 def test_make_batches_deterministic_and_epoch_dependent():
     pairs = [Pair(2 * i, 2 * i + 1, 1.0) for i in range(40)]
     a = make_batches(pairs, 8, seed=3, epoch=0)
     b = make_batches(pairs, 8, seed=3, epoch=0)
-    assert [x.note_ids for x in a] == [x.note_ids for x in b]
+    assert a == b
     c = make_batches(pairs, 8, seed=3, epoch=1)
-    assert [x.note_ids for x in a] != [x.note_ids for x in c]
+    assert a != c
 
 
 def test_make_batches_defers_clashing_pairs():
@@ -321,8 +319,8 @@ def test_make_batches_defers_clashing_pairs():
     batches = make_batches(pairs, 2, seed=0, epoch=0)
     assert len(batches) == 2
     for b in batches:
-        assert len(set(b.note_ids)) == 4
-    used = sorted(tuple(b.note_ids[i:i + 2]) for b in batches for i in range(0, 4, 2))
+        assert len(set(b)) == 4
+    used = sorted(tuple(b[i:i + 2]) for b in batches for i in range(0, 4, 2))
     assert used == [(1, 2), (1, 3), (4, 5), (6, 7)]
 
 
@@ -330,7 +328,7 @@ def test_make_batches_each_pair_at_most_once():
     rng = np.random.default_rng(5)
     pairs = [Pair(int(a), int(b), 1.0) for a, b in rng.integers(0, 60, (50, 2)) if a != b]
     batches = make_batches(pairs, 4, seed=9, epoch=2)
-    seen = [tuple(b.note_ids[i:i + 2]) for b in batches for i in range(0, 8, 2)]
+    seen = [tuple(b[i:i + 2]) for b in batches for i in range(0, 8, 2)]
     assert len(seen) == len(set(seen)) or \
         len(seen) <= len(pairs)  # duplicates only if the pair list repeats them
     counts = {}
@@ -376,7 +374,7 @@ def test_make_batches_matches_full_scan():
             for batch_pairs in (2, 16, 64):
                 want, clashes = _full_scan_batches(pairs, batch_pairs, seed, epoch)
                 got = make_batches(pairs, batch_pairs, seed, epoch)
-                assert [b.note_ids for b in got] == want
+                assert got == want
                 assert clashes > 0
 
 

@@ -1,5 +1,6 @@
 """Model wiring tests: shapes, isolation, symmetry, gating, projection."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -115,8 +116,7 @@ def test_batch_tape_size_is_independent_of_batch_size(setup):
         cfg_m = tiny_cfg(vocab_size=cfg.vocab_size, mode=mode)
         counts = []
         for b in (2, 8):
-            loss, _ = batch_loss(params, cfg_m, vocab, notes[:b], np.arange(b) ^ 1,
-                                 LossConfig())
+            loss, _ = batch_loss(params, cfg_m, vocab, notes[:b], LossConfig())
             counts.append(len(ad._topo_order(loss)))
         assert counts[0] == counts[1], (mode, counts)
 
@@ -127,7 +127,7 @@ def test_default_notellm2_batch_tape_size():
     cfg = mm.ModelConfig(vocab_size=len(vocab))
     params = mm.init_params(cfg, seed=0)
     params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
-    loss, _ = batch_loss(params, cfg, vocab, notes, np.arange(32) ^ 1, LossConfig())
+    loss, _ = batch_loss(params, cfg, vocab, notes, LossConfig())
     tape = ad._topo_order(loss)
     assert len(tape) <= 207
     ops = Counter(node.op for node in tape)
@@ -190,7 +190,7 @@ def test_read_rows_leave_saliency_unchanged(setup, monkeypatch):
     params = {**params, TAU_NAME: ad.Tensor(np.asarray(3.0), requires_grad=True)}
 
     def matrices():
-        loss, reps = batch_loss(params, cfg, vocab, notes[:4], np.arange(4) ^ 1,
+        loss, reps = batch_loss(params, cfg, vocab, notes[:4],
                                 LossConfig(), retain_attention=True)
         ad.backward(loss)
         for tensor in params.values():
@@ -221,7 +221,8 @@ def test_read_rows_leave_saliency_unchanged(setup, monkeypatch):
 def test_no_splice_keeps_token_count(setup):
     cfg, params, vocab, notes = setup
     note = notes[0]
-    info = mm.embed_notes(params, cfg, vocab, [note], mode="only_late_fusion").infos[0]
+    cfg = dataclasses.replace(cfg, mode="only_late_fusion")
+    info = mm.embed_notes(params, cfg, vocab, [note]).infos[0]
     assert info.length == build_basic_prompt(note, vocab).length
     assert not info.spliced
 
@@ -231,7 +232,8 @@ def test_causal_isolation_bitwise(setup):
     note = notes[0]
     layout = build_micl_prompt(note, vocab)
     rng = np.random.default_rng(5)
-    base = mm.embed_layouts(params, cfg, [layout], [note], mode="micl")
+    cfg = dataclasses.replace(cfg, mode="micl")
+    base = mm.embed_layouts(params, cfg, [layout], [note])
     for _ in range(8):
         # any position from the in-context compressed word onwards,
         # including the compressed-word token itself
@@ -242,7 +244,7 @@ def test_causal_isolation_bitwise(setup):
             replacement = int(rng.integers(6, cfg.vocab_size))
         ids[pos] = replacement
         perturbed_layout = type(layout)(tuple(ids), layout.img_slot, layout.img_emb_pos)
-        perturbed = mm.embed_layouts(params, cfg, [perturbed_layout], [note], mode="micl")
+        perturbed = mm.embed_layouts(params, cfg, [perturbed_layout], [note])
         assert np.array_equal(base.raw_visual.data, perturbed.raw_visual.data)
         if pos < layout.length - 1:
             assert not np.array_equal(base.raw_multimodal.data,
@@ -317,7 +319,7 @@ def test_modes_populate_expected_fields(setup):
         "omni": (True, False, False),
     }
     for mode, (has_nv, has_fv, has_fm) in expect.items():
-        rep = mm.embed_notes(params, cfg, vocab, [note], mode=mode)
+        rep = mm.embed_notes(params, dataclasses.replace(cfg, mode=mode), vocab, [note])
         assert (rep.raw_visual is not None) == has_nv, mode
         assert (rep.fused_visual is not None) == has_fv, mode
         assert (rep.fused_multimodal is not None) == has_fm, mode
@@ -329,9 +331,10 @@ def test_modes_populate_expected_fields(setup):
 def test_modality_ablations(setup):
     cfg, params, vocab, notes = setup
     note = notes[2]
-    full = mm.embed_notes(params, cfg, vocab, [note], mode="notellm2")
-    img_only = mm.embed_notes(params, cfg, vocab, [note], modality="image_only", mode="notellm2")
-    txt_only = mm.embed_notes(params, cfg, vocab, [note], modality="text_only", mode="notellm2")
+    assert cfg.mode == "notellm2"
+    full = mm.embed_notes(params, cfg, vocab, [note])
+    img_only = mm.embed_notes(params, cfg, vocab, [note], modality="image_only")
+    txt_only = mm.embed_notes(params, cfg, vocab, [note], modality="text_only")
     # image-only drops the text, so the prompt is shorter
     assert img_only.infos[0].length < full.infos[0].length
     # text-only keeps the full prompt but swaps the visual rows

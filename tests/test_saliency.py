@@ -42,13 +42,11 @@ def setup(mode, n=4, **cfg_kw):
     cfg.vocab_size = len(vocab)
     params = init_params(cfg, seed=2)
     params[TAU_NAME] = Tensor(np.asarray(3.0), requires_grad=True)
-    partner = np.arange(n) ^ 1
-    return params, cfg, vocab, notes, partner
+    return params, cfg, vocab, notes
 
 
-def run_retained(params, cfg, vocab, notes, partner):
-    loss, reps = batch_loss(params, cfg, vocab, notes, partner, LossConfig(),
-                            retain_attention=True)
+def run_retained(params, cfg, vocab, notes):
+    loss, reps = batch_loss(params, cfg, vocab, notes, LossConfig(), retain_attention=True)
     backward(loss)
     return loss, reps
 
@@ -59,7 +57,7 @@ def run_retained(params, cfg, vocab, notes, partner):
 
 def test_position_sets_partition_lower_triangle():
     for mode in ("basic", "micl", "notellm2", "only_late_fusion"):
-        params, cfg, vocab, notes, partner = setup(mode, n=2)
+        params, cfg, vocab, notes = setup(mode, n=2)
         reps = embed_notes(params, cfg, vocab, notes)
         for info in reps.infos:
             p_v, p_t, p_o = position_sets(info, mode)
@@ -75,7 +73,7 @@ def test_position_sets_partition_lower_triangle():
 def test_visual_set_sizes_by_mode():
     sizes = {}
     for mode in ("basic", "micl", "notellm2", "only_late_fusion"):
-        params, cfg, vocab, notes, partner = setup(mode, n=2)
+        params, cfg, vocab, notes = setup(mode, n=2)
         reps = embed_notes(params, cfg, vocab, notes)
         p_v, _, _ = position_sets(reps.infos[0], mode)
         sizes[mode] = int(p_v.sum())
@@ -87,7 +85,7 @@ def test_visual_set_sizes_by_mode():
 
 
 def test_visual_set_row_is_compressed_position():
-    params, cfg, vocab, notes, partner = setup("micl", n=2)
+    params, cfg, vocab, notes = setup("micl", n=2)
     reps = embed_notes(params, cfg, vocab, notes)
     info = reps.infos[0]
     p_v, p_t, _ = position_sets(info, "micl")
@@ -102,9 +100,8 @@ def test_visual_set_row_is_compressed_position():
 
 
 def test_saliency_requires_retained_attention():
-    params, cfg, vocab, notes, partner = setup("notellm2")
-    loss, reps = batch_loss(params, cfg, vocab, notes, partner, LossConfig(),
-                            retain_attention=True)
+    params, cfg, vocab, notes = setup("notellm2")
+    loss, reps = batch_loss(params, cfg, vocab, notes, LossConfig(), retain_attention=True)
     with pytest.raises(ContractError, match="retain"):
         saliency_matrices(reps.attentions, reps.infos)  # backward not run yet
     with pytest.raises(ContractError):
@@ -112,9 +109,9 @@ def test_saliency_requires_retained_attention():
 
 
 def test_saliency_single_head_hadamard_oracle():
-    params, cfg, vocab, notes, partner = setup("notellm2", n=4,
+    params, cfg, vocab, notes = setup("notellm2", n=4,
                                                lm_layers=1, lm_heads=1)
-    loss, reps = run_retained(params, cfg, vocab, notes, partner)
+    loss, reps = run_retained(params, cfg, vocab, notes)
     matrices = saliency_matrices(reps.attentions, reps.infos)
     layer = reps.attentions[0]
     assert layer.grad is not None
@@ -130,8 +127,8 @@ def test_saliency_single_head_hadamard_oracle():
 
 
 def test_saliency_sums_over_heads():
-    params, cfg, vocab, notes, partner = setup("notellm2", n=4, lm_heads=2)
-    loss, reps = run_retained(params, cfg, vocab, notes, partner)
+    params, cfg, vocab, notes = setup("notellm2", n=4, lm_heads=2)
+    loss, reps = run_retained(params, cfg, vocab, notes)
     matrices = saliency_matrices(reps.attentions, reps.infos)
     layer0 = reps.attentions[0]
     b, info = 0, reps.infos[0]
@@ -145,8 +142,8 @@ def test_saliency_sums_over_heads():
 def test_saliency_zero_for_single_pair_batch():
     # one pair means no negatives: the loss is constant zero, so every
     # attention gradient (hence every saliency entry) vanishes
-    params, cfg, vocab, notes, partner = setup("notellm2", n=2)
-    loss, reps = run_retained(params, cfg, vocab, notes, partner)
+    params, cfg, vocab, notes = setup("notellm2", n=2)
+    loss, reps = run_retained(params, cfg, vocab, notes)
     assert loss.item() == 0.0
     matrices = saliency_matrices(reps.attentions, reps.infos)
     for per_layer in matrices:
@@ -155,8 +152,8 @@ def test_saliency_zero_for_single_pair_batch():
 
 
 def test_saliency_support_is_causal():
-    params, cfg, vocab, notes, partner = setup("notellm2", n=4)
-    loss, reps = run_retained(params, cfg, vocab, notes, partner)
+    params, cfg, vocab, notes = setup("notellm2", n=4)
+    loss, reps = run_retained(params, cfg, vocab, notes)
     matrices = saliency_matrices(reps.attentions, reps.infos)
     for per_layer in matrices:
         for m in per_layer:
@@ -168,8 +165,8 @@ def test_saliency_support_is_causal():
 
 
 def test_decompose_matches_brute_force_scan():
-    params, cfg, vocab, notes, partner = setup("notellm2", n=4)
-    loss, reps = run_retained(params, cfg, vocab, notes, partner)
+    params, cfg, vocab, notes = setup("notellm2", n=4)
+    loss, reps = run_retained(params, cfg, vocab, notes)
     matrices = saliency_matrices(reps.attentions, reps.infos)
     for b, info in enumerate(reps.infos):
         for layer in range(cfg.lm_layers):
@@ -223,8 +220,8 @@ def test_report_single_batch_equals_batch_decomposition():
     from mlrm.data import make_batches
 
     batch = make_batches(pairs, 2, seed=0, epoch=0)[0]
-    notes = [by_id[i] for i in batch.note_ids]
-    triples = batch_saliency(params, cfg, vocab, notes, batch.partner, LossConfig())
+    notes = [by_id[i] for i in batch]
+    triples = batch_saliency(params, cfg, vocab, notes, LossConfig())
     report = saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),
                              batch_pairs=2, seed=0, max_notes=len(notes))
     for layer in range(cfg.lm_layers):

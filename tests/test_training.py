@@ -5,10 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from mlrm.autodiff import Tensor, backward
+from mlrm.autodiff import Tensor, backward, contrastive
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.data import PairConfig, SyntheticConfig, build_pairs, build_vocab, generate_synthetic
-from mlrm.errors import ConfigError, ContractError, FormatError, NumericError
+from mlrm.errors import ConfigError, FormatError, NumericError, ShapeError
 from mlrm.model import ModelConfig, embed_notes, init_params
 from mlrm.training import (
     TAU_NAME,
@@ -18,7 +18,6 @@ from mlrm.training import (
     RunSettings,
     batch_loss,
     clip_gradients,
-    contrastive_loss,
     final_loss,
     grad_norm,
     init_state,
@@ -49,16 +48,16 @@ def pairs_partner(n: int) -> np.ndarray:
     return np.arange(n) ^ 1
 
 
-def within_loss(emb, partner, tau) -> Tensor:
+def within_loss(emb, tau) -> Tensor:
     """The loss over one table: ``emb`` (an array or a Tensor) as both."""
     table = emb if isinstance(emb, Tensor) else Tensor(emb)
-    return contrastive_loss(table, table, partner, tau if isinstance(tau, Tensor)
-                            else Tensor(np.asarray(tau)))
+    return contrastive(table, table, tau if isinstance(tau, Tensor)
+                       else Tensor(np.asarray(tau)))
 
 
 def test_single_pair_loss_is_exactly_zero():
     emb = Tensor(np.random.default_rng(0).normal(size=(2, 8)), requires_grad=True)
-    loss = within_loss(emb, pairs_partner(2), 3.0)
+    loss = within_loss(emb, 3.0)
     assert loss.item() == 0.0
 
 
@@ -66,7 +65,7 @@ def test_orthogonal_pairs_closed_form():
     emb = np.zeros((4, 16))
     emb[0, 0] = emb[1, 0] = 1.0
     emb[2, 1] = emb[3, 1] = 1.0
-    loss = within_loss(emb, pairs_partner(4), 3.0)
+    loss = within_loss(emb, 3.0)
     expected = math.log1p(2.0 * math.exp(-math.exp(3.0)))
     assert abs(loss.item() - expected) <= 1e-12 * expected
 
@@ -77,66 +76,63 @@ def test_loss_matches_brute_force():
         for _ in range(5):
             emb = rng.normal(size=(n, 12))
             tau = float(rng.uniform(-1.0, 3.0))
-            partner = pairs_partner(n)
-            got = within_loss(emb, partner, tau).item()
-            want = brute_loss(emb, partner, tau)
+            got = within_loss(emb, tau).item()
+            want = brute_loss(emb, pairs_partner(n), tau)
             # abs floor covers the reference's own last-ulp noise near zero
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 def test_loss_permutation_invariant():
+    # reordering whole pairs, and swapping query and related within a
+    # pair, keeps every row's positive and negatives
     rng = np.random.default_rng(3)
     emb = rng.normal(size=(8, 10))
-    partner = pairs_partner(8)
-    base = within_loss(emb, partner, 1.0).item()
+    base = within_loss(emb, 1.0).item()
     for seed in range(4):
-        perm = np.random.default_rng(seed).permutation(8)
-        inv = np.empty(8, dtype=np.int64)
-        inv[perm] = np.arange(8)
-        moved = within_loss(emb[perm], inv[partner[perm]], 1.0).item()
+        draw = np.random.default_rng(seed)
+        order = 2 * draw.permutation(4)[:, None] + np.array([0, 1])
+        swap = draw.permutation(4) < 2  # two of the four pairs
+        order[swap] = order[swap, ::-1]
+        moved = within_loss(emb[order.ravel()], 1.0).item()
         assert moved == pytest.approx(base, rel=1e-12)
 
 
-def test_loss_rejects_bad_partner_maps():
-    emb = Tensor(np.ones((4, 3)))
-    tau = Tensor(np.asarray(0.0))
-    with pytest.raises(ContractError):
-        within_loss(emb, np.array([0, 1, 3, 2]), tau)  # fixed points
-    with pytest.raises(ContractError):
-        within_loss(emb, np.array([1, 2, 3, 0]), tau)  # 4-cycle
-    with pytest.raises(ContractError):
-        within_loss(emb, np.array([1, 0]), tau)        # wrong length
+def test_loss_rejects_odd_row_count():
+    # row i's positive is row i ^ 1, so an odd count leaves one row unpaired
+    emb = Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        within_loss(emb, 0.0)
+    with pytest.raises(ShapeError):
+        contrastive(emb, Tensor(np.ones((3, 4))), Tensor(np.asarray(0.0)))
 
 
 def test_loss_rejects_zero_norm_rows():
     emb = np.ones((4, 3))
     emb[2] = 0.0
     with pytest.raises(NumericError, match="row 2"):
-        within_loss(emb, pairs_partner(4), 0.0)
+        within_loss(emb, 0.0)
     with pytest.raises(NumericError, match="row 2"):
-        contrastive_loss(Tensor(np.ones((4, 3))), Tensor(emb), pairs_partner(4),
-                         Tensor(np.asarray(0.0)))
+        contrastive(Tensor(np.ones((4, 3))), Tensor(emb), Tensor(np.asarray(0.0)))
 
 
 def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     emb0 = rng.normal(size=(6, 7))
-    partner = pairs_partner(6)
 
     emb = Tensor(emb0.copy(), requires_grad=True)
     tau = Tensor(np.asarray(0.7), requires_grad=True)
-    loss = within_loss(emb, partner, tau)
+    loss = within_loss(emb, tau)
     backward(loss)
 
     def f_emb(arrays):
-        return within_loss(arrays[0], partner, 0.7).item()
+        return within_loss(arrays[0], 0.7).item()
 
     num_emb = central_diff(f_emb, [emb0.copy()], 0)
     assert np.allclose(emb.grad, num_emb, rtol=1e-4, atol=1e-8)
 
     h = 1e-6
-    hi = within_loss(emb0, partner, 0.7 + h).item()
-    lo = within_loss(emb0, partner, 0.7 - h).item()
+    hi = within_loss(emb0, 0.7 + h).item()
+    lo = within_loss(emb0, 0.7 - h).item()
     num_tau = (hi - lo) / (2.0 * h)
     assert float(tau.grad) == pytest.approx(num_tau, rel=1e-4, abs=1e-8)
 
@@ -144,17 +140,15 @@ def test_loss_gradients_match_finite_differences():
 def test_cross_loss_collapses_to_within_table_loss():
     rng = np.random.default_rng(5)
     emb = rng.normal(size=(6, 9))
-    partner = pairs_partner(6)
     tau = Tensor(np.asarray(0.5))
-    within = within_loss(emb, partner, tau).item()
-    across = contrastive_loss(Tensor(emb), Tensor(emb.copy()), partner, tau).item()
+    within = within_loss(emb, tau).item()
+    across = contrastive(Tensor(emb), Tensor(emb.copy()), tau).item()
     assert across == within
 
 
 def test_cross_loss_shape_mismatch():
-    with pytest.raises(ContractError):
-        contrastive_loss(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 5))),
-                         pairs_partner(4), Tensor(np.asarray(0.0)))
+    with pytest.raises(ShapeError):
+        contrastive(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 5))), Tensor(np.asarray(0.0)))
 
 
 def test_final_loss_examples():
@@ -193,12 +187,12 @@ def loss_setup(mode, n=4):
     cfg.vocab_size = len(vocab)
     params = init_params(cfg, seed=1)
     params[TAU_NAME] = Tensor(np.asarray(3.0), requires_grad=True)
-    return params, cfg, vocab, notes, pairs_partner(n)
+    return params, cfg, vocab, notes
 
 
 def test_basic_mode_never_touches_fusion_parameters():
-    params, cfg, vocab, notes, partner = loss_setup("basic")
-    loss, _ = batch_loss(params, cfg, vocab, notes, partner, LossConfig())
+    params, cfg, vocab, notes = loss_setup("basic")
+    loss, _ = batch_loss(params, cfg, vocab, notes, LossConfig())
     backward(loss)
     for name in ("fusion.vision_proj.w", "fusion.gate_visual.w", "fusion.gate_multimodal.w"):
         assert params[name].grad is None
@@ -207,32 +201,32 @@ def test_basic_mode_never_touches_fusion_parameters():
 
 def test_blended_modes_recompose_from_representations():
     for mode in ("micl", "notellm2"):
-        params, cfg, vocab, notes, partner = loss_setup(mode)
-        loss, reps = batch_loss(params, cfg, vocab, notes, partner, LossConfig())
+        params, cfg, vocab, notes = loss_setup(mode)
+        loss, reps = batch_loss(params, cfg, vocab, notes, LossConfig())
         tau = params[TAU_NAME]
-        lv = within_loss(reps.out_visual, partner, tau)
-        lm = within_loss(reps.out_multimodal, partner, tau)
+        lv = within_loss(reps.out_visual, tau)
+        lm = within_loss(reps.out_multimodal, tau)
         assert loss.item() == final_loss(lv, lm, 9.0).item()
 
 
 def test_single_table_modes_recompose():
     for mode in ("basic", "late_fusion", "only_late_fusion"):
-        params, cfg, vocab, notes, partner = loss_setup(mode)
-        loss, reps = batch_loss(params, cfg, vocab, notes, partner, LossConfig())
-        again = within_loss(reps.out_multimodal, partner, params[TAU_NAME])
+        params, cfg, vocab, notes = loss_setup(mode)
+        loss, reps = batch_loss(params, cfg, vocab, notes, LossConfig())
+        again = within_loss(reps.out_multimodal, params[TAU_NAME])
         assert loss.item() == again.item()
 
 
 def test_omni_mode_is_mean_of_six_terms():
-    params, cfg, vocab, notes, partner = loss_setup("omni")
-    loss, _ = batch_loss(params, cfg, vocab, notes, partner, LossConfig())
+    params, cfg, vocab, notes = loss_setup("omni")
+    loss, _ = batch_loss(params, cfg, vocab, notes, LossConfig())
     tau = params[TAU_NAME]
     tables = {
         m: embed_notes(params, cfg, vocab, notes, modality=m).out_multimodal
         for m in ("multimodal", "image_only", "text_only")
     }
     e_m, e_i, e_t = tables["multimodal"], tables["image_only"], tables["text_only"]
-    terms = [contrastive_loss(a, b, partner, tau).item() for a, b in (
+    terms = [contrastive(a, b, tau).item() for a, b in (
         (e_i, e_i), (e_t, e_t), (e_m, e_m), (e_i, e_t), (e_i, e_m), (e_t, e_m))]
     assert loss.item() == pytest.approx(sum(terms) / 6.0, rel=1e-12)
 
