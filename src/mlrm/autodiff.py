@@ -240,22 +240,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Biased projection x [N, d_in] @ w [d_in, d_out] + b [d_out].
+    """Biased projection x [..., d_in] @ w [d_in, d_out] + b [d_out] over
+    the last axis.
 
-    Holds one [N, d_out] buffer where ``add(matmul(x, w), b)`` holds
-    two; forward and backward repeat that composition's numpy steps, so
-    both give the same bits.
+    Works on the [rows, d_in] view of x and holds one [rows, d_out]
+    buffer where ``add(matmul(x, w), b)`` holds two; forward and backward
+    repeat that composition's numpy steps on the views, so both give the
+    same bits.
     """
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
-    out = x.data @ w.data
+    rows = x.data.reshape(-1, w.shape[0])
+    out = rows @ w.data
     out += b.data
 
     def back(g):
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
+        g = g.reshape(out.shape)
+        return ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                rows.T @ g if w.requires_grad else None,
                 g.sum(axis=(0,)) if b.requires_grad else None)
-    return _record(out, "linear", (x, w, b), back)
+    return _record(out.reshape(x.shape[:-1] + w.shape[1:]), "linear", (x, w, b), back)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -217,9 +217,6 @@ def cmd_train(args) -> int:
         raise ConfigError("no dataset given: pass --dataset or set data.dataset "
                           "in the config file")
     paths = _dataset_paths(dataset)
-    notes = load_notes(paths["notes.jsonl"])
-    pairs = load_pairs(paths["pairs.jsonl"])
-
     if args.resume is not None:
         # the checkpoint's saved configs are authoritative on resume
         clashes = [name for name, value in
@@ -236,6 +233,8 @@ def cmd_train(args) -> int:
                               f"mode {state.model_cfg.mode}")
     else:
         state = _fresh_state(args, file_cfg, Vocab.load(paths["vocab.txt"]))
+    notes = load_notes(paths["notes.jsonl"])
+    pairs = load_pairs(paths["pairs.jsonl"])
 
     os.makedirs(args.out, exist_ok=True)
     every = args.checkpoint_every
@@ -283,8 +282,8 @@ def cmd_eval(args) -> int:
     _require_file(args.pool, "pool notes file")
     _require_file(args.pairs, "pairs file")
     ks = _int_list(args.k, "--k")
-    check_eval_options(ks, args.max_pairs)
     seeds = _int_list(args.seeds, "--seeds")
+    check_eval_options(ks, args.max_pairs, seeds)
     modalities = _modalities(args.modality)
     state = load_state(args.checkpoint)
     pool_notes = load_notes(args.pool)
@@ -325,6 +324,8 @@ def cmd_analyze(args) -> int:
     started = _now()
     if args.batches < 1:
         raise ConfigError("--batches must be at least 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     _require_file(args.checkpoint, "checkpoint")
     paths = _dataset_paths(args.dataset)
     state = load_state(args.checkpoint)

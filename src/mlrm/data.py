@@ -132,6 +132,8 @@ class SyntheticConfig:
     long_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_notes < 2 * self.n_clusters:
             raise ConfigError(f"need at least {2 * self.n_clusters} notes for "
                               f"{self.n_clusters} clusters, got {self.n_notes}")

@@ -183,18 +183,6 @@ def trainable_names(params: dict[str, Tensor]) -> list[str]:
 # Shared blocks (all operate on [batch, positions, features])
 
 
-def _rows(x: Tensor) -> Tensor:
-    """[..., d] -> [rows, d]; a 2-D tensor passes through unrecorded."""
-    return x if x.ndim == 2 else ad.reshape(x, (x.size // x.shape[-1], x.shape[-1]))
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor, rows: Tensor | None = None) -> Tensor:
-    """x [..., d_in] @ w [d_in, d_out] + b; ``rows`` is x already
-    flattened by ``_rows``, for inputs that several projections share."""
-    out = ad.linear(_rows(x) if rows is None else rows, w, b)
-    return out if x.ndim == 2 else ad.reshape(out, x.shape[:-1] + (w.shape[1],))
-
-
 def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
                lengths: list[int] | None = None, retain: bool = False,
                queries: list[list[int]] | None = None) -> tuple[Tensor, Tensor | None]:
@@ -208,14 +196,10 @@ def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
     information is injected here, so full attention over x_kv is
     permutation-equivariant in its rows.
     """
-    p = params
-    rows_q = _rows(x_q)
-    rows_kv = rows_q if x_kv is x_q else _rows(x_kv)  # self-attention flattens once
-    q = _linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"], rows_q)
-    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"], rows_kv)
-    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"], rows_kv)
+    q, k, v = (ad.linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"])
+               for x, n in ((x_q, "q"), (x_kv, "k"), (x_kv, "v")))
     out, probs = ad.attention(q, k, v, heads, lengths, retain, queries)
-    return _linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), probs
+    return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), probs
 
 
 def _ln(params: dict, prefix: str, x: Tensor, eps: float) -> Tensor:
@@ -255,7 +239,7 @@ def encode_images(params: dict, cfg: ModelConfig, images: np.ndarray) -> Tensor:
         raise DataError(f"images must be [batch, {cfg.patches}, {cfg.patch_dim}], "
                         f"got {images.shape}")
     b = images.shape[0]
-    x = _linear(Tensor(images), params["vision.patch_proj.w"], params["vision.patch_proj.b"])
+    x = ad.linear(Tensor(images), params["vision.patch_proj.w"], params["vision.patch_proj.b"])
     cls = ad.reshape(params["vision.cls"], (1, 1, cfg.hidden_vision))
     x = ad.concat([ad.concat([cls] * b, axis=0), x], axis=1)
     x = ad.add(x, params["vision.pos"])
@@ -286,13 +270,13 @@ def connect(params: dict, cfg: ModelConfig, vision_feats: Tensor) -> Tensor:
                           cfg.connector_heads)
         x = ad.add(x, a)
         x = ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln_ff", x, cfg.eps)))
-    return _linear(x, params["connector.out.w"], params["connector.out.b"])
+    return ad.linear(x, params["connector.out.w"], params["connector.out.b"])
 
 
 def visual_summaries(params: dict, cfg: ModelConfig, vision_feats: Tensor) -> Tensor:
     """Trained linear read-out of the [CLS] row -> [B, h_t]."""
     cls = ad.reshape(ad.narrow(vision_feats, 1, 0, 1), (vision_feats.shape[0], cfg.hidden_vision))
-    return _linear(cls, params["fusion.vision_proj.w"], params["fusion.vision_proj.b"])
+    return ad.linear(cls, params["fusion.vision_proj.w"], params["fusion.vision_proj.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -311,14 +311,17 @@ def _source_report(ranks: dict, subsets: dict, ks) -> dict:
     return slices
 
 
-def check_eval_options(ks, max_pairs: int | None) -> list[int]:
+def check_eval_options(ks, max_pairs: int | None, seeds) -> list[int]:
     """The sorted distinct recall cutoffs; ``ConfigError`` unless every
-    cutoff and ``max_pairs`` (when given) is at least 1."""
+    cutoff and ``max_pairs`` (when given) is at least 1 and every seed is
+    non-negative."""
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ConfigError("recall cutoffs must be positive")
     if max_pairs is not None and max_pairs < 1:
         raise ConfigError(f"max_pairs must be positive, got {max_pairs}")
+    if min(seeds, default=0) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
     return ks
 
 
@@ -334,7 +337,7 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
     """
     if not pairs:
         raise DataError("no evaluation pairs")
-    ks = check_eval_options(ks, max_pairs)
+    ks = check_eval_options(ks, max_pairs, seeds)
     sizes = {len(t) for t in tables.values()}
     if len(sizes) > 1:
         raise ConfigError(f"tables disagree on pool size: {sorted(sizes)}")

@@ -4,8 +4,11 @@ For each LM layer the saliency matrix is the head-sum of |A * dL/dA|,
 where L is the same contrastive objective used in training. Entries in
 the final row (the compressed-word query position) are split between
 the visual columns and the textual columns; everything else in the
-lower triangle counts as word-to-word flow. Scores are averaged per
-note, then across the sampled batches with order-independent sums.
+lower triangle counts as word-to-word flow. Visual columns are the
+spliced rows (or the kept image placeholder when nothing is spliced),
+plus, in two-segment prompts, the carrier of the in-context visual
+compressed word. Scores are averaged per note, then across the sampled
+batches with order-independent sums.
 """
 
 from __future__ import annotations
@@ -22,71 +25,11 @@ import numpy as np
 from .autodiff import Tensor, backward
 from .checkpoint import atomic_write
 from .data import Pair, make_batches
-from .errors import ContractError, NumericError
-from .model import MICL_PROMPT_MODES, AssembledInfo, ModelConfig
+from .errors import NumericError
+from .model import MICL_PROMPT_MODES, ModelConfig
 from .notes import Note
 from .prompting import Vocab
 from .training import LossConfig, batch_loss
-
-
-def position_sets(info: AssembledInfo, mode: str):
-    """Disjoint boolean [T, T] masks (visual, textual, other) partitioning
-    the strict lower triangle {j < i}.
-
-    Visual columns are the spliced rows (or the kept image placeholder
-    when nothing is spliced); prompts with an in-context visual
-    compressed word fold its carrier position into the visual set. The
-    textual set is the rest of the compressed row; the remainder of the
-    lower triangle is word-to-word flow.
-    """
-    t, c = info.length, info.compressed_pos
-    visual = np.zeros(t, dtype=bool)
-    visual[info.visual_positions] = True
-    if mode in MICL_PROMPT_MODES:
-        visual[info.visual_word_pos] = True
-    p_v = np.zeros((t, t), dtype=bool)
-    p_v[c] = visual
-    p_t = np.zeros((t, t), dtype=bool)
-    p_t[c, :c] = ~visual[:c]
-    p_o = np.tri(t, k=-1, dtype=bool)
-    p_o[c] = False
-    return p_v, p_t, p_o
-
-
-def saliency_matrices(attentions, infos) -> list[list[np.ndarray]]:
-    """Per-note, per-layer saliency from retained attention.
-
-    ``attentions`` is the per-layer list of ``autodiff.Retained``
-    probabilities, each carrying the gradient of the loss; rows that were
-    not queries are zero. Returns matrices[b][l], each [T_b, T_b].
-    """
-    if not attentions:
-        raise ContractError("no attention tensors were recorded")
-    for layer in attentions:
-        if layer.grad is None:
-            raise ContractError("attention was not retained before backward; "
-                                "run the forward pass with retain_attention=True")
-    out = [[] for _ in infos]
-    for layer in attentions:
-        for per_layer, info, rows, a, g in zip(out, infos, layer.queries,
-                                               layer.blocks(layer.data), layer.blocks(layer.grad)):
-            matrix = np.zeros((info.length, info.length))
-            matrix[rows] = np.abs(a * g).sum(axis=0)
-            per_layer.append(matrix)
-    return out
-
-
-def _set_mean(matrix: np.ndarray, mask: np.ndarray) -> float:
-    # fsum is correctly rounded, so the order of the summands is immaterial
-    count = int(np.count_nonzero(mask))
-    if not count:
-        raise NumericError("saliency mean over an empty position set is undefined")
-    return math.fsum(matrix[mask].tolist()) / count
-
-
-def decompose(matrix: np.ndarray, sets) -> tuple[float, float, float]:
-    """Mean saliency over a note's visual, textual and word-to-word ``position_sets``."""
-    return tuple(_set_mean(matrix, mask) for mask in sets)
 
 
 def _sorted_mean(values: list[float]) -> float:
@@ -107,14 +50,32 @@ def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
 
     The loss runs over grad-free views of the parameters, so the tape
     starts at the first layer's retained attention and the backward pass
-    computes no parameter gradient."""
+    computes no parameter gradient. Each note's means at a layer are
+    read straight from its retained [heads, queries, T] block: rows that
+    were not queries hold zero saliency, so the query rows alone give
+    the means of the dense [T, T] map. The last query row is always the
+    compressed word c = T - 1."""
     views = {name: Tensor(p.data) for name, p in params.items()}
     loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg, retain_attention=True)
     backward(loss)
-    matrices = saliency_matrices(reps.attentions, reps.infos)
-    sets = [position_sets(info, cfg.mode) for info in reps.infos]
-    return [[decompose(m, note_sets) for m in note_layers]
-            for note_layers, note_sets in zip(matrices, sets)]
+    out = [[] for _ in reps.infos]
+    for layer in reps.attentions:
+        for triples, info, rows, a, g in zip(out, reps.infos, layer.queries,
+                                             layer.blocks(layer.data), layer.blocks(layer.grad)):
+            s = np.abs(a * g).sum(axis=0)
+            t, c = info.length, info.compressed_pos
+            visual = np.zeros(c, dtype=bool)
+            visual[info.visual_positions] = True
+            if info.visual_word_pos is not None:
+                visual[info.visual_word_pos] = True
+            n_visual = int(np.count_nonzero(visual))
+            # the strict lower triangle of every other query row
+            lower = np.arange(t)[rows][:-1, None] > np.arange(t)
+            # fsum is correctly rounded, so the order of the summands is immaterial
+            triples.append((math.fsum(s[-1, :c][visual].tolist()) / n_visual,
+                            math.fsum(s[-1, :c][~visual].tolist()) / (c - n_visual),
+                            math.fsum(s[:-1][lower].tolist()) / ((t - 1) * (t - 2) // 2)))
+    return out
 
 
 def saliency_report(params, cfg: ModelConfig, vocab: Vocab,

@@ -219,6 +219,8 @@ class RunSettings:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.batch_pairs < 1:
             raise ConfigError("batch_pairs must be positive")
         if not (0 <= self.val_fraction < 1):
@@ -280,14 +282,6 @@ def init_state(model_cfg: ModelConfig, loss_cfg: LossConfig, optim_cfg: OptimCon
                       run=run, vocab=vocab)
 
 
-def restore_params(arrays: dict[str, np.ndarray], model_cfg: ModelConfig) -> dict[str, Tensor]:
-    params = {}
-    for name, data in arrays.items():
-        frozen = model_cfg.freeze_vision and name.startswith("vision.")
-        params[name] = Tensor(data.copy(), requires_grad=not frozen)
-    return params
-
-
 def load_state(path) -> TrainState:
     arrays, moments, step, configs, vocab_tokens = load_checkpoint(path)
     model_cfg, loss_cfg, optim_cfg, run = (
@@ -297,17 +291,18 @@ def load_state(path) -> TrainState:
     if len(vocab_tokens) != model_cfg.vocab_size:
         raise FormatError(f"{path}: vocabulary holds {len(vocab_tokens)} tokens, "
                           f"the model config needs {model_cfg.vocab_size}")
-    want = {name: p.shape for name, p in init_params(model_cfg, run.seed).items()}
-    want[TAU_NAME] = ()
-    if arrays.keys() != want.keys():
+    # fresh tensors carry the config's freeze rule; the records replace their data
+    params = init_params(model_cfg, run.seed)
+    params[TAU_NAME] = Tensor(np.asarray(loss_cfg.tau_init), requires_grad=True)
+    if arrays.keys() != params.keys():
         raise FormatError(f"{path}: checkpoint lacks parameter records "
-                          f"{sorted(want.keys() - arrays.keys())}, has unknown records "
-                          f"{sorted(arrays.keys() - want.keys())}")
-    for name, shape in want.items():
-        if arrays[name].shape != shape:
+                          f"{sorted(params.keys() - arrays.keys())}, has unknown records "
+                          f"{sorted(arrays.keys() - params.keys())}")
+    for name, p in params.items():
+        if arrays[name].shape != p.shape:
             raise FormatError(f"{path}: record {name!r} has shape {arrays[name].shape}, "
-                              f"the model config needs {shape}")
-    params = restore_params(arrays, model_cfg)
+                              f"the model config needs {p.shape}")
+        p.data = arrays[name]
     optimizer = AdamW(params, optim_cfg)
     if moments is not None:
         optimizer.load_moments(moments)

@@ -9,14 +9,19 @@ reference biased projection (``linear_composition``), late-fusion gate
 (``gate_fuse_composition``) and contrastive loss
 (``contrastive_composition``), which the fused ops must match bit for
 bit, and give the tests scalar reductions. Each keeps its own
-finite-difference cases.
+finite-difference cases. The dense saliency maps and position masks at
+the end are the reference of ``saliency.batch_saliency``, which reads
+the same means straight from the retained attention blocks.
 """
+
+import math
 
 import numpy as np
 from scipy.special import erf
 
 from mlrm import autodiff as ad
 from mlrm.errors import NumericError, ShapeError
+from mlrm.model import MICL_PROMPT_MODES
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -219,3 +224,47 @@ def contrastive_composition(queries, candidates, partner, tau):
     keep[rows, partner] = 0.0
     masked = mul(exp(logits), ad.Tensor(keep))
     return tmean(log1p(tsum(masked, axis=1)))
+
+
+def position_sets(info, mode):
+    """Disjoint boolean [T, T] masks (visual, textual, other) partitioning
+    the strict lower triangle {j < i}.
+
+    Visual columns are the spliced rows (or the kept image placeholder
+    when nothing is spliced); prompts with an in-context visual
+    compressed word fold its carrier position into the visual set. The
+    textual set is the rest of the compressed row; the remainder of the
+    lower triangle is word-to-word flow.
+    """
+    t, c = info.length, info.compressed_pos
+    visual = np.zeros(t, dtype=bool)
+    visual[info.visual_positions] = True
+    if mode in MICL_PROMPT_MODES:
+        visual[info.visual_word_pos] = True
+    p_v = np.zeros((t, t), dtype=bool)
+    p_v[c] = visual
+    p_t = np.zeros((t, t), dtype=bool)
+    p_t[c, :c] = ~visual[:c]
+    p_o = np.tri(t, k=-1, dtype=bool)
+    p_o[c] = False
+    return p_v, p_t, p_o
+
+
+def saliency_matrices(attentions, infos):
+    """Dense per-note, per-layer [T, T] head-sums of |A * dL/dA| from the
+    retained attention after backward; rows that were not queries are
+    zero. Returns matrices[b][l]."""
+    out = [[] for _ in infos]
+    for layer in attentions:
+        for per_layer, info, rows, a, g in zip(out, infos, layer.queries,
+                                               layer.blocks(layer.data), layer.blocks(layer.grad)):
+            matrix = np.zeros((info.length, info.length))
+            matrix[rows] = np.abs(a * g).sum(axis=0)
+            per_layer.append(matrix)
+    return out
+
+
+def decompose(matrix, sets):
+    """Mean of ``matrix`` over each of a note's ``position_sets``."""
+    return tuple(math.fsum(matrix[mask].tolist()) / int(np.count_nonzero(mask))
+                 for mask in sets)

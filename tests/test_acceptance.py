@@ -40,7 +40,7 @@ from mlrm.retrieval import (
     target_rank,
     topk,
 )
-from mlrm.saliency import position_sets, saliency_matrices
+from mlrm import saliency
 from mlrm.training import (
     AdamW,
     LossConfig,
@@ -56,8 +56,9 @@ from mlrm.training import (
 )
 
 from fdcheck import central_diff
-from refops import (add_rows, addc, exp, gelu, log1p, masked_softmax, mul, power, scale_rows,
-                    sigmoid, smul, tmean, transpose, tsum)
+from refops import (add_rows, addc, decompose, exp, gelu, log1p, masked_softmax, mul,
+                    position_sets, power, saliency_matrices, scale_rows, sigmoid, smul, tmean,
+                    transpose, tsum)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -573,15 +574,23 @@ def test_criterion_07_retrieval_exactness():
 # 8. saliency correctness
 
 
-def test_criterion_08_saliency_correctness(small_world):
+def test_criterion_08_saliency_correctness(small_world, monkeypatch):
     notes, vocab = small_world
     cfg = ModelConfig(vocab_size=len(vocab), lm_layers=1, lm_heads=1,
                       visual_tokens=4, mode="micl")
     state = init_state(cfg, LossConfig(), OptimConfig(), RunSettings(seed=2), vocab)
     batch = short_notes(notes, 4)
-    loss, reps = batch_loss(state.params, cfg, vocab, batch, state.loss_cfg,
-                            retain_attention=True)
-    backward(loss)
+    # the production decomposition runs the loss and backward itself; keep
+    # its retained attention for the dense reference
+    seen = []
+
+    def keep_reps(*args, **kwargs):
+        loss, reps = batch_loss(*args, **kwargs)
+        seen.append(reps)
+        return loss, reps
+    monkeypatch.setattr(saliency, "batch_loss", keep_reps)
+    triples = saliency.batch_saliency(state.params, cfg, vocab, batch, state.loss_cfg)
+    (reps,) = seen
     matrices = saliency_matrices(reps.attentions, reps.infos)
 
     worst = 0.0
@@ -611,9 +620,17 @@ def test_criterion_08_saliency_correctness(small_world):
     basic_sets = position_sets(basic_rep.infos[0], "basic")
     fold_ok = micl_sets[0].sum() == basic_sets[0].sum() + 1 == cfg.visual_tokens + 1
 
-    ok = worst <= 1e-12 and partition_ok and fold_ok
+    # the production triples equal the dense reference's masked means bit for bit
+    want = [[decompose(m, position_sets(info, "micl")) for m in per_layer]
+            for per_layer, info in zip(matrices, reps.infos)]
+    same_ok = [[tuple(map(float.hex, t)) for t in note] for note in triples] == \
+        [[tuple(map(float.hex, t)) for t in note] for note in want]
+
+    ok = worst <= 1e-12 and partition_ok and fold_ok and same_ok
     verdict(8, ok, f"saliency: single-head map gap {worst:.2e}, partition covers "
-                   f"the lower triangle, folding adds exactly one visual column")
+                   f"the lower triangle, folding adds exactly one visual column, "
+                   f"production triples {'equal' if same_ok else 'differ from'} "
+                   f"the dense reference")
 
 
 # ---------------------------------------------------------------------------

@@ -473,8 +473,22 @@ def test_linear_matches_composition_bitwise():
                  (t(np.ones((3, 4))), t(np.ones((1, 4))))):
         with pytest.raises(ShapeError):
             ad.linear(x, w, b)
-    with pytest.raises(ShapeError):
-        ad.linear(t(np.ones((2, 2, 3))), t(np.ones((3, 4))), t(np.ones(4)))
+    # a [B, L, d_in] input projects its [B * L, d_in] view: the same bits as
+    # reshape -> composition -> reshape, and no reshape node of its own
+    arrays = [rng.normal(size=s) for s in ((2, 5, 3), (3, 4), (4,))]
+    w = t(rng.normal(size=(2, 5, 4)), grad=False)
+    runs = []
+    for fused in (True, False):
+        ts = [t(a, grad=True) for a in arrays]
+        if fused:
+            out = ad.linear(*ts)
+            assert out.shape == (2, 5, 4) and out._parents[0] is ts[0]
+        else:
+            out = ad.reshape(linear_composition(ad.reshape(ts[0], (10, 3)), *ts[1:]), (2, 5, 4))
+        ad.backward(tsum(mul(out, w)))
+        runs.append([out.data] + [x.grad for x in ts])
+    for got, want in zip(*runs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tables", [1, 2])

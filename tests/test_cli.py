@@ -139,6 +139,17 @@ def test_gen_data_invalid_rho(tmp_path, capsys):
     assert not out.exists()  # nothing written on a config error
 
 
+def test_gen_data_negative_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("gen-data generated a dataset for a negative seed")
+    monkeypatch.setattr(cli, "generate_dataset", never)
+    out = tmp_path / "bad"
+    assert main(["gen-data", "--seed", "-1", "--notes", "40", "--clusters", "2",
+                 "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -173,6 +184,23 @@ def test_train_rejects_negative_checkpoint_every(tmp_path, dataset, capsys, monk
                  "--dataset", str(dataset), "--checkpoint-every", every,
                  "--out", str(out)]) == 2
     assert "--checkpoint-every" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_train_rejects_negative_seed(tmp_path, dataset, capsys, monkeypatch, where):
+    _forbid_loading(monkeypatch, "train")
+    cfg = write_config(tmp_path / "cfg.json")
+    flag = ["--seed", "-3"]
+    if where == "config":
+        blob = json.loads(Path(cfg).read_text())
+        blob["run"]["seed"] = -3
+        Path(cfg).write_text(json.dumps(blob))
+        flag = []
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--dataset", str(dataset), *flag,
+                 "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -441,6 +469,22 @@ def test_eval_rejects_bad_options_before_loading(tmp_path, dataset, trained, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--max-pairs", "5"]])
+def test_eval_rejects_negative_seeds_before_loading(tmp_path, dataset, trained, capsys,
+                                                   monkeypatch, extra):
+    def never(*args, **kwargs):
+        raise AssertionError("eval did work before checking its options")
+    for name in ("load_state", "load_notes", "load_pairs", "build_table"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(trained),
+                 "--pool", str(dataset / "notes.jsonl"),
+                 "--pairs", str(dataset / "pairs.jsonl"),
+                 "--seeds", "42,-1", *extra, "--out", str(out)]) == 2
+    assert "seeds must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint(tmp_path, dataset, capsys):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.mlrm"),
                  "--pool", str(dataset / "notes.jsonl"),
@@ -628,6 +672,15 @@ def test_analyze_rejects_zero_batches(tmp_path, dataset, trained, capsys, monkey
                  "--out", str(out)])
     assert code == 2
     assert "--batches" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_rejects_negative_seed(tmp_path, dataset, trained, capsys, monkeypatch):
+    _forbid_loading(monkeypatch, "analyze")
+    out = tmp_path / "an"
+    assert main(["analyze", "--checkpoint", str(trained), "--dataset", str(dataset),
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 

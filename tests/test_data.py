@@ -195,6 +195,8 @@ def test_generate_config_validation():
         SyntheticConfig(n_notes=5, n_clusters=3)
     with pytest.raises(ConfigError):
         SyntheticConfig(rho=1.5)
+    with pytest.raises(ConfigError, match="seed"):
+        SyntheticConfig(seed=-1)
 
 
 def test_length_class_mix():

@@ -8,19 +8,11 @@ import pytest
 from mlrm import saliency
 from mlrm.autodiff import Retained, _topo_order, backward
 from mlrm.data import build_pairs, build_vocab, generate_synthetic, PairConfig, SyntheticConfig
-from mlrm.errors import ContractError, NumericError
-from mlrm.model import ModelConfig, embed_notes, init_params
-from mlrm.saliency import (
-    batch_saliency,
-    decompose,
-    position_sets,
-    saliency_matrices,
-    saliency_report,
-    write_report,
-    CSV_FIELDS,
-)
+from mlrm.model import MODES, ModelConfig, embed_notes, init_params
+from mlrm.saliency import batch_saliency, saliency_report, write_report, CSV_FIELDS
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
 from mlrm.autodiff import Tensor
+from refops import decompose, position_sets, saliency_matrices
 
 
 def make_cfg(mode, **kw):
@@ -99,15 +91,6 @@ def test_visual_set_row_is_compressed_position():
 # Saliency matrices
 
 
-def test_saliency_requires_retained_attention():
-    params, cfg, vocab, notes = setup("notellm2")
-    loss, reps = batch_loss(params, cfg, vocab, notes, LossConfig(), retain_attention=True)
-    with pytest.raises(ContractError, match="retain"):
-        saliency_matrices(reps.attentions, reps.infos)  # backward not run yet
-    with pytest.raises(ContractError):
-        saliency_matrices([], reps.infos)
-
-
 def test_saliency_single_head_hadamard_oracle():
     params, cfg, vocab, notes = setup("notellm2", n=4,
                                                lm_layers=1, lm_heads=1)
@@ -141,14 +124,13 @@ def test_saliency_sums_over_heads():
 
 def test_saliency_zero_for_single_pair_batch():
     # one pair means no negatives: the loss is constant zero, so every
-    # attention gradient (hence every saliency entry) vanishes
+    # attention gradient (hence every saliency mean) vanishes
     params, cfg, vocab, notes = setup("notellm2", n=2)
-    loss, reps = run_retained(params, cfg, vocab, notes)
+    loss, _ = run_retained(params, cfg, vocab, notes)
     assert loss.item() == 0.0
-    matrices = saliency_matrices(reps.attentions, reps.infos)
-    for per_layer in matrices:
-        for m in per_layer:
-            assert np.all(m == 0.0)
+    triples = batch_saliency(params, cfg, vocab, notes, LossConfig())
+    assert len(triples) == 2 and all(len(t) == cfg.lm_layers for t in triples)
+    assert all(value == 0.0 for note in triples for triple in note for value in triple)
 
 
 def test_saliency_support_is_causal():
@@ -181,10 +163,31 @@ def test_decompose_matches_brute_force_scan():
             assert s_v >= 0 and s_t >= 0 and s_o >= 0
 
 
-def test_decompose_rejects_empty_set():
-    with pytest.raises(NumericError, match="empty"):
-        from mlrm.saliency import _set_mean
-        _set_mean(np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
+@pytest.mark.parametrize("mode, layers", [(m, 2) for m in MODES] + [("notellm2", 1)])
+def test_batch_saliency_matches_dense_reference(monkeypatch, mode, layers):
+    # the production means, read from the retained blocks, equal the dense
+    # maps' masked means bit for bit on the very same attention; with one
+    # layer, the last layer's block holds only the read rows
+    params, cfg, vocab, notes = setup(mode, n=4, lm_layers=layers)
+    seen = []
+
+    def spy(*args, **kwargs):
+        loss, reps = batch_loss(*args, **kwargs)
+        seen.append(reps)
+        return loss, reps
+    monkeypatch.setattr(saliency, "batch_loss", spy)
+    triples = batch_saliency(params, cfg, vocab, notes, LossConfig())
+    (reps,) = seen
+    matrices = saliency_matrices(reps.attentions, reps.infos)
+    want = [[decompose(m, position_sets(info, mode)) for m in per_layer]
+            for per_layer, info in zip(matrices, reps.infos)]
+    assert len(triples) == len(notes)
+    assert [[tuple(map(float.hex, t)) for t in note] for note in triples] == \
+        [[tuple(map(float.hex, t)) for t in note] for note in want]
+    # the first layer queries every row; the last one reads the compressed
+    # word alone in single-segment prompts, so its S_o is zero there
+    assert all(v > 0.0 for note in triples for v in note[0])
+    assert all(s_v > 0.0 and s_t > 0.0 for note in triples for s_v, s_t, _ in note)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,12 @@ def test_validation_loss_runs_without_gradients():
     assert all(p.grad is None for p in state.params.values())
 
 
+def test_run_settings_reject_negative_seed():
+    RunSettings(seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        RunSettings(seed=-1)
+
+
 def test_loss_mode_mismatch_rejected():
     notes, pairs, vocab, cfg = small_world("basic")
     with pytest.raises(ConfigError):
