@@ -9,17 +9,30 @@ a hand-written backward; the loss reads rows 2k and 2k + 1 as one
 sweep is a single-threaded reverse pass over a topologically ordered
 tape, so gradients are bitwise reproducible for identical inputs.
 Backward functions compute a parent's gradient only when that parent
-requires grad. ``backward``
-consumes the graph, as PyTorch does by default: once the sweep ends,
-every interior node drops its backward function and its parent links,
-so the arrays the tape saved are freed even while the caller still
-holds the loss; only ``op`` stays, for diagnostics. Whatever walks the
-graph (``first_nonfinite``, ``_topo_order``) must run before it, and a
-second ``backward`` through a consumed node raises ``ContractError``.
+requires grad.
+
+What is held for backward, and when it is freed:
+
+- Each op's closure keeps only what its backward reads. ``attention``
+  keeps each segment's softmax row max and row sum, [heads, queries, 1],
+  and rebuilds the probabilities just before use with the forward's own
+  steps, which give the same bits; ``ff`` keeps its pre-activation and
+  gelu cdf.
+- ``backward`` consumes the graph as it goes, as PyTorch does by
+  default: the sweep drops each node's backward function, parent links
+  and tape slot as soon as it passes the node (skipped nodes too), so
+  the arrays that node saved are freed before any earlier node runs,
+  even while the caller still holds the loss; only ``op`` stays, for
+  diagnostics. Whatever walks the graph (``first_nonfinite``,
+  ``_topo_order``) must run before it, and a second ``backward`` through
+  a consumed node raises ``ContractError``.
+- Under ``no_grad`` nothing is recorded, so nothing is kept.
+
 On request the packed attention op also returns its probabilities as a
-leaf that requires grad (``Retained``); a loss over grad-free parameters
-then records the tape from the first such leaf on, and the sweep
-computes only what reaches them (used for attention saliency).
+leaf that requires grad (``Retained``), whose buffer it then reads in
+backward in place of recomputing; a loss over grad-free parameters then
+records the tape from the first such leaf on, and the sweep computes
+only what reaches them (used for attention saliency).
 """
 
 from __future__ import annotations
@@ -42,6 +55,8 @@ _tls = threading.local()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# rows per block of the ff backward's gelu-derivative scratch
+_FF_BLOCK = 64
 
 
 def grad_enabled() -> bool:
@@ -147,12 +162,14 @@ def backward(loss: Tensor) -> None:
 
     Visits every tape node exactly once in reverse topological order,
     accumulating gradients. Leaves with ``requires_grad`` receive (or
-    accumulate into) ``.grad``. After the sweep every interior node
-    drops its backward function and parent links, so the saved
-    activations die with the last reference to the closures (PyTorch's
-    ``retain_graph=False``). Walk the graph (``first_nonfinite``,
-    ``_topo_order``) before calling this; a graph that an earlier call
-    consumed raises ``ContractError``.
+    accumulate into) ``.grad``. As the sweep passes a node, visited or
+    skipped, the node drops its backward function and parent links and
+    the sweep drops its tape slot, so the arrays its closure saved die
+    before the next node's backward runs (PyTorch's
+    ``retain_graph=False``); the sweep's peak holds the gradients in
+    flight and the saved arrays of the nodes not yet reached. Walk the
+    graph (``first_nonfinite``, ``_topo_order``) before calling this; a
+    graph that an earlier call consumed raises ``ContractError``.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -162,25 +179,24 @@ def backward(loss: Tensor) -> None:
             raise ContractError(f"backward: the {t.op!r} node was consumed by an "
                                 f"earlier backward; rebuild the graph")
     flowing: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for t in reversed(order):
+    for i in range(len(order) - 1, -1, -1):
+        # the loop names below are the closure's last references, rebound
+        # before the next node's backward runs
+        t, order[i] = order[i], None
+        fn, parents = t._backward_fn, t._parents
+        t._backward_fn, t._parents = None, ()
         g = flowing.pop(t.node_id, None)
         if g is None:
             continue
-        if t._backward_fn is None:
+        if fn is None:
             if t.requires_grad:
                 t.grad = g.copy() if t.grad is None else t.grad + g
             continue
-        parent_grads = t._backward_fn(g)
-        for p, pg in zip(t._parents, parent_grads):
+        for p, pg in zip(parents, fn(g)):
             if pg is None or not p.requires_grad:
                 continue
             acc = flowing.get(p.node_id)
             flowing[p.node_id] = pg if acc is None else acc + pg
-    # Consume the graph once the sweep is done: the closures, and the
-    # arrays they saved, die with these references.
-    for t in order:
-        t._backward_fn = None
-        t._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +381,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
     its own segment: the query at position i to keys 0..i. ``queries``
     gives, per segment, the strictly ascending positions that q holds
     rows for, packed segment after segment; by default q holds every
-    position, [N, d]. Softmax probabilities are kept per segment for the
-    backward pass; with ``retain`` (packed rows only) they are also
-    returned as a ``Retained`` leaf, else None.
+    position, [N, d]. For the backward pass each segment keeps only its
+    softmax row max and row sum, [heads, queries, 1]; the backward
+    rebuilds the segment's probabilities just before use with the
+    forward's steps in order (scores, scale, minus the stored max, exp of
+    the unmasked entries, over the stored sum), which give the forward's
+    bits, and frees them before the next segment. With ``retain`` (packed rows only) the
+    probabilities are instead kept in one buffer, returned as a
+    ``Retained`` leaf, and read by the backward; else the second value
+    is None.
     """
     if q.ndim not in (2, 3) or k.shape != v.shape or k.ndim != q.ndim \
             or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads:
@@ -376,7 +398,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
     if lengths is None:
         if q.ndim != 3 or q.shape[0] != k.shape[0] or queries is not None or retain:
             raise ShapeError(f"attention: batched q {q.shape}, k {k.shape} (or packed-only args)")
-        qspans, kspans, masks, kept = [Ellipsis], [Ellipsis], [None], None
+        qspans, kspans, masks, kept = [Ellipsis], [Ellipsis], [(None, True)], None
     else:
         lengths = [int(n) for n in lengths]
         if q.ndim != 2 or min(lengths, default=0) < 1 or sum(lengths) != k.shape[0]:
@@ -398,24 +420,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         qspans, kspans = (
             [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
             for sizes in (counts, lengths))
-        future = ~np.tri(max(lengths), dtype=bool)
-        masks = [future[r, :n] for r, n in zip(rows, lengths)]
+        allowed = np.tri(max(lengths), dtype=bool)
+        future = ~allowed
+        # per segment: the (future, allowed) key positions of each query row
+        masks = [(future[r, :n], allowed[r, :n]) for r, n in zip(rows, lengths)]
         kept = Retained([(heads, m, n) for m, n in zip(counts, lengths)], rows) if retain else None
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
 
+    def softmax(qh, kh, mask, stats=None, p=None):
+        """One segment's probabilities into ``p``, with its row max and row
+        sum; given ``stats``, the same steps with the stored statistics in
+        place of the reductions, which rebuilds the same bits."""
+        future, allowed = mask
+        p = np.matmul(qh, kh.swapaxes(-1, -2), out=p)
+        p *= c
+        top = (p.max(axis=-1, keepdims=True, where=allowed, initial=-np.inf)
+               if stats is None else stats[0])
+        p -= top
+        if future is not None:
+            # masked entries end as exactly the 0 that exp(-inf) gives, but
+            # exp skips them: exp of -inf, or of any value that underflows,
+            # runs several times slower than of the rest
+            np.copyto(p, 0.0, where=future)
+        np.exp(p, out=p, where=allowed)
+        total = p.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+        p /= total
+        return p, (top, total)
+
     out = np.empty_like(q.data)
-    probs = [None] * len(qspans) if kept is None else kept.blocks(kept.data)
+    # per segment: the retained block, else the [heads, queries, 1] row max and sum
+    saved = [None] * len(qspans) if kept is None else kept.blocks(kept.data)
     for i, (qspan, kspan, mask) in enumerate(zip(qspans, kspans, masks)):
         qh = _heads(q.data[qspan], heads)
         kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
-        p = probs[i] = np.matmul(qh, kh.swapaxes(-1, -2), out=probs[i])
-        p *= c
-        if mask is not None:
-            np.copyto(p, -np.inf, where=mask)
-        # exp(-inf) is exactly 0 at the masked entries
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        p, stats = softmax(qh, kh, mask, p=saved[i])
+        if kept is None:
+            saved[i] = stats
         out[qspan] = _merge(p @ vh)
 
     def back(g):
@@ -423,9 +463,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         if kept is not None:
             kept.grad = np.empty_like(kept.data)
         dps = [None] * len(qspans) if kept is None else kept.blocks(kept.grad)
-        for qspan, kspan, p, dp in zip(qspans, kspans, probs, dps):
+        for qspan, kspan, mask, held, dp in zip(qspans, kspans, masks, saved, dps):
             qh = _heads(q.data[qspan], heads)
             kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
+            p = held if kept is not None else softmax(qh, kh, mask, stats=held)[0]
             gh = _heads(g[qspan], heads)
             dp = np.matmul(gh, vh.swapaxes(-1, -2), out=dp)
             if dv is not None:
@@ -448,7 +489,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
 
 def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Feed-forward block gelu(x @ w1 + b1) @ w2 + b2 over the last axis,
-    with the exact erf-based gelu."""
+    with the exact erf-based gelu.
+
+    Keeps the pre-activation and the gelu cdf for backward. The backward
+    takes dW2 first, then builds dh in the one g @ w2^T buffer, scaled in
+    place by the gelu derivative worked out in row blocks of a small
+    scratch array.
+    """
     d = x.shape[-1]
     if w1.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
             or w2.shape != (w1.shape[1], d) or b2.shape != (d,):
@@ -466,14 +513,26 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     def back(g):
         g = g.reshape(-1, d)
         need = [t.requires_grad for t in (x, w1, b1, w2, b2)]
+        dw2 = (h * cdf).T @ g if need[3] else None
         if any(need[:3]):
-            dh = _INV_SQRT2PI * np.exp(-0.5 * h * h)
-            dh *= h
-            dh += cdf
-            dh *= g @ w2.data.T
+            # dh *= (c * exp(-0.5 * h * h)) * h + cdf, block by block; the
+            # elementwise products commute, so the bits are the whole-array
+            # expression's
+            dh = g @ w2.data.T
+            scratch = np.empty((min(_FF_BLOCK, len(h)), h.shape[1]))
+            for start in range(0, len(h), _FF_BLOCK):
+                block = slice(start, start + _FF_BLOCK)
+                s = scratch[:len(h[block])]
+                np.multiply(h[block], -0.5, out=s)
+                s *= h[block]
+                np.exp(s, out=s)
+                s *= _INV_SQRT2PI
+                s *= h[block]
+                s += cdf[block]
+                dh[block] *= s
         return ((dh @ w1.data.T).reshape(x.shape) if need[0] else None,
                 rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
-                (h * cdf).T @ g if need[3] else None, g.sum(axis=0) if need[4] else None)
+                dw2, g.sum(axis=0) if need[4] else None)
     return _record(out.reshape(x.shape), "ff", (x, w1, b1, w2, b2), back)
 
 

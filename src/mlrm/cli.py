@@ -191,7 +191,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _fresh_state(args, file_cfg, vocab):
+def _fresh_state(args, file_cfg, vocab_path):
+    # only the model section needs the vocabulary; the rest is checked first
+    loss_cfg = decode_config(LossConfig, _merged(file_cfg.get("loss")), "loss")
+    optim_cfg = decode_config(OptimConfig, _merged(
+        file_cfg.get("optim"), steps=args.steps, peak_lr=args.lr), "optim")
+    run = decode_config(RunSettings, _merged(
+        file_cfg.get("run"), seed=args.seed, batch_pairs=args.batch_pairs), "run")
+    vocab = Vocab.load(vocab_path)
     model_section = _merged(file_cfg.get("model"), mode=args.mode)
     stated = model_section.get("vocab_size")
     if stated is not None and stated != len(vocab):
@@ -199,11 +206,6 @@ def _fresh_state(args, file_cfg, vocab):
                           f"vocabulary has {len(vocab)} tokens")
     model_section["vocab_size"] = len(vocab)
     model_cfg = decode_config(ModelConfig, model_section, "model")
-    loss_cfg = decode_config(LossConfig, _merged(file_cfg.get("loss")), "loss")
-    optim_cfg = decode_config(OptimConfig, _merged(
-        file_cfg.get("optim"), steps=args.steps, peak_lr=args.lr), "optim")
-    run = decode_config(RunSettings, _merged(
-        file_cfg.get("run"), seed=args.seed, batch_pairs=args.batch_pairs), "run")
     return init_state(model_cfg, loss_cfg, optim_cfg, run, vocab)
 
 
@@ -232,7 +234,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"--mode {args.mode} contradicts the checkpoint's "
                               f"mode {state.model_cfg.mode}")
     else:
-        state = _fresh_state(args, file_cfg, Vocab.load(paths["vocab.txt"]))
+        state = _fresh_state(args, file_cfg, paths["vocab.txt"])
     notes = load_notes(paths["notes.jsonl"])
     pairs = load_pairs(paths["pairs.jsonl"])
 

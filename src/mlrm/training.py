@@ -79,8 +79,15 @@ class OptimConfig:
             raise ConfigError("warmup_ratio must lie in [0, 1)")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
-        if self.peak_lr <= 0 or self.eps <= 0:
-            raise ConfigError("peak_lr and eps must be positive")
+        for name in ("peak_lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and non-negative, "
+                              f"got {self.weight_decay}")
+        if not (self.max_grad_norm > 0):
+            raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
 
     @property
     def warmup_steps(self) -> int:

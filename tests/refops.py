@@ -4,6 +4,10 @@ The model runs the fused ``autodiff.linear``, ``autodiff.attention``,
 ``autodiff.ff``, ``autodiff.gate_fuse`` and ``autodiff.contrastive``. An
 explicit masked softmax and gelu are the references of attention and the
 feed-forward block: the fused ops must match compositions of these. The
+fused attention recomputes its probabilities in backward and the fused
+feed-forward block works out its gelu derivative in row blocks;
+``stored_attention`` and ``stored_ff`` keep the whole-array arithmetic
+those replaced, which the fused ops must match bit for bit. The
 elementwise, reduction and row-wise primitives below compose the
 reference biased projection (``linear_composition``), late-fusion gate
 (``gate_fuse_composition``) and contrastive loss
@@ -63,6 +67,76 @@ def gelu(x):
         dx *= g
         return (dx,)
     return ad._record(x.data * cdf, "gelu", (x,), back)
+
+
+def stored_attention(q, k, v, heads, lengths=None):
+    """``autodiff.attention`` without ``queries`` as it was when it kept
+    every probability block for backward and masked the future with -inf
+    before ``exp``: q, k, v [B, T, d] attending fully, or packed [N, d]
+    rows of causal segments of the given lengths. The reference of the
+    fused op's recomputing backward."""
+    c = 1.0 / math.sqrt(q.shape[-1] // heads)
+    if lengths is None:
+        spans, masks = [Ellipsis], [None]
+    else:
+        ends = np.cumsum(lengths).tolist()
+        spans = [slice(end - n, end) for n, end in zip(lengths, ends)]
+        masks = [~np.tri(n, dtype=bool) for n in lengths]
+    out, probs = np.empty_like(q.data), []
+    for span, mask in zip(spans, masks):
+        qh, kh, vh = (ad._heads(x.data[span], heads) for x in (q, k, v))
+        p = np.matmul(qh, kh.swapaxes(-1, -2))
+        p *= c
+        if mask is not None:
+            np.copyto(p, -np.inf, where=mask)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[span] = ad._merge(p @ vh)
+        probs.append(p)
+
+    def back(g):
+        dq, dk, dv = (np.empty_like(x.data) for x in (q, k, v))
+        for span, p in zip(spans, probs):
+            qh, kh, vh = (ad._heads(x.data[span], heads) for x in (q, k, v))
+            gh = ad._heads(g[span], heads)
+            dp = np.matmul(gh, vh.swapaxes(-1, -2))
+            dv[span] = ad._merge(p.swapaxes(-1, -2) @ gh)
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= c
+            dq[span] = ad._merge(dp @ kh)
+            dk[span] = ad._merge(dp.swapaxes(-1, -2) @ qh)
+        return dq, dk, dv
+    return ad._record(out, "attention", (q, k, v), back)
+
+
+def stored_ff(x, w1, b1, w2, b2):
+    """Feed-forward block with the whole-array gelu-derivative expression
+    of the earlier ``autodiff.ff`` backward, the reference of the fused
+    op's row-blocked one."""
+    d = x.shape[-1]
+    rows = x.data.reshape(-1, d)
+    h = rows @ w1.data
+    h += b1.data
+    cdf = erf(h * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    out = (h * cdf) @ w2.data
+    out += b2.data
+
+    def back(g):
+        g = g.reshape(-1, d)
+        need = [t.requires_grad for t in (x, w1, b1, w2, b2)]
+        if any(need[:3]):
+            dh = _INV_SQRT2PI * np.exp(-0.5 * h * h)
+            dh *= h
+            dh += cdf
+            dh *= g @ w2.data.T
+        return ((dh @ w1.data.T).reshape(x.shape) if need[0] else None,
+                rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
+                (h * cdf).T @ g if need[3] else None, g.sum(axis=0) if need[4] else None)
+    return ad._record(out.reshape(x.shape), "ff", (x, w1, b1, w2, b2), back)
 
 
 def mul(a, b):

@@ -1,6 +1,7 @@
 """Unit and property tests for the reverse-mode tensor engine."""
 
 import itertools
+import tracemalloc
 import weakref
 import zlib
 
@@ -15,7 +16,7 @@ from mlrm.errors import ContractError, ShapeError
 from fdcheck import assert_grad_close, central_diff
 from refops import (add_rows, addc, contrastive_composition, exp, gate_fuse_composition, gelu,
                     linear_composition, log1p, masked_softmax, mul, power, scale_rows, sigmoid,
-                    smul, tmean, transpose, tsum)
+                    smul, stored_attention, stored_ff, tmean, transpose, tsum)
 
 
 def t(arr, grad=True):
@@ -198,6 +199,47 @@ def test_backward_frees_the_tape_while_the_loss_is_held():
     assert saved() is None
     assert loss.op is not None and loss._parents == () and loss._backward_fn is None
     assert all(x.grad is not None for x in inputs)
+
+
+def test_backward_frees_each_node_as_the_sweep_passes():
+    # the later node's closure saves an array nothing else holds; it must
+    # be gone by the time the earlier node's backward runs
+    x = t(np.ones(3))
+    alive = []
+
+    def earlier_back(g):
+        alive.append(saved() is not None)
+        return (g,)
+    earlier = ad._record(x.data.copy(), "earlier", (x,), earlier_back)
+
+    def later(a):
+        kept = np.arange(3.0)
+
+        def back(g):
+            return (g * kept,)
+        return ad._record(a.data * kept, "later", (a,), back), weakref.ref(kept)
+    out, saved = later(earlier)
+    assert saved() is not None
+    ad.backward(tsum(out))
+    assert alive == [False]
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 2.0])
+    assert earlier._backward_fn is None and earlier._parents == ()
+
+
+def test_packed_attention_forward_keeps_row_statistics_only():
+    rng = np.random.default_rng(22)
+    heads, d, lengths = 2, 8, [256, 256]
+    q, k, v = (t(rng.normal(size=(sum(lengths), d))) for _ in range(3))
+    prob_bytes = sum(heads * n * n for n in lengths) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, _ = ad.attention(q, k, v, heads, lengths)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < prob_bytes / 2, (held, prob_bytes)
 
 
 def test_second_backward_on_a_consumed_graph_raises():
@@ -449,6 +491,61 @@ def test_ff_matches_unfused_composition():
     np.testing.assert_allclose(out.data, ref.data, **close)
     for a, b in zip(fused_in, ref_in):
         np.testing.assert_allclose(a.grad, b.grad, **close)
+
+
+def _attention_grads(arrays, **kwargs):
+    qkv = [t(a) for a in arrays]
+    out, _ = ad.attention(*qkv, **kwargs)
+    ad.backward(scalar_loss(out))
+    return [out.data] + [x.grad for x in qkv]
+
+
+@pytest.mark.parametrize("with_queries", [False, True])
+def test_recomputed_attention_matches_retained_bitwise(with_queries):
+    # retain=False rebuilds each block from the stored row max and sum;
+    # retain=True still keeps the probabilities: the same bits either way
+    rng = np.random.default_rng(23)
+    heads, lengths = 2, [5, 1, 9, 4]
+    queries = _query_rows(lengths, rng) if with_queries else None
+    rows = sum(len(r) for r in queries) if with_queries else sum(lengths)
+    arrays = [rng.normal(size=(n, 6)) for n in (rows, sum(lengths), sum(lengths))]
+    kwargs = dict(heads=heads, lengths=lengths, queries=queries)
+    recomputed = _attention_grads(arrays, **kwargs)
+    stored = _attention_grads(arrays, retain=True, **kwargs)
+    for a, b in zip(recomputed, stored):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("lengths", [None, [5, 1, 9, 4]], ids=["batched", "packed"])
+def test_attention_matches_stored_probabilities_bitwise(lengths):
+    # the fused op recomputes its probabilities and never takes exp of
+    # the masked entries; the reference keeps them and masks with -inf
+    rng = np.random.default_rng(24)
+    shapes = [(3, 4, 8), (3, 7, 8), (3, 7, 8)] if lengths is None else [(sum(lengths), 8)] * 3
+    arrays = [rng.normal(size=s) * 3 for s in shapes]
+    fused = _attention_grads(arrays, heads=2, lengths=lengths)
+    ref_in = [t(a) for a in arrays]
+    ref = stored_attention(*ref_in, 2, lengths)
+    ad.backward(scalar_loss(ref))
+    for a, b in zip(fused, [ref.data] + [x.grad for x in ref_in]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows", [10, 64, 150])
+@pytest.mark.parametrize("grads", ["all", "x", "weights"])
+def test_ff_matches_whole_array_backward_bitwise(rows, grads):
+    # the row-blocked gelu derivative gives the whole-array expression's bits
+    rng = np.random.default_rng(25)
+    arrays = [rng.normal(size=s) for s in [(rows, 4), (4, 16), (16,), (16, 4), (4,)]]
+    flags = {"all": [True] * 5, "x": [True] + [False] * 4, "weights": [False] + [True] * 4}[grads]
+    results = []
+    for op in (ad.ff, stored_ff):
+        ins = [t(a, grad=f) for a, f in zip(arrays, flags)]
+        out = op(*ins)
+        ad.backward(scalar_loss(out))
+        results.append([out.data] + [x.grad for x in ins])
+    for a, b in zip(*results):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_linear_matches_composition_bitwise():

@@ -204,6 +204,37 @@ def test_train_rejects_negative_seed(tmp_path, dataset, capsys, monkeypatch, whe
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, optim, want", [
+    (["--lr", "nan"], {}, "peak_lr"),
+    (["--lr", "inf"], {}, "peak_lr"),
+    ([], {"peak_lr": float("nan")}, "peak_lr"),
+    ([], {"eps": float("inf")}, "eps"),
+    ([], {"eps": float("nan")}, "eps"),
+    ([], {"weight_decay": float("nan")}, "weight_decay"),
+    ([], {"weight_decay": float("inf")}, "weight_decay"),
+    ([], {"weight_decay": -0.1}, "weight_decay"),
+    ([], {"max_grad_norm": -1.0}, "max_grad_norm"),
+    ([], {"max_grad_norm": 0.0}, "max_grad_norm"),
+    ([], {"max_grad_norm": float("nan")}, "max_grad_norm"),
+], ids=["lr-flag-nan", "lr-flag-inf", "lr-nan", "eps-inf", "eps-nan", "decay-nan",
+        "decay-inf", "decay-negative", "clip-negative", "clip-zero", "clip-nan"])
+def test_train_rejects_bad_optimizer_values(tmp_path, dataset, capsys, monkeypatch,
+                                            flag, optim, want):
+    # a NaN rate makes every parameter NaN and a negative clip norm flips
+    # every gradient's sign, so each must stop before any file is read
+    _forbid_loading(monkeypatch, "train")
+    monkeypatch.setattr(cli.Vocab, "load", lambda *a: pytest.fail("read the vocabulary"))
+    cfg = write_config(tmp_path / "cfg.json")
+    blob = json.loads(Path(cfg).read_text())
+    blob["optim"].update(optim)
+    Path(cfg).write_text(json.dumps(blob))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--dataset", str(dataset), *flag,
+                 "--out", str(out)]) == 2
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_flag_beats_config_file(tmp_path, dataset):
     cfg = write_config(tmp_path / "cfg.json", steps=7)
     out = tmp_path / "run"
