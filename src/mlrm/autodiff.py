@@ -49,8 +49,8 @@ from scipy.special import erf as _erf
 from .errors import ContractError, NumericError, ShapeError
 
 _ids = itertools.count()
-# recording is toggled per thread: a worker embedding under no_grad()
-# must not switch recording off for everyone else
+# recording is toggled per thread: a library caller embedding under no_grad()
+# on one thread must not switch recording off on the others
 _tls = threading.local()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -550,13 +550,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = xhat * gain.data + bias.data
 
     def back(g):
+        # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) step by step,
+        # in dx and one scratch buffer that first holds g * xhat for the gain
+        buf = g * xhat if gain.requires_grad else np.empty_like(xhat)
+        dgain = buf.reshape(-1, d).sum(axis=0) if gain.requires_grad else None
         dx = None
         if x.requires_grad:
-            gxhat = g * gain.data
-            dx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        return (dx, (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None,
-                g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None)
+            dx = g * gain.data
+            np.multiply(dx, xhat, out=buf)
+            dx -= dx.mean(axis=-1, keepdims=True)
+            dx -= np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
+            dx *= inv
+        return dx, dgain, g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
     return _record(out, "layer_norm", (x, gain, bias), back)
 
 

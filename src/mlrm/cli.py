@@ -61,20 +61,6 @@ from .training import (
     train,
 )
 
-THREADS_VAR = "MLRM_THREADS"
-
-
-def _threads() -> int:
-    raw = os.environ.get(THREADS_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{THREADS_VAR} must be at least 1")
-    return value
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -301,7 +287,7 @@ def cmd_eval(args) -> int:
     for modality in modalities:
         tables[modality] = build_table(
             state.params, state.model_cfg, state.vocab, pool_notes,
-            modality=modality, threads=_threads(), image_cache=image_cache,
+            modality=modality, image_cache=image_cache,
             provenance={"checkpoint_sha256": ckpt_hash})
     report = evaluate(tables, pairs, by_id, ks,
                       bm25_pool=pool_notes if args.bm25 else None,
@@ -362,7 +348,7 @@ def cmd_export_embeddings(args) -> int:
     state = load_state(args.checkpoint)
     notes = load_notes(args.notes)
     table = build_table(state.params, state.model_cfg, state.vocab, notes,
-                        modality=args.modality, threads=_threads(),
+                        modality=args.modality,
                         provenance={"checkpoint_sha256": _sha256(args.checkpoint)})
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,9 @@ from .prompting import Vocab, join_topics, length_class, tokenize
 MAGIC = b"MLRMEMB1"
 
 SLICES = ("all", "short_query", "short_target", "long_query", "long_target")
+
+# notes per no_grad forward in build_table
+CHUNK = 32
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -74,31 +76,20 @@ class EmbeddingTable:
 
 
 def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
-                modality: str = "multimodal", *, batch_size: int = 32,
-                threads: int = 1, image_cache: dict | None = None,
+                modality: str = "multimodal", *, image_cache: dict | None = None,
                 provenance: dict | None = None) -> EmbeddingTable:
     """Embed every note and L2-normalize; row order follows ``notes``.
 
-    Chunks are fixed up front so the result is identical whether they
-    are embedded serially or on a thread pool.
+    Notes go through the model ``CHUNK`` at a time under ``no_grad``. A
+    row's bits depend only on its own note, not on its chunk or place.
     """
     if not notes:
         raise DataError("cannot build an embedding table from zero notes")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
-    chunks = [notes[i:i + batch_size] for i in range(0, len(notes), batch_size)]
-
-    def embed_chunk(chunk):
-        with no_grad():
-            reps = embed_notes(params, cfg, vocab, chunk, modality=modality,
-                               image_cache=image_cache)
-        return reps.out_multimodal.data
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(embed_chunk, chunks))
-    else:
-        blocks = [embed_chunk(c) for c in chunks]
+    blocks = []
+    with no_grad():
+        for i in range(0, len(notes), CHUNK):
+            blocks.append(embed_notes(params, cfg, vocab, notes[i:i + CHUNK], modality=modality,
+                                      image_cache=image_cache).out_multimodal.data)
     raw = np.concatenate(blocks, axis=0)
 
     norms = np.linalg.norm(raw, axis=1)
@@ -202,7 +193,7 @@ def random_baseline(k: int, pool_size: int) -> float:
     """Chance-level recall: k uniform guesses out of pool-1 candidates."""
     if pool_size < 2:
         raise ConfigError("pool must contain at least two notes")
-    return k / (pool_size - 1)
+    return min(k, pool_size - 1) / (pool_size - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .autodiff import (
     no_grad,
     scale,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import Pair, make_batches, split_pairs
 from .errors import ConfigError, FormatError, NumericError
 from .model import (
@@ -354,14 +354,28 @@ def validation_loss(params, model_cfg, vocab, notes_by_id, val_pairs,
     return math.fsum(sorted(values)) / len(values)
 
 
+def _drop_metrics_after(path, step: int) -> None:
+    """Rewrite metrics.jsonl without the records past ``step``, which the
+    run writes again, or a last line cut short with no newline."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")[:-1]
+    try:
+        kept = "".join(f"{line}\n" for line in lines if json.loads(line)["step"] <= step)
+    except (ValueError, TypeError, KeyError):
+        raise FormatError(f"{path}: a line is not a metrics record") from None
+    with atomic_write(path) as fh:
+        fh.write(kept.encode("utf-8"))
+
+
 def train(state: TrainState, notes: list[Note], pairs: list[Pair],
           out_dir=None, steps: int | None = None,
           on_step=None) -> TrainState:
     """Run the loop from state.step up to the schedule end (or ``steps``).
 
     Appends one metrics record per step to out_dir/metrics.jsonl when
-    out_dir is given and checkpoints there at the end. A non-finite loss
-    aborts with the oldest offending graph node named.
+    out_dir is given, after its records up to state.step, and
+    checkpoints there at the end. A non-finite loss aborts with the
+    oldest offending graph node named.
     """
     notes_by_id = {n.id: n for n in notes}
     if len(notes_by_id) != len(notes):
@@ -377,6 +391,8 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         if state.step == 0 and os.path.exists(metrics_path):
             os.remove(metrics_path)
+        elif os.path.exists(metrics_path):
+            _drop_metrics_after(metrics_path, state.step)
 
     image_cache: dict = {}
     stream = batch_stream(train_pairs, state.run.batch_pairs, state.run.seed)

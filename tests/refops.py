@@ -5,9 +5,10 @@ The model runs the fused ``autodiff.linear``, ``autodiff.attention``,
 explicit masked softmax and gelu are the references of attention and the
 feed-forward block: the fused ops must match compositions of these. The
 fused attention recomputes its probabilities in backward and the fused
-feed-forward block works out its gelu derivative in row blocks;
-``stored_attention`` and ``stored_ff`` keep the whole-array arithmetic
-those replaced, which the fused ops must match bit for bit. The
+feed-forward block works out its gelu derivative in row blocks, and
+layer norm's backward works in place; ``stored_attention``,
+``stored_ff`` and ``stored_layer_norm`` keep the whole-array arithmetic
+those replaced, which the engine's ops must match bit for bit. The
 elementwise, reduction and row-wise primitives below compose the
 reference biased projection (``linear_composition``), late-fusion gate
 (``gate_fuse_composition``) and contrastive loss
@@ -137,6 +138,26 @@ def stored_ff(x, w1, b1, w2, b2):
                 rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
                 (h * cdf).T @ g if need[3] else None, g.sum(axis=0) if need[4] else None)
     return ad._record(out.reshape(x.shape), "ff", (x, w1, b1, w2, b2), back)
+
+
+def stored_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm with the one-expression backward of the earlier
+    ``autodiff.layer_norm``, the reference of the in-place one."""
+    d = x.shape[-1]
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+
+    def back(g):
+        dx = None
+        if x.requires_grad:
+            gxhat = g * gain.data
+            dx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        return (dx, (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None,
+                g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None)
+    return ad._record(xhat * gain.data + bias.data, "layer_norm", (x, gain, bias), back)
 
 
 def mul(a, b):

@@ -16,7 +16,8 @@ from mlrm.errors import ContractError, ShapeError
 from fdcheck import assert_grad_close, central_diff
 from refops import (add_rows, addc, contrastive_composition, exp, gate_fuse_composition, gelu,
                     linear_composition, log1p, masked_softmax, mul, power, scale_rows, sigmoid,
-                    smul, stored_attention, stored_ff, tmean, transpose, tsum)
+                    smul, stored_attention, stored_ff, stored_layer_norm, tmean, transpose,
+                    tsum)
 
 
 def t(arr, grad=True):
@@ -540,6 +541,24 @@ def test_ff_matches_whole_array_backward_bitwise(rows, grads):
     flags = {"all": [True] * 5, "x": [True] + [False] * 4, "weights": [False] + [True] * 4}[grads]
     results = []
     for op in (ad.ff, stored_ff):
+        ins = [t(a, grad=f) for a, f in zip(arrays, flags)]
+        out = op(*ins)
+        ad.backward(scalar_loss(out))
+        results.append([out.data] + [x.grad for x in ins])
+    for a, b in zip(*results):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (10, 8), (3, 7, 16), (150, 48)])
+@pytest.mark.parametrize("grads", ["all", "x", "affine"])
+def test_layer_norm_matches_one_expression_backward_bitwise(shape, grads):
+    # the in-place backward repeats the one-expression backward's steps
+    rng = np.random.default_rng(26)
+    d = shape[-1]
+    arrays = [rng.normal(size=shape), rng.normal(size=d), rng.normal(size=d)]
+    flags = {"all": [True] * 3, "x": [True, False, False], "affine": [False, True, True]}[grads]
+    results = []
+    for op in (ad.layer_norm, stored_layer_norm):
         ins = [t(a, grad=f) for a, f in zip(arrays, flags)]
         out = op(*ins)
         ad.backward(scalar_loss(out))

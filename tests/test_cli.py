@@ -260,6 +260,27 @@ def test_train_resume_matches_uninterrupted_run(tmp_path, dataset):
                        shallow=False)
 
 
+def test_train_resume_into_own_out_matches_uninterrupted_run(tmp_path, dataset, capsys):
+    cfg = write_config(tmp_path / "cfg.json", steps=6)
+    full, run = tmp_path / "full", tmp_path / "run"
+    assert main(["train", "--config", cfg, "--dataset", str(dataset),
+                 "--out", str(full), "--checkpoint-every", "0"]) == 0
+    assert main(["train", "--config", cfg, "--dataset", str(dataset),
+                 "--out", str(run), "--checkpoint-every", "2"]) == 0
+    metrics = run / "metrics.jsonl"
+    written = metrics.read_bytes()
+    resume = ["train", "--resume", str(run / "checkpoint-000002.mlrm"),
+              "--dataset", str(dataset), "--out", str(run)]
+    metrics.write_bytes(b"not a record\n" + written)
+    assert main(resume) == 3
+    assert "not a metrics record" in capsys.readouterr().err
+    # records 3-6 are written again; a trailing partial line is an interrupted write
+    metrics.write_bytes(written + b'{"step":7,"lo')
+    assert main(resume) == 0
+    for name in ("metrics.jsonl", "checkpoint.mlrm"):
+        assert filecmp.cmp(full / name, run / name, shallow=False)
+
+
 def test_train_resume_rejects_conflicting_flags(tmp_path, dataset, trained, capsys):
     out = tmp_path / "run"
     code = main(["train", "--resume", str(trained), "--dataset", str(dataset),
@@ -523,16 +544,6 @@ def test_eval_missing_checkpoint(tmp_path, dataset, capsys):
                  "--out", str(tmp_path / "ev")])
     assert code == 3
     capsys.readouterr()
-
-
-def test_eval_bad_threads_env(tmp_path, dataset, trained, capsys, monkeypatch):
-    monkeypatch.setenv("MLRM_THREADS", "zero")
-    code = main(["eval", "--checkpoint", str(trained),
-                 "--pool", str(dataset / "notes.jsonl"),
-                 "--pairs", str(dataset / "pairs.jsonl"),
-                 "--out", str(tmp_path / "ev")])
-    assert code == 2
-    assert "MLRM_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

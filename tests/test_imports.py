@@ -5,7 +5,8 @@ AST scans, so they need no linter. A module's imported names must each
 appear as a name or as the root of an attribute chain somewhere else in
 the same module. Package ``__init__`` files, which import to re-export,
 and ``from __future__`` imports are exempt. An autodiff function that
-only the tests call belongs in the tests.
+only the tests call belongs in the tests. The package reads no
+environment variable but the BLAS thread settings it pins.
 """
 
 import ast
@@ -87,3 +88,55 @@ def test_autodiff_scan_resolves_bindings():
     # f's call inside its own body does not count; g's call of f does
     own = "def f(x):\n    return f(x)\ndef g(x):\n    return f(x)\n"
     assert autodiff_references(own, True) == {"f", "x"}
+
+
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Uses of the process environment other than a ``.get``,
+    ``.setdefault`` or subscript keyed by a loop variable over
+    ``BLAS_VARS``; a ``from os import`` of it counts as a use."""
+    tree = ast.parse(source)
+    blas_keys = {node.target.id for node in ast.walk(tree)
+                 if isinstance(node, (ast.For, ast.comprehension))
+                 and isinstance(node.iter, ast.Name) and node.iter.id == "BLAS_VARS"
+                 and isinstance(node.target, ast.Name)}
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def keyed_by_blas(env):
+        up = parent.get(env)
+        if isinstance(up, ast.Subscript):
+            key = up.slice
+        elif isinstance(up, ast.Attribute) and up.attr in ("get", "setdefault") \
+                and isinstance(parent.get(up), ast.Call) and parent[up].args:
+            key = parent[up].args[0]
+        else:
+            return False
+        return isinstance(key, ast.Name) and key.id in blas_keys
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and ENV_NAMES & {alias.name for alias in node.names}:
+            found.append((node.lineno, "from os import"))
+        elif isinstance(node, ast.Attribute) and node.attr in ENV_NAMES \
+                and isinstance(node.value, ast.Name) and node.value.id == "os" \
+                and not (node.attr == "environ" and keyed_by_blas(node)):
+            found.append((node.lineno, f"os.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_reads_no_environment_knobs(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_scan_allows_only_blas_keys():
+    source = ("import os\nfor v in BLAS_VARS:\n    os.environ.setdefault(v, '1')\n"
+              "x = {k: os.environ.get(k) for k in BLAS_VARS}\ny = os.environ[v]\n"
+              "a = os.environ.get('MLRM_X', '1')\nb = os.getenv(v)\nc = dict(os.environ)\n"
+              "for w in KNOBS:\n    os.environ.get(w)\nfrom os import environ\n")
+    assert environment_reads(source) == ["line 6: os.environ", "line 7: os.getenv",
+                                         "line 8: os.environ", "line 10: os.environ",
+                                         "line 11: from os import"]

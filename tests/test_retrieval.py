@@ -15,6 +15,7 @@ from mlrm.notes import Note
 from mlrm.prompting import join_topics, length_class, tokenize
 from mlrm.retrieval import (
     BM25Index,
+    CHUNK,
     EmbeddingTable,
     SLICES,
     build_table,
@@ -58,8 +59,8 @@ def brute_rank(table, query_vec, exclude=None):
 # Table construction
 
 
-def model_world(n=10):
-    data_cfg = SyntheticConfig(seed=11, n_notes=30, n_clusters=2, rho=1.0,
+def model_world(n=10, n_notes=30):
+    data_cfg = SyntheticConfig(seed=11, n_notes=n_notes, n_clusters=2, rho=1.0,
                                patches=4, patch_dim=6)
     notes, _, _ = generate_synthetic(data_cfg)
     notes = notes[:n]
@@ -76,8 +77,8 @@ def model_world(n=10):
 
 def test_build_table_rows_norms_and_determinism():
     params, cfg, vocab, notes = model_world()
-    t1 = build_table(params, cfg, vocab, notes, batch_size=4)
-    t2 = build_table(params, cfg, vocab, notes, batch_size=4)
+    t1 = build_table(params, cfg, vocab, notes)
+    t2 = build_table(params, cfg, vocab, notes)
     assert len(t1) == len(notes) and t1.dim == cfg.out_dim
     assert np.array_equal(t1.vectors, t2.vectors)
     norms = np.linalg.norm(t1.vectors.astype(np.float64), axis=1)
@@ -86,19 +87,23 @@ def test_build_table_rows_norms_and_determinism():
     assert t1.provenance["mode"] == "notellm2"
 
 
-def test_build_table_threads_match_serial():
-    params, cfg, vocab, notes = model_world()
-    serial = build_table(params, cfg, vocab, notes, batch_size=3, threads=1)
-    threaded = build_table(params, cfg, vocab, notes, batch_size=3, threads=4)
-    assert np.array_equal(serial.vectors, threaded.vectors)
-    assert np.array_equal(serial.ids, threaded.ids)
+@pytest.mark.parametrize("modality", ["multimodal", "text_only", "image_only"])
+def test_build_table_rows_do_not_depend_on_chunk_or_order(modality):
+    # 70 notes fill three chunks; reversed, every note lands in another
+    # chunk, among other notes, at another position
+    params, cfg, vocab, notes = model_world(n=70, n_notes=70)
+    assert 2 * CHUNK < len(notes) < 3 * CHUNK
+    ahead = build_table(params, cfg, vocab, notes, modality=modality)
+    reverse = build_table(params, cfg, vocab, notes[::-1], modality=modality)
+    assert np.array_equal(reverse.ids, ahead.ids[::-1])
+    assert np.array_equal(reverse.vectors, ahead.vectors[::-1])
 
 
 def test_identical_notes_embed_identically():
     params, cfg, vocab, notes = model_world(n=4)
     clone = Note(id=999, title=notes[0].title, topics=list(notes[0].topics),
                  content=notes[0].content, image=notes[0].image.copy())
-    table = build_table(params, cfg, vocab, notes + [clone], batch_size=5)
+    table = build_table(params, cfg, vocab, notes + [clone])
     assert np.array_equal(table.vector(notes[0].id), table.vector(999))
 
 
@@ -291,6 +296,16 @@ def test_random_vectors_hit_chance_level():
     p = random_baseline(k, 101)
     sigma = math.sqrt(p * (1 - p) / len(pairs))
     assert abs(recall_from_ranks(table, pairs, k) - p) <= 3 * sigma
+
+
+def test_random_baseline_stays_a_probability():
+    # chance recall reaches 1 once k covers the pool's pool - 1 candidates
+    assert random_baseline(10, 101) == 10 / 100
+    assert random_baseline(99, 100) == 1.0
+    assert random_baseline(100, 100) == 1.0
+    assert random_baseline(500, 2) == 1.0
+    with pytest.raises(ConfigError):
+        random_baseline(1, 1)
 
 
 # ---------------------------------------------------------------------------
