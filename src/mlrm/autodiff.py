@@ -17,7 +17,8 @@ What is held for backward, and when it is freed:
   keeps each segment's softmax row max and row sum, [heads, queries, 1],
   and rebuilds the probabilities just before use with the forward's own
   steps, which give the same bits; ``ff`` keeps its pre-activation and
-  gelu cdf.
+  gelu cdf, and when it records nothing it works through one reused
+  block of rows of those.
 - ``backward`` consumes the graph as it goes, as PyTorch does by
   default: the sweep drops each node's backward function, parent links
   and tape slot as soon as it passes the node (skipped nodes too), so
@@ -55,8 +56,9 @@ _tls = threading.local()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# rows per block of the ff backward's gelu-derivative scratch
-_FF_BLOCK = 64
+# rows per block of ff's forward and of its backward's gelu-derivative
+# scratch: a block of the 4x-wide layer stays in cache
+_FF_BLOCK = 256
 
 
 def grad_enabled() -> bool:
@@ -123,10 +125,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}{', ' + ','.join(flags) if flags else ''})"
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over ``parents`` records a node on the tape."""
+    return grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out.op = op
         out._parents = parents
@@ -491,10 +498,18 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Feed-forward block gelu(x @ w1 + b1) @ w2 + b2 over the last axis,
     with the exact erf-based gelu.
 
-    Keeps the pre-activation and the gelu cdf for backward. The backward
-    takes dW2 first, then builds dh in the one g @ w2^T buffer, scaled in
-    place by the gelu derivative worked out in row blocks of a small
-    scratch array.
+    The forward is one loop over blocks of ``_FF_BLOCK`` rows: per block,
+    the pre-activation h, the gelu cdf in place, then that block's output
+    rows. When the call records a node, the blocks are views into full
+    h and cdf, which the closure keeps for backward; when it records
+    none (``no_grad``, or no input requires grad), one block-sized pair
+    is reused and nothing wide outlives the call. A one-row tail joins
+    the block before it, so a block has one row only when the input
+    does: numpy takes its matrix-vector path for a one-row product,
+    whose bits differ. Every row's bits are those of the whole-array
+    expression. The backward takes dW2 first, then builds dh in the one
+    g @ w2^T buffer, scaled in place by the gelu derivative worked out
+    in row blocks of a small scratch array.
     """
     d = x.shape[-1]
     if w1.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
@@ -502,12 +517,22 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"ff: weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} "
                          f"do not fit input {x.shape}")
     rows = x.data.reshape(-1, d)
-    h = rows @ w1.data
-    h += b1.data
-    cdf = _erf(h * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-    out = (h * cdf) @ w2.data
+    n, parents = len(rows), (x, w1, b1, w2, b2)
+    keep = _records(parents)
+    edges = [*range(0, max(n - 1, 1), _FF_BLOCK), n]
+    size = n if keep else min(n, _FF_BLOCK + 1)
+    h, cdf = np.empty((size, w1.shape[1])), np.empty((size, w1.shape[1]))
+    out = np.empty((n, d))
+    for start, stop in zip(edges, edges[1:]):
+        at = slice(start, stop) if keep else slice(0, stop - start)
+        hb, cb = h[at], cdf[at]
+        np.matmul(rows[start:stop], w1.data, out=hb)
+        hb += b1.data
+        np.multiply(hb, _INV_SQRT2, out=cb)
+        _erf(cb, out=cb)
+        cb += 1.0
+        cb *= 0.5
+        np.matmul(hb * cb, w2.data, out=out[start:stop])
     out += b2.data
 
     def back(g):
@@ -533,7 +558,7 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         return ((dh @ w1.data.T).reshape(x.shape) if need[0] else None,
                 rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
                 dw2, g.sum(axis=0) if need[4] else None)
-    return _record(out.reshape(x.shape), "ff", (x, w1, b1, w2, b2), back)
+    return _record(out.reshape(x.shape), "ff", parents, back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

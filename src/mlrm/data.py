@@ -158,13 +158,20 @@ def _word_pool(rng: np.random.Generator, count: int) -> list[str]:
     return words[:count]
 
 
+def _draw(rng, a: np.ndarray, size=None):
+    """``rng.choice(a, size)`` with replacement, without its per-call
+    overhead: it draws these same indices and leaves the stream in the
+    same state."""
+    return a[rng.integers(0, len(a), size)]
+
+
 def _compose_content(rng, words, n_words: int) -> str:
     """Sentences of 4..8 words; periods attach to the preceding word."""
     out = []
     remaining = n_words
     while remaining > 0:
         n = int(min(remaining, rng.integers(4, 9)))
-        sentence = [str(w) for w in rng.choice(words, n)]
+        sentence = [str(w) for w in _draw(rng, words, n)]
         sentence[-1] += "."
         out.append(" ".join(sentence))
         remaining -= n
@@ -180,8 +187,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
     rng = np.random.default_rng(cfg.seed)
     n_groups = cfg.n_clusters * cfg.subtopics
 
-    # rng.choice converts a list argument to an array on every call, so
-    # the pools are arrays from the start; the draws are the same
+    # the pools are arrays, which _draw indexes
     pool = np.asarray(_word_pool(rng, 40 + cfg.n_clusters * 25 + n_groups * 10))
     filler = pool[:40]
     cursor = 40
@@ -217,10 +223,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
             title_n, topics_n, content_n = int(rng.integers(4, 10)), int(rng.integers(2, 4)), \
                 int(rng.integers(40, 90))
 
-        title = " ".join([str(w) for w in rng.choice(detail[c][s], 2)]
-                         + [str(w) for w in rng.choice(words_local, title_n - 2)])
+        title = " ".join([str(w) for w in _draw(rng, detail[c][s], 2)]
+                         + [str(w) for w in _draw(rng, words_local, title_n - 2)])
         topics = [str(w) for w in rng.choice(theme[c], topics_n, replace=False)] \
-            if topics_n <= 25 else [str(w) for w in rng.choice(theme[c], topics_n)]
+            if topics_n <= 25 else [str(w) for w in _draw(rng, theme[c], topics_n)]
         content = _compose_content(rng, words_local, content_n)
 
         if rng.random() < cfg.rho:
@@ -251,7 +257,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
             home = cluster_members[c]
         n_user_events = int(rng.integers(4, 11))
         for _ in range(n_user_events):
-            viewed = int(rng.choice(home))
+            viewed = int(_draw(rng, home))
             roll = rng.random()
             if roll < 0.91:
                 choices = home
@@ -259,7 +265,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
                 choices = cluster_members[c]
             else:
                 choices = None
-            clicked = int(rng.choice(choices)) if choices is not None \
+            clicked = int(_draw(rng, choices)) if choices is not None \
                 else int(rng.integers(cfg.n_notes))
             if clicked == viewed:
                 clicked = (clicked + 1) % cfg.n_notes

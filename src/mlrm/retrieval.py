@@ -81,7 +81,10 @@ def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
     """Embed every note and L2-normalize; row order follows ``notes``.
 
     Notes go through the model ``CHUNK`` at a time under ``no_grad``. A
-    row's bits depend only on its own note, not on its chunk or place.
+    float32 table row's bits depend only on its own note, not on its
+    chunk or place. The float64 embedding before the cast does not
+    promise that: a note alone in its chunk can differ by a few ulps
+    from the same note among others.
     """
     if not notes:
         raise DataError("cannot build an embedding table from zero notes")
@@ -200,14 +203,16 @@ def random_baseline(k: int, pool_size: int) -> float:
 # Pair slices
 
 
-def slice_pairs(pairs: list[Pair], notes_by_id: dict[int, Note], kind: str) -> list[Pair]:
+def slice_pairs(pairs: list[Pair], classes: dict[int, str], kind: str) -> list[Pair]:
+    """The pairs of one slice; ``classes`` maps each note id to its
+    ``length_class``."""
     if kind not in SLICES:
         raise ConfigError(f"unknown slice {kind!r}, expected one of {SLICES}")
     if kind == "all":
         return list(pairs)
     side, _, end = kind.partition("_")
     return [p for p in pairs
-            if length_class(notes_by_id[p.query if end == "query" else p.related]) == side]
+            if classes[p.query if end == "query" else p.related] == side]
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +343,10 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
             raise DataError(f"pair ({p.query}, {p.related}) references an unknown note")
 
     samples = [_subsample(pairs, max_pairs, seed) for seed in seeds]
-    subsets = {kind: [slice_pairs(s, notes_by_id, kind) for s in samples]
-               for kind in SLICES}
     sampled = {(p.query, p.related) for s in samples for p in s}
+    classes = {nid: length_class(notes_by_id[nid]) for pair in sampled for nid in pair}
+    subsets = {kind: [slice_pairs(s, classes, kind) for s in samples]
+               for kind in SLICES}
     report = {
         "pool_size": pool_size,
         "ks": ks,

@@ -532,10 +532,17 @@ def test_attention_matches_stored_probabilities_bitwise(lengths):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("rows", [10, 64, 150])
+# one row, a block and either side of it, a one-row tail that joins the
+# block before it, and a tail of five rows
+FF_ROWS = [1, 2, 10, 64, 150, ad._FF_BLOCK - 1, ad._FF_BLOCK, ad._FF_BLOCK + 1,
+           2 * ad._FF_BLOCK + 1, 2 * ad._FF_BLOCK + 5]
+
+
+@pytest.mark.parametrize("rows", FF_ROWS)
 @pytest.mark.parametrize("grads", ["all", "x", "weights"])
 def test_ff_matches_whole_array_backward_bitwise(rows, grads):
-    # the row-blocked gelu derivative gives the whole-array expression's bits
+    # the row-blocked forward and gelu derivative give the whole-array
+    # expressions' bits
     rng = np.random.default_rng(25)
     arrays = [rng.normal(size=s) for s in [(rows, 4), (4, 16), (16,), (16, 4), (4,)]]
     flags = {"all": [True] * 5, "x": [True] + [False] * 4, "weights": [False] + [True] * 4}[grads]
@@ -547,6 +554,40 @@ def test_ff_matches_whole_array_backward_bitwise(rows, grads):
         results.append([out.data] + [x.grad for x in ins])
     for a, b in zip(*results):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows", FF_ROWS)
+def test_ff_without_a_node_matches_recording_bitwise(rows):
+    # under no_grad, or with no input that requires grad, the forward
+    # reuses one block-sized buffer pair: the same bits as the recording call
+    rng = np.random.default_rng(27)
+    arrays = [rng.normal(size=s) for s in [(rows, 4), (4, 16), (16,), (16, 4), (4,)]]
+    recorded = ad.ff(*[t(a) for a in arrays])
+    assert recorded.requires_grad
+    with ad.no_grad():
+        quiet = ad.ff(*[t(a) for a in arrays])
+    frozen = ad.ff(*[t(a, grad=False) for a in arrays])
+    for out in (quiet, frozen):
+        assert not out.requires_grad
+        assert np.array_equal(out.data, recorded.data)
+
+
+def test_ff_without_a_node_holds_one_block_of_the_wide_layer():
+    rng = np.random.default_rng(28)
+    rows, d, d_ff = 4096, 64, 256
+    ins = [t(rng.normal(size=s), grad=False) for s in [(rows, d), (d, d_ff), (d_ff,),
+                                                       (d_ff, d), (d,)]]
+    wide_bytes = rows * d_ff * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = ad.ff(*ins)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, d) and not out.requires_grad
+    assert peak < wide_bytes, (peak, wide_bytes)
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (10, 8), (3, 7, 16), (150, 48)])

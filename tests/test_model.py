@@ -408,6 +408,22 @@ def test_determinism_bitwise(setup):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("mode", mm.MODES)
+def test_no_grad_embedding_matches_recording_bitwise(setup, mode):
+    # 32 notes pack more LM rows than one ff block; under no_grad every ff
+    # runs through one reused block, and the bits stay the recording call's
+    cfg, params, vocab, _ = setup
+    cfg = dataclasses.replace(cfg, mode=mode)
+    notes = make_notes(32, cfg, seed=5)
+    recorded = mm.embed_notes(params, cfg, vocab, notes)
+    assert recorded.out_multimodal.requires_grad
+    assert sum(info.length for info in recorded.infos) > 2 * ad._FF_BLOCK
+    with ad.no_grad():
+        quiet = mm.embed_notes(params, cfg, vocab, notes)
+    assert not quiet.out_multimodal.requires_grad
+    assert np.array_equal(quiet.out_multimodal.data, recorded.out_multimodal.data)
+
+
 def test_sequence_length_cap(setup):
     cfg, params, vocab, notes = setup
     small = tiny_cfg(vocab_size=cfg.vocab_size, max_positions=4)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from mlrm.autodiff import Tensor
 from mlrm.data import Pair, SyntheticConfig, build_vocab, generate_synthetic
 from mlrm.errors import ConfigError, DataError, FormatError
-from mlrm.model import ModelConfig, init_params
+from mlrm.model import MODES, ModelConfig, init_params
 from mlrm.notes import Note
 from mlrm.prompting import join_topics, length_class, tokenize
 from mlrm.retrieval import (
@@ -90,13 +91,20 @@ def test_build_table_rows_norms_and_determinism():
 @pytest.mark.parametrize("modality", ["multimodal", "text_only", "image_only"])
 def test_build_table_rows_do_not_depend_on_chunk_or_order(modality):
     # 70 notes fill three chunks; reversed, every note lands in another
-    # chunk, among other notes, at another position
-    params, cfg, vocab, notes = model_world(n=70, n_notes=70)
+    # chunk, among other notes, at another position; of 33 notes, the last
+    # is a chunk of its own. The contract is on the float32 rows: in
+    # float64 a note alone can differ from the same note among 31 others
+    # by a few ulps
+    params, base, vocab, notes = model_world(n=70, n_notes=70)
     assert 2 * CHUNK < len(notes) < 3 * CHUNK
-    ahead = build_table(params, cfg, vocab, notes, modality=modality)
-    reverse = build_table(params, cfg, vocab, notes[::-1], modality=modality)
-    assert np.array_equal(reverse.ids, ahead.ids[::-1])
-    assert np.array_equal(reverse.vectors, ahead.vectors[::-1])
+    for mode in MODES:
+        cfg = dataclasses.replace(base, mode=mode)
+        ahead = build_table(params, cfg, vocab, notes, modality=modality)
+        reverse = build_table(params, cfg, vocab, notes[::-1], modality=modality)
+        assert np.array_equal(reverse.ids, ahead.ids[::-1])
+        assert np.array_equal(reverse.vectors, ahead.vectors[::-1]), mode
+        head = build_table(params, cfg, vocab, notes[:CHUNK + 1], modality=modality)
+        assert np.array_equal(head.vectors, ahead.vectors[:CHUNK + 1]), mode
 
 
 def test_identical_notes_embed_identically():
@@ -323,18 +331,19 @@ def test_slice_partition_and_rules():
     for nid, words in ((0, 10), (1, 100), (2, 300), (3, 40), (4, 200)):
         notes[nid] = note_of_length(nid, words)
     pairs = [Pair(0, 1, 1.0), Pair(1, 2, 1.0), Pair(2, 3, 1.0), Pair(3, 4, 1.0)]
-    short_q = slice_pairs(pairs, notes, "short_query")
-    long_q = slice_pairs(pairs, notes, "long_query")
+    classes = {nid: length_class(note) for nid, note in notes.items()}
+    short_q = slice_pairs(pairs, classes, "short_query")
+    long_q = slice_pairs(pairs, classes, "long_query")
     assert all(length_class(notes[p.query]) == "short" for p in short_q)
     assert all(length_class(notes[p.query]) == "long" for p in long_q)
     medium_q = [p for p in pairs if length_class(notes[p.query]) == "medium"]
     assert {id(p) for p in short_q} | {id(p) for p in long_q} | \
         {id(p) for p in medium_q} == {id(p) for p in pairs}
-    short_t = slice_pairs(pairs, notes, "short_target")
+    short_t = slice_pairs(pairs, classes, "short_target")
     assert all(length_class(notes[p.related]) == "short" for p in short_t)
-    assert slice_pairs(pairs, notes, "all") == pairs
+    assert slice_pairs(pairs, classes, "all") == pairs
     with pytest.raises(ConfigError):
-        slice_pairs(pairs, notes, "medium_query")
+        slice_pairs(pairs, classes, "medium_query")
 
 
 # ---------------------------------------------------------------------------
