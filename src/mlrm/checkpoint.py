@@ -14,8 +14,9 @@ Layout, all integers little-endian:
 
 Optimizer moments travel as ordinary records under the reserved
 prefixes "adam.m." / "adam.v.", the shared step counter as the rank-0
-record "adam.t". Frozen-or-not is not stored per record; it is
-reconstructed from the model config on load.
+record "adam.t", which every checkpoint has and which equals "step".
+Frozen-or-not is not stored per record; it is reconstructed from the
+model config on load.
 """
 
 from __future__ import annotations
@@ -98,21 +99,14 @@ def _read_record(fh) -> tuple[str, np.ndarray]:
     return name, data
 
 
-def save_checkpoint(path, params, moments: dict | None,
+def save_checkpoint(path, params, moments: dict,
                     step: int, configs: dict, vocab_tokens: list[str]) -> None:
     """``moments`` is {"m": {name: array}, "v": {name: array}, "t": int}."""
-    records: list[tuple[str, np.ndarray]] = [
-        (name, params[name].data) for name in sorted(params)
-    ]
-    if moments is not None:
-        for name in sorted(moments["m"]):
-            records.append((_M_PREFIX + name, moments["m"][name]))
-        for name in sorted(moments["v"]):
-            records.append((_V_PREFIX + name, moments["v"][name]))
-        records.append((_T_NAME, np.asarray(float(moments["t"]))))
-    trailer = dict(configs)
-    trailer["step"] = int(step)
-    trailer["vocab"] = list(vocab_tokens)
+    records = [(name, params[name].data) for name in sorted(params)]
+    records += [(_M_PREFIX + name, moments["m"][name]) for name in sorted(moments["m"])]
+    records += [(_V_PREFIX + name, moments["v"][name]) for name in sorted(moments["v"])]
+    records.append((_T_NAME, np.asarray(float(moments["t"]))))
+    trailer = dict(configs, step=int(step), vocab=list(vocab_tokens))
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(records)))
@@ -126,8 +120,8 @@ def load_checkpoint(path):
 
     ``arrays`` maps parameter name to ndarray; turning them back into
     live tensors (with the right requires_grad) is the caller's job
-    because freezing depends on the model config. ``moments`` is None
-    when the checkpoint carries no optimizer state.
+    because freezing depends on the model config. ``moments`` is as
+    ``save_checkpoint`` takes it; its "t" is the checkpoint's ``step``.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 8, "magic") != MAGIC:
@@ -153,20 +147,20 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: config trailer lacks keys {sorted(want - keys)}, "
                           f"has unknown keys {sorted(keys - want)}")
     for key, kind in TRAILER_KEYS.items():
-        if not isinstance(trailer[key], kind):
+        if not isinstance(trailer[key], kind) or isinstance(trailer[key], bool):
             raise FormatError(f"{path}: config trailer {key!r} is not a {kind.__name__}")
 
-    moments = None
-    first = {k[len(_M_PREFIX):]: a for k, a in arrays.items() if k.startswith(_M_PREFIX)}
-    second = {k[len(_V_PREFIX):]: a for k, a in arrays.items() if k.startswith(_V_PREFIX)}
-    if _T_NAME in arrays:
-        t = float(arrays[_T_NAME].ravel()[0]) if arrays[_T_NAME].size == 1 else math.nan
-        if not (math.isfinite(t) and t >= 0 and t.is_integer()):
-            raise FormatError(f"{path}: optimizer step {arrays[_T_NAME]} is not a "
-                              f"non-negative integer")
-        moments = {"m": first, "v": second, "t": int(t)}
-    plain = {k: a for k, a in arrays.items()
-             if not k.startswith((_M_PREFIX, _V_PREFIX)) and k != _T_NAME}
     step = trailer.pop("step")
+    if step < 0:
+        raise FormatError(f"{path}: checkpoint step {step} is negative")
+    if _T_NAME not in arrays:
+        raise FormatError(f"{path}: checkpoint has no optimizer state ({_T_NAME!r} record)")
+    t = arrays.pop(_T_NAME)
+    if t.shape != () or t != step:
+        raise FormatError(f"{path}: optimizer step {t} is not the checkpoint step {step}")
+    moments = {"m": {k[len(_M_PREFIX):]: a for k, a in arrays.items() if k.startswith(_M_PREFIX)},
+               "v": {k[len(_V_PREFIX):]: a for k, a in arrays.items() if k.startswith(_V_PREFIX)},
+               "t": step}
+    plain = {k: a for k, a in arrays.items() if not k.startswith((_M_PREFIX, _V_PREFIX))}
     vocab_tokens = trailer.pop("vocab")
     return plain, moments, step, trailer, vocab_tokens

@@ -133,6 +133,9 @@ def _load_config_file(path) -> dict:
     for name, section in blob.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
+    data = blob.get("data", {})
+    if set(data) - {"dataset"} or not isinstance(data.get("dataset", ""), str):
+        raise ConfigError(f"{path}: the 'data' section takes one string 'dataset', got {data!r}")
     return blob
 
 
@@ -219,6 +222,9 @@ def cmd_train(args) -> int:
         if args.mode is not None and args.mode != state.model_cfg.mode:
             raise ConfigError(f"--mode {args.mode} contradicts the checkpoint's "
                               f"mode {state.model_cfg.mode}")
+        if state.step >= state.optim_cfg.steps:
+            raise ConfigError(f"nothing to train: {args.resume} is at step {state.step}, "
+                              f"the end of its schedule")
     else:
         state = _fresh_state(args, file_cfg, paths["vocab.txt"])
     notes = load_notes(paths["notes.jsonl"])
@@ -245,9 +251,8 @@ def cmd_train(args) -> int:
                              "metrics": "metrics.jsonl",
                              "periodic": periodic_names},
                     counts={"steps": state.step}, started=started)
-    last = state.metrics[-1]["loss"] if state.metrics else float("nan")
     print(f"trained {state.model_cfg.mode} to step {state.step}; "
-          f"final loss {last:.6f}; checkpoint at {ckpt_path}")
+          f"final loss {state.metrics[-1]['loss']:.6f}; checkpoint at {ckpt_path}")
     return 0
 
 

@@ -225,8 +225,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Note], list[BehaviorE
 
         title = " ".join([str(w) for w in _draw(rng, detail[c][s], 2)]
                          + [str(w) for w in _draw(rng, words_local, title_n - 2)])
-        topics = [str(w) for w in rng.choice(theme[c], topics_n, replace=False)] \
-            if topics_n <= 25 else [str(w) for w in _draw(rng, theme[c], topics_n)]
+        topics = [str(w) for w in rng.choice(theme[c], topics_n, replace=False)]
         content = _compose_content(rng, words_local, content_n)
 
         if rng.random() < cfg.rho:

@@ -53,6 +53,7 @@ class EmbeddingTable:
         if self.ids.size and self.ids.min() < 0:
             raise DataError(f"embedding table has a negative note id {self.ids.min()}")
         self._row = {int(i): r for r, i in enumerate(self.ids)}
+        self._f64 = self.vectors.astype(np.float64)  # what every score multiplies
 
     @property
     def dim(self) -> int:
@@ -72,7 +73,7 @@ class EmbeddingTable:
 
     def scores(self, query_id: int) -> np.ndarray:
         """Cosine of every row with the query's row, aligned with ``ids``."""
-        return self.vectors.astype(np.float64) @ self.vector(query_id).astype(np.float64)
+        return self._f64 @ self.vector(query_id).astype(np.float64)
 
 
 def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
@@ -180,7 +181,7 @@ def topk(query_vec: np.ndarray, table: EmbeddingTable, k: int,
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise NumericError("zero-norm query vector")
-    scores = table.vectors.astype(np.float64) @ (q / qn)
+    scores = table._f64 @ (q / qn)
     keep = np.ones(len(table), dtype=bool)
     if exclude is not None and exclude in table:
         keep[table._row[int(exclude)]] = False

@@ -175,16 +175,6 @@ class AdamW:
         self.m = {n: np.zeros_like(params[n].data) for n in trainable_names(params)}
         self.v = {n: np.zeros_like(params[n].data) for n in trainable_names(params)}
 
-    def load_moments(self, moments: dict) -> None:
-        for name in self.m:
-            if name not in moments["m"] or name not in moments["v"]:
-                raise FormatError(f"checkpoint is missing optimizer state for {name!r}")
-            if not moments["m"][name].shape == moments["v"][name].shape == self.m[name].shape:
-                raise FormatError(f"optimizer state shape mismatch for {name!r}")
-            self.m[name] = moments["m"][name].copy()
-            self.v[name] = moments["v"][name].copy()
-        self.t = moments["t"]
-
     def moments(self) -> dict:
         return {"m": self.m, "v": self.v, "t": self.t}
 
@@ -290,6 +280,8 @@ def init_state(model_cfg: ModelConfig, loss_cfg: LossConfig, optim_cfg: OptimCon
 
 
 def load_state(path) -> TrainState:
+    """``init_state`` of the saved configs with the records in place of its
+    parameters and moments; a missing, unknown or mis-shaped record is a FormatError."""
     arrays, moments, step, configs, vocab_tokens = load_checkpoint(path)
     model_cfg, loss_cfg, optim_cfg, run = (
         decode_config(cls, configs[key], f"{path}: {key}", FormatError)
@@ -298,24 +290,32 @@ def load_state(path) -> TrainState:
     if len(vocab_tokens) != model_cfg.vocab_size:
         raise FormatError(f"{path}: vocabulary holds {len(vocab_tokens)} tokens, "
                           f"the model config needs {model_cfg.vocab_size}")
-    # fresh tensors carry the config's freeze rule; the records replace their data
-    params = init_params(model_cfg, run.seed)
-    params[TAU_NAME] = Tensor(np.asarray(loss_cfg.tau_init), requires_grad=True)
-    if arrays.keys() != params.keys():
-        raise FormatError(f"{path}: checkpoint lacks parameter records "
-                          f"{sorted(params.keys() - arrays.keys())}, has unknown records "
-                          f"{sorted(arrays.keys() - params.keys())}")
+    try:
+        state = init_state(model_cfg, loss_cfg, optim_cfg, run, Vocab(vocab_tokens))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    params, opt = state.params, state.optimizer
+    missing = sorted(params.keys() - arrays.keys())
+    unknown = sorted(arrays.keys() - params.keys()) + sorted(
+        f"adam.{kind}.{name}" for kind in "mv" for name in moments[kind].keys() - opt.m.keys())
+    if missing or unknown:
+        raise FormatError(f"{path}: checkpoint lacks parameter records {missing}, "
+                          f"has unknown records {unknown}")
     for name, p in params.items():
         if arrays[name].shape != p.shape:
             raise FormatError(f"{path}: record {name!r} has shape {arrays[name].shape}, "
                               f"the model config needs {p.shape}")
         p.data = arrays[name]
-    optimizer = AdamW(params, optim_cfg)
-    if moments is not None:
-        optimizer.load_moments(moments)
-    return TrainState(params=params, optimizer=optimizer, step=step,
-                      model_cfg=model_cfg, loss_cfg=loss_cfg, optim_cfg=optim_cfg,
-                      run=run, vocab=Vocab(vocab_tokens))
+        if name not in opt.m:  # frozen: no optimizer state
+            continue
+        for fresh, saved in ((opt.m, moments["m"]), (opt.v, moments["v"])):
+            if name not in saved:
+                raise FormatError(f"{path}: checkpoint is missing optimizer state for {name!r}")
+            if saved[name].shape != p.shape:
+                raise FormatError(f"{path}: optimizer state shape mismatch for {name!r}")
+            fresh[name] = saved[name]
+    state.step = opt.t = step
+    return state
 
 
 def save_state(state: TrainState, path) -> None:

@@ -1,5 +1,7 @@
 import errno
 import io
+import json
+import struct
 
 import pytest
 
@@ -28,3 +30,17 @@ def fill_disk(monkeypatch):
         full = type("DiskFull", (DiskFull,), {"allowed": writes})
         monkeypatch.setattr(checkpoint, "open", full, raising=False)
     return fill
+
+
+@pytest.fixture
+def write_records():
+    """Call it as ``write_records(path, records, trailer)`` to write the
+    named arrays and the JSON trailer in the checkpoint layout as they
+    are, so a test can build a file that ``save_checkpoint`` never would."""
+    def write(path, records, trailer):
+        with open(path, "wb") as fh:
+            fh.write(checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(records)))
+            for name, array in records.items():
+                checkpoint._write_record(fh, name, array)
+            fh.write(json.dumps(trailer).encode("utf-8"))
+    return write

@@ -290,6 +290,17 @@ def test_train_resume_rejects_conflicting_flags(tmp_path, dataset, trained, caps
     assert not out.exists()
 
 
+def test_train_resume_of_a_finished_run_is_config_error(tmp_path, dataset, trained, capsys):
+    # ``trained`` is at the last step of its schedule: a resume has nothing to
+    # train, and would leave a manifest naming files it never wrote
+    out = tmp_path / "run"
+    code = main(["train", "--resume", str(trained), "--dataset", str(dataset),
+                 "--out", str(out)])
+    assert code == 2
+    assert "is at step 4, the end of its schedule" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--mode", "basic", "--dataset", str(tmp_path / "nope"),
@@ -349,8 +360,10 @@ def test_unknown_config_section(tmp_path, dataset, capsys):
     ({"run": {"seed": "abc"}}, "seed"),
     ({"run": {"batch_pairs": True}}, "batch_pairs"),
     ({"model": {"freeze_vision": 1}}, "freeze_vision"),
+    ({"data": {"dataset": ["a"]}}, "['a']"),
+    ({"data": {"datset": "x"}}, "datset"),
 ], ids=["unknown-key", "not-object", "bad-type", "data-not-object", "seed-not-int",
-        "batch-pairs-bool", "freeze-vision-int"])
+        "batch-pairs-bool", "freeze-vision-int", "dataset-not-string", "data-unknown-key"])
 def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, want):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(section))
@@ -358,6 +371,17 @@ def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, 
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert want in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data", [{"dataset": ["a"]}, {"datset": "x"}],
+                         ids=["dataset-not-string", "unknown-key"])
+def test_bad_data_section_is_config_error_without_dataset_flag(tmp_path, capsys, data):
+    # the config's data section is the only place the dataset can come from
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"data": data}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "'data' section" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -391,37 +415,65 @@ def test_bad_checkpoint_trailer_is_format_error(tmp_path, dataset, trained, caps
 
 
 def _drop_record(name):
-    return lambda arrays, moments: arrays.pop(name)
+    return lambda records, trailer: records.pop(name)
 
 
 def _drop_moment(kind, name):
-    return lambda arrays, moments: moments[kind].pop(name)
+    return _drop_record(f"adam.{kind}.{name}")
 
 
 def _reshape_moment(kind, name):
-    return lambda arrays, moments: moments[kind].update({name: moments[kind][name].ravel()})
+    key = f"adam.{kind}.{name}"
+    return lambda records, trailer: records.update({key: records[key].ravel()})
+
+
+def _drop_optimizer(records, trailer):
+    for name in [n for n in records if n.startswith("adam.")]:
+        records.pop(name)
+
+
+def _negative_step(records, trailer):
+    trailer["step"] = -3
+    records["adam.t"] = np.asarray(-3.0)
 
 
 @pytest.mark.parametrize("corrupt, want", [
     (_drop_record("lm.pos"), "lacks parameter records ['lm.pos']"),
     (_drop_record("loss.tau"), "lacks parameter records ['loss.tau']"),
-    (lambda arrays, moments: arrays.update(bogus=arrays["loss.tau"]), "unknown records ['bogus']"),
-    (lambda arrays, moments: arrays.update({"lm.pos": arrays["lm.pos"][1:]}), "'lm.pos' has shape"),
-    (lambda arrays, moments: arrays.update({"loss.tau": arrays["loss.tau"].reshape(1)}),
+    (lambda records, trailer: records.update(bogus=records["loss.tau"]),
+     "unknown records ['bogus']"),
+    (lambda records, trailer: records.update({"lm.pos": records["lm.pos"][1:]}),
+     "'lm.pos' has shape"),
+    (lambda records, trailer: records.update({"loss.tau": records["loss.tau"].reshape(1)}),
      "'loss.tau' has shape (1,)"),
     (_drop_moment("m", "lm.pos"), "missing optimizer state for 'lm.pos'"),
     (_drop_moment("v", "loss.tau"), "missing optimizer state for 'loss.tau'"),
     (_reshape_moment("m", "lm.pos"), "shape mismatch for 'lm.pos'"),
     (_reshape_moment("v", "lm.pos"), "shape mismatch for 'lm.pos'"),
+    (_drop_optimizer, "no optimizer state"),
+    (lambda records, trailer: records.update({"adam.m.bogus": records["adam.m.loss.tau"]}),
+     "unknown records ['adam.m.bogus']"),
+    (lambda records, trailer: records.update({"adam.t": np.asarray(trailer["step"] - 1.0)}),
+     "optimizer step 3.0 is not the checkpoint step 4"),
+    (_negative_step, "checkpoint step -3 is negative"),
+    (lambda records, trailer: trailer.update(step=True), "trailer 'step' is not a int"),
+    (lambda records, trailer: trailer["loss"].update(mode="basic"),
+     "loss mode 'basic' contradicts model mode 'notellm2'"),
 ], ids=["no-lm-pos", "no-tau", "extra-record", "short-lm-pos", "tau-not-scalar",
-        "no-first-moment", "no-second-moment", "first-moment-shape", "second-moment-shape"])
+        "no-first-moment", "no-second-moment", "first-moment-shape", "second-moment-shape",
+        "no-optimizer-state", "extra-moment", "optimizer-step-not-step", "negative-step",
+        "step-bool", "loss-mode-contradicts-model"])
 def test_bad_checkpoint_records_are_format_errors(tmp_path, dataset, trained, capsys,
-                                                  corrupt, want):
+                                                  write_records, corrupt, want):
     arrays, moments, step, configs, vocab = load_checkpoint(trained)
-    corrupt(arrays, moments)
+    records = dict(arrays)
+    for kind in ("m", "v"):
+        records.update({f"adam.{kind}.{name}": a for name, a in moments[kind].items()})
+    records["adam.t"] = np.asarray(float(moments["t"]))
+    trailer = dict(configs, step=step, vocab=vocab)
+    corrupt(records, trailer)
     bad = tmp_path / "bad.mlrm"
-    save_checkpoint(bad, {k: Tensor(a) for k, a in arrays.items()}, moments, step,
-                    configs, vocab)
+    write_records(bad, records, trailer)
     code = main(["export-embeddings", "--checkpoint", str(bad),
                  "--notes", str(dataset / "notes.jsonl"), "--out", str(tmp_path / "t.emb")])
     assert code == 3

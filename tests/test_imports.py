@@ -1,5 +1,6 @@
-"""Every import in the package and the tests is used, and every public
-autodiff function is used by the package.
+"""Every import in the package and the tests is used, every private
+module-level name of the package is used in its module, and every
+public autodiff function is used by the package.
 
 AST scans, so they need no linter. A module's imported names must each
 appear as a name or as the root of an attribute chain somewhere else in
@@ -42,6 +43,41 @@ def test_no_unused_imports(path):
 
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants named ``_x`` that
+    nothing in the module refers to outside their own definition."""
+    tree = ast.parse(source)
+    defined = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update({name: top for name in names
+                        if name.startswith("_") and not name.startswith("__")})
+    used = {node.id for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and defined.get(node.id) is not top}
+    return sorted(f"line {top.lineno}: {name}" for name, top in defined.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unused_private_name():
+    source = ("_A = 1\n_B, _C = 2, 3\n__version__ = '1'\nprint(_A + _C)\n"
+              "def _f(n):\n    return _f(n - 1)\n"
+              "class _K:\n    pass\n"
+              "def g():\n    return _K()\n")
+    assert unused_private_names(source) == ["line 2: _B", "line 5: _f"]
 
 
 def autodiff_references(source: str, in_autodiff: bool) -> set[str]:

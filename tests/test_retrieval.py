@@ -264,6 +264,15 @@ def test_target_rank_consistent_with_topk():
             assert inside == (r <= k)
 
 
+def test_scores_are_the_float64_products_bit_for_bit():
+    # the table keeps one float64 copy; each query's scores must carry the
+    # bits of casting the whole table anew
+    table = random_table(n=50, dim=64, seed=4, ids=np.arange(50) * 3)
+    for nid in table.ids.tolist():
+        want = table.vectors.astype(np.float64) @ table.vector(nid).astype(np.float64)
+        assert table.scores(nid).tobytes() == want.tobytes()
+
+
 def recall_from_ranks(table, pairs, k):
     """Recall@k as evaluate computes it: the share of target ranks <= k."""
     ranks = [target_rank(table, p.query, p.related) for p in pairs]

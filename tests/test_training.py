@@ -463,9 +463,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     }
     configs = {"model": {"x": 1}, "loss": {"alpha": 9.0}, "optim": {}, "run": {}}
     path = tmp_path / "ck.mlrm"
-    save_checkpoint(path, params, moments, 42, configs, ["<PAD>", "a", "b"])
+    save_checkpoint(path, params, moments, 7, configs, ["<PAD>", "a", "b"])
     arrays, got_moments, step, got_cfg, vocab = load_checkpoint(path)
-    assert step == 42 and vocab == ["<PAD>", "a", "b"]
+    assert step == 7 and vocab == ["<PAD>", "a", "b"]
     assert got_cfg["model"] == {"x": 1}
     for name, p in params.items():
         assert np.array_equal(arrays[name], p.data)
@@ -475,7 +475,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert got_moments["t"] == 7
     # deterministic bytes
     path2 = tmp_path / "ck2.mlrm"
-    save_checkpoint(path2, params, moments, 42, configs, ["<PAD>", "a", "b"])
+    save_checkpoint(path2, params, moments, 7, configs, ["<PAD>", "a", "b"])
     assert path.read_bytes() == path2.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.mlrm", "ck2.mlrm"]
 
@@ -495,10 +495,14 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, fill_disk):
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.mlrm"]
 
 
+# the optimizer state of a parameter dict with nothing to train, one step in
+NO_MOMENTS = {"m": {}, "v": {}, "t": 1}
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     params = {"w": Tensor(np.ones((2, 2)))}
     path = tmp_path / "ck.mlrm"
-    save_checkpoint(path, params, None, 1, {"model": {}}, ["<PAD>"])
+    save_checkpoint(path, params, NO_MOMENTS, 1, {"model": {}}, ["<PAD>"])
 
     blob = bytearray(path.read_bytes())
     blob[0] ^= 0xFF
@@ -517,7 +521,8 @@ def _corrupt_first_record(tmp_path, **fields):
     """A one-record checkpoint (``w``, shape [2, 2]) with its name byte,
     rank or dims overwritten."""
     path = tmp_path / "ck.mlrm"
-    save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))}, None, 1, {"model": {}}, ["<PAD>"])
+    save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))}, NO_MOMENTS, 1, {"model": {}},
+                    ["<PAD>"])
     blob = bytearray(path.read_bytes())
     # magic 8, version 4, count 4, name length 4, then the 1-byte name
     if "name" in fields:
@@ -554,14 +559,14 @@ def test_checkpoint_rank_beyond_numpy_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_without_moments(tmp_path):
-    params = {"w": Tensor(np.ones(3))}
+def test_checkpoint_without_optimizer_state_is_format_error(tmp_path, write_records):
+    # every checkpoint carries its optimizer state; a file without it would
+    # resume with a fresh optimizer at the saved step
     path = tmp_path / "ck.mlrm"
-    configs = {"model": {}, "loss": {}, "optim": {}, "run": {}}
-    save_checkpoint(path, params, None, 0, configs, ["<PAD>"])
-    arrays, moments, step, _, _ = load_checkpoint(path)
-    assert moments is None and step == 0
-    assert np.array_equal(arrays["w"], np.ones(3))
+    trailer = {"model": {}, "loss": {}, "optim": {}, "run": {}, "step": 0, "vocab": ["<PAD>"]}
+    write_records(path, {"w": np.ones(3)}, trailer)
+    with pytest.raises(FormatError, match="no optimizer state"):
+        load_checkpoint(path)
 
 
 def test_save_state_load_state_round_trip(tmp_path):
