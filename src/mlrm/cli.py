@@ -29,14 +29,7 @@ from .data import (
     generate_dataset,
     load_pairs,
 )
-from .errors import (
-    BatchError,
-    ConfigError,
-    DataError,
-    FormatError,
-    ModeError,
-    NumericError,
-)
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import MODES, MODALITIES, ModelConfig
 from .notes import load_notes
 from .prompting import Vocab
@@ -127,15 +120,12 @@ def _load_config_file(path) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(blob) - {"model", "data", "loss", "optim", "run"}
+    unknown = set(blob) - {"model", "loss", "optim", "run"}
     if unknown:
         raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
     for name, section in blob.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
-    data = blob.get("data", {})
-    if set(data) - {"dataset"} or not isinstance(data.get("dataset", ""), str):
-        raise ConfigError(f"{path}: the 'data' section takes one string 'dataset', got {data!r}")
     return blob
 
 
@@ -203,11 +193,7 @@ def cmd_train(args) -> int:
     if args.checkpoint_every < 0:
         raise ConfigError("--checkpoint-every must be 0 (off) or positive")
     file_cfg = _load_config_file(args.config)
-    dataset = args.dataset or file_cfg.get("data", {}).get("dataset")
-    if dataset is None:
-        raise ConfigError("no dataset given: pass --dataset or set data.dataset "
-                          "in the config file")
-    paths = _dataset_paths(dataset)
+    paths = _dataset_paths(args.dataset)
     if args.resume is not None:
         # the checkpoint's saved configs are authoritative on resume
         clashes = [name for name, value in
@@ -244,7 +230,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.out, "checkpoint.mlrm")
     _write_manifest(os.path.join(args.out, "manifest.json"), "train",
                     config=args.config, seed=state.run.seed,
-                    inputs={"dataset": dataset,
+                    inputs={"dataset": args.dataset,
                             "resume": args.resume,
                             "notes_sha256": _sha256(paths["notes.jsonl"])},
                     outputs={"checkpoint": "checkpoint.mlrm",
@@ -401,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a variant on a dataset directory")
-    p.add_argument("--config", help="JSON config with sections model/data/loss/optim/run")
+    p.add_argument("--config", help="JSON config with sections model/loss/optim/run")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--dataset", help="dataset directory from gen-data")
+    p.add_argument("--dataset", required=True, help="dataset directory from gen-data")
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--seed", type=int)
@@ -460,10 +446,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ModeError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, BatchError, OSError) as exc:
+    except (DataError, FormatError, OSError) as exc:
         # OSError: a file that cannot be read or written (full disk,
         # missing permission)
         print(f"error: {exc}", file=sys.stderr)

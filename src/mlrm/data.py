@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_write
-from .errors import BatchError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .notes import Note, note_id, note_to_row, read_jsonl, write_jsonl
 from .prompting import Vocab, build_micl_prompt, check_prompt_budget, join_topics
 
@@ -340,7 +340,7 @@ def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> 
     if batch_pairs < 1:
         raise ConfigError("batch_pairs must be positive")
     if len(pairs) < batch_pairs:
-        raise BatchError(f"need at least {batch_pairs} pairs per batch, have {len(pairs)}")
+        raise DataError(f"need at least {batch_pairs} pairs per batch, have {len(pairs)}")
     order = np.random.default_rng([seed, epoch]).permutation(len(pairs))
     remaining = [pairs[i] for i in order]
     batches: list[list[int]] = []
@@ -362,6 +362,6 @@ def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> 
         batches.append(ids)
         remaining = deferred
     if not batches:
-        raise BatchError("could not assemble a single duplicate-free batch; "
-                         "too few distinct notes across the pair list")
+        raise DataError("could not assemble a single duplicate-free batch; "
+                        "too few distinct notes across the pair list")
     return batches

@@ -1,7 +1,12 @@
 """Error taxonomy shared across the package.
 
-The CLI maps ConfigError to exit code 2, DataError (and an OSError from
-reading or writing a file) to 3 and NumericError to 4; everything else
+The CLI maps each of three roots to one exit code:
+
+    ConfigError             2   a bad option, config value or variant
+    DataError, FormatError  3   bad input data or artifact bytes
+    NumericError            4   a non-finite or degenerate value
+
+An OSError from reading or writing a file exits 3 too; everything else
 is a plain failure.
 """
 
@@ -14,10 +19,6 @@ class LayoutError(ValueError):
     """A prompt layout breaks its placeholder invariants."""
 
 
-class ModeError(ValueError):
-    """Unknown or unsupported model variant."""
-
-
 class ContractError(RuntimeError):
     """An operation was called outside its declared protocol."""
 
@@ -28,10 +29,6 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Invalid or inconsistent input data."""
-
-
-class BatchError(ValueError):
-    """A duplicate-free batch could not be assembled."""
 
 
 class NumericError(ArithmeticError):

@@ -30,13 +30,14 @@ Variants wire the same blocks differently:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, ModeError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .notes import Note
 from .prompting import MAX_PROMPT_TOKENS, PromptLayout, Vocab, build_prompt
 
@@ -72,17 +73,17 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ModeError(f"unknown variant {self.mode!r}, expected one of {MODES}")
+            raise ConfigError(f"unknown variant {self.mode!r}, expected one of {MODES}")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be positive, got {getattr(self, f.name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
         for dim, heads, what in ((self.hidden_text, self.lm_heads, "lm"),
                                  (self.hidden_vision, self.vision_heads, "vision"),
                                  (self.hidden_text, self.connector_heads, "connector")):
             if dim % heads:
                 raise ConfigError(f"{what}: hidden dim {dim} not divisible by {heads} heads")
-        for name in ("vocab_size", "hidden_text", "hidden_vision", "patches", "patch_dim",
-                     "visual_tokens", "lm_layers", "lm_heads", "vision_layers",
-                     "connector_layers", "out_dim", "max_positions"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
 
     @property
     def vision_len(self) -> int:

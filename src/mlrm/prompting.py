@@ -51,15 +51,13 @@ def truncate_note(note: Note) -> Note:
     )
 
 
-def note_token_length(note: Note) -> int:
-    """Token count of the fields the prompts consume (untruncated)."""
-    return (len(tokenize(note.title))
-            + len(tokenize(join_topics(note.topics)))
-            + len(tokenize(note.content)))
+def note_tokens(note: Note) -> list[str]:
+    """Tokens of the fields the prompts consume (untruncated), in order."""
+    return tokenize(note.title) + tokenize(join_topics(note.topics)) + tokenize(note.content)
 
 
 def length_class(note: Note) -> str:
-    n = note_token_length(note)
+    n = len(note_tokens(note))
     if n < SHORT_NOTE_TOKENS:
         return "short"
     if n > LONG_NOTE_TOKENS:

@@ -23,7 +23,7 @@ from .data import Pair
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import ModelConfig, embed_notes
 from .notes import Note
-from .prompting import Vocab, join_topics, length_class, tokenize
+from .prompting import Vocab, length_class, note_tokens
 
 MAGIC = b"MLRMEMB1"
 
@@ -52,6 +52,8 @@ class EmbeddingTable:
             raise DataError("embedding table has duplicate note ids")
         if self.ids.size and self.ids.min() < 0:
             raise DataError(f"embedding table has a negative note id {self.ids.min()}")
+        if not np.isfinite(self.vectors).all():
+            raise DataError("embedding table has a NaN or infinite vector entry")
         self._row = {int(i): r for r, i in enumerate(self.ids)}
         self._f64 = self.vectors.astype(np.float64)  # what every score multiplies
 
@@ -97,9 +99,9 @@ def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
     raw = np.concatenate(blocks, axis=0)
 
     norms = np.linalg.norm(raw, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise NumericError(f"note {notes[zero[0]].id} embeds to the zero vector")
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        raise NumericError(f"note {notes[bad[0]].id} embeds to a vector of norm {norms[bad[0]]}")
     unit = (raw / norms[:, None]).astype(np.float32)
     prov = {"mode": cfg.mode, "modality": modality}
     prov.update(provenance or {})
@@ -233,7 +235,7 @@ class BM25Index:
             raise DataError("cannot index an empty pool")
         by_id = {n.id: n for n in notes}
         self.ids = np.asarray(sorted(by_id), dtype=np.int64)
-        docs = [_note_tokens(by_id[nid]) for nid in self.ids.tolist()]
+        docs = [note_tokens(by_id[nid]) for nid in self.ids.tolist()]
         self._column = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
         n_docs, lengths = len(docs), np.asarray([len(d) for d in docs])
         # one entry per token, which the conversion to CSR sums into term counts
@@ -252,7 +254,7 @@ class BM25Index:
     def scores(self, query: Note) -> np.ndarray:
         """BM25 score of every pool note for the query, aligned with ``ids``."""
         hits = np.zeros(len(self._column))
-        hits[[self._column[t] for t in set(_note_tokens(query)) if t in self._column]] = 1.0
+        hits[[self._column[t] for t in set(note_tokens(query)) if t in self._column]] = 1.0
         return self._weights @ hits
 
     def rank(self, query: Note) -> np.ndarray:
@@ -261,11 +263,6 @@ class BM25Index:
         if not keep.any():
             raise DataError("pool contains no candidates besides the query")
         return _ranked_ids(self.scores(query)[keep], self.ids[keep])
-
-
-def _note_tokens(note: Note) -> list[str]:
-    return (tokenize(note.title) + tokenize(join_topics(note.topics))
-            + tokenize(note.content))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .data import Pair, make_batches, split_pairs
 from .errors import ConfigError, FormatError, NumericError
 from .model import (
     MICL_PROMPT_MODES,
-    MODES,
     ModelConfig,
     embed_notes,
     init_params,
@@ -50,15 +49,12 @@ class LossConfig:
 
     alpha: float = 9.0
     tau_init: float = 3.0
-    mode: str | None = None  # must agree with the model's mode when set
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
         if not math.isfinite(self.tau_init):
             raise ConfigError("tau_init must be finite")
-        if self.mode is not None and self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -225,8 +221,7 @@ class RunSettings:
 
 
 # the JSON value types a config field of each annotated type accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "str | None": (str, type(None))}
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def decode_config(cls, section: dict, where: str, error: type[Exception] = ConfigError):
@@ -259,9 +254,10 @@ class TrainState:
     metrics: list[dict] = field(default_factory=list)
 
     def configs(self) -> dict:
+        # format 1 keeps the null "mode" key that loss configs once had
         return {
             "model": dataclasses.asdict(self.model_cfg),
-            "loss": dataclasses.asdict(self.loss_cfg),
+            "loss": dict(dataclasses.asdict(self.loss_cfg), mode=None),
             "optim": dataclasses.asdict(self.optim_cfg),
             "run": dataclasses.asdict(self.run),
         }
@@ -269,9 +265,6 @@ class TrainState:
 
 def init_state(model_cfg: ModelConfig, loss_cfg: LossConfig, optim_cfg: OptimConfig,
                run: RunSettings, vocab: Vocab) -> TrainState:
-    if loss_cfg.mode is not None and loss_cfg.mode != model_cfg.mode:
-        raise ConfigError(f"loss mode {loss_cfg.mode!r} contradicts model mode "
-                          f"{model_cfg.mode!r}")
     params = init_params(model_cfg, run.seed)
     params[TAU_NAME] = Tensor(np.asarray(loss_cfg.tau_init), requires_grad=True)
     return TrainState(params=params, optimizer=AdamW(params, optim_cfg), step=0,
@@ -283,17 +276,18 @@ def load_state(path) -> TrainState:
     """``init_state`` of the saved configs with the records in place of its
     parameters and moments; a missing, unknown or mis-shaped record is a FormatError."""
     arrays, moments, step, configs, vocab_tokens = load_checkpoint(path)
+    loss_mode = configs["loss"].pop("mode", None)  # format 1: null or the model's mode
     model_cfg, loss_cfg, optim_cfg, run = (
         decode_config(cls, configs[key], f"{path}: {key}", FormatError)
         for cls, key in ((ModelConfig, "model"), (LossConfig, "loss"),
                          (OptimConfig, "optim"), (RunSettings, "run")))
+    if loss_mode is not None and loss_mode != model_cfg.mode:
+        raise FormatError(f"{path}: loss mode {loss_mode!r} contradicts model mode "
+                          f"{model_cfg.mode!r}")
     if len(vocab_tokens) != model_cfg.vocab_size:
         raise FormatError(f"{path}: vocabulary holds {len(vocab_tokens)} tokens, "
                           f"the model config needs {model_cfg.vocab_size}")
-    try:
-        state = init_state(model_cfg, loss_cfg, optim_cfg, run, Vocab(vocab_tokens))
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    state = init_state(model_cfg, loss_cfg, optim_cfg, run, Vocab(vocab_tokens))
     params, opt = state.params, state.optimizer
     missing = sorted(params.keys() - arrays.keys())
     unknown = sorted(arrays.keys() - params.keys()) + sorted(

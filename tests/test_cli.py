@@ -24,7 +24,9 @@ from mlrm.autodiff import Tensor
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.cli import _write_manifest, main
 from mlrm.errors import FormatError
+from mlrm.model import ModelConfig
 from mlrm.saliency import CSV_FIELDS, SaliencyReport, write_report
+from mlrm.training import LossConfig, OptimConfig, RunSettings, decode_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -333,6 +335,15 @@ def test_train_requires_some_dataset(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+def test_data_section_does_not_replace_dataset_flag(tmp_path, dataset, capsys):
+    # --dataset is the one place the training dataset comes from
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"data": {"dataset": str(dataset)}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "--dataset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_config_vocab_size_mismatch(tmp_path, dataset, capsys):
     cfg = json.loads(json.dumps(TINY_MODEL))
     cfg["model"]["vocab_size"] = 17
@@ -360,10 +371,18 @@ def test_unknown_config_section(tmp_path, dataset, capsys):
     ({"run": {"seed": "abc"}}, "seed"),
     ({"run": {"batch_pairs": True}}, "batch_pairs"),
     ({"model": {"freeze_vision": 1}}, "freeze_vision"),
-    ({"data": {"dataset": ["a"]}}, "['a']"),
-    ({"data": {"datset": "x"}}, "datset"),
+    ({"data": {"dataset": ["a"]}}, "unknown config sections ['data']"),
+    ({"data": {"datset": "x"}}, "unknown config sections ['data']"),
+    ({"loss": {"mode": "basic"}}, "loss: unknown key 'mode'"),
+    ({"loss": {"alpha": float("inf")}}, "alpha must be finite and positive"),
+    ({"model": {"lm_heads": 0}}, "lm_heads must be positive"),
+    ({"model": {"vision_heads": -1}}, "vision_heads must be positive"),
+    ({"model": {"ff_mult": 0}}, "ff_mult must be positive"),
+    ({"model": {"eps": -1.0}}, "eps must be finite and positive"),
 ], ids=["unknown-key", "not-object", "bad-type", "data-not-object", "seed-not-int",
-        "batch-pairs-bool", "freeze-vision-int", "dataset-not-string", "data-unknown-key"])
+        "batch-pairs-bool", "freeze-vision-int", "dataset-not-string", "data-unknown-key",
+        "loss-mode", "alpha-inf", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
+        "eps-negative"])
 def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, want):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(section))
@@ -374,15 +393,19 @@ def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("data", [{"dataset": ["a"]}, {"datset": "x"}],
-                         ids=["dataset-not-string", "unknown-key"])
-def test_bad_data_section_is_config_error_without_dataset_flag(tmp_path, capsys, data):
-    # the config's data section is the only place the dataset can come from
+def test_readme_config_example_decodes(tmp_path):
+    # the JSON block under "Config file sections" shows what train accepts
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Config file sections", 1)[1].split("```json\n", 1)[1]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"data": data}))
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "'data' section" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    path.write_text(example.split("```", 1)[0])
+    blob = cli._load_config_file(path)
+    sections = {"model": ModelConfig, "loss": LossConfig, "optim": OptimConfig,
+                "run": RunSettings}
+    assert blob.keys() == sections.keys()
+    blob["model"]["vocab_size"] = 10  # the dataset's vocabulary supplies it
+    for name, cls in sections.items():
+        decode_config(cls, blob[name], name)
 
 
 def _drop(key):
@@ -398,8 +421,13 @@ def _add_field(section):
     (_add_field("model"), "bogus"), (_add_field("run"), "bogus"),
     (lambda trailer: trailer.update(extra=1), "extra"),
     (lambda trailer: trailer.update(loss=[9.0]), "'loss'"),
+    (lambda trailer: trailer["model"].update(lm_heads=0), "lm_heads must be positive"),
+    (lambda trailer: trailer["model"].update(vision_heads=-1), "vision_heads must be positive"),
+    (lambda trailer: trailer["model"].update(ff_mult=0), "ff_mult must be positive"),
+    (lambda trailer: trailer["model"].update(eps=-1.0), "eps must be finite and positive"),
 ], ids=["no-loss", "no-optim", "no-run", "model-field", "run-field", "extra-key",
-        "loss-not-object"])
+        "loss-not-object", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
+        "eps-negative"])
 def test_bad_checkpoint_trailer_is_format_error(tmp_path, dataset, trained, capsys,
                                                 corrupt, want):
     arrays, moments, step, configs, vocab = load_checkpoint(trained)
@@ -823,6 +851,15 @@ def test_query_table_with_oversized_dim_is_format_error(tmp_path, exported, caps
     table.write_bytes(bytes(blob))
     assert main(["query", "--table", str(table), "--note-id", "3"]) == 3
     assert "too large" in capsys.readouterr().err
+
+
+def test_query_table_with_a_nan_vector_is_data_error(tmp_path, exported, capsys):
+    blob = bytearray(exported.read_bytes())
+    blob[16 + 8:16 + 12] = b"\x00\x00\xc0\x7f"  # the first row's first entry, a NaN
+    table = tmp_path / "table.mlrm"
+    table.write_bytes(bytes(blob))
+    assert main(["query", "--table", str(table), "--note-id", "3"]) == 3
+    assert "NaN or infinite" in capsys.readouterr().err
 
 
 def test_query_k_exceeding_pool_is_config_error(exported, capsys):

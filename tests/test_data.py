@@ -22,7 +22,7 @@ from mlrm.data import (
     make_batches,
     split_pairs,
 )
-from mlrm.errors import BatchError, ConfigError, DataError
+from mlrm.errors import ConfigError, DataError
 from mlrm.notes import Note, load_notes, note_to_row, read_jsonl, write_jsonl
 from mlrm.prompting import UNK_ID, Vocab, length_class, tokenize
 
@@ -381,10 +381,10 @@ def test_make_batches_matches_full_scan():
 
 
 def test_make_batches_errors():
-    with pytest.raises(BatchError):
+    with pytest.raises(DataError):
         make_batches([Pair(1, 2, 1.0)], 2, seed=0, epoch=0)
     clashing = [Pair(1, 2, 1.0), Pair(1, 3, 1.0), Pair(1, 4, 1.0)]
-    with pytest.raises(BatchError):
+    with pytest.raises(DataError):
         make_batches(clashing, 2, seed=0, epoch=0)
     with pytest.raises(ConfigError):
         make_batches(clashing, 0, seed=0, epoch=0)

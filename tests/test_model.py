@@ -8,7 +8,7 @@ import pytest
 
 import mlrm.autodiff as ad
 import mlrm.model as mm
-from mlrm.errors import ConfigError, DataError, ModeError, ShapeError
+from mlrm.errors import ConfigError, DataError, ShapeError
 from mlrm.notes import Note
 from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_topics
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
@@ -62,7 +62,7 @@ def setup():
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_cfg(vocab_size=10, hidden_text=15)  # not divisible by heads
-    with pytest.raises(ModeError):
+    with pytest.raises(ConfigError):
         tiny_cfg(vocab_size=10, mode="bogus")
     with pytest.raises(ConfigError):
         tiny_cfg(vocab_size=0)

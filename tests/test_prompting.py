@@ -169,5 +169,5 @@ def test_length_classes():
         topics=tuple(f"topic{i}" for i in range(10)),
         content=", ".join(f"c{i}" for i in range(75)),
     )
-    assert pr.note_token_length(long_note) > pr.LONG_NOTE_TOKENS
+    assert len(pr.note_tokens(long_note)) > pr.LONG_NOTE_TOKENS
     assert pr.length_class(long_note) == "long"

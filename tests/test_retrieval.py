@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from mlrm.autodiff import Tensor
 from mlrm.data import Pair, SyntheticConfig, build_vocab, generate_synthetic
-from mlrm.errors import ConfigError, DataError, FormatError
+from mlrm.errors import ConfigError, DataError, FormatError, NumericError
 from mlrm.model import MODES, ModelConfig, init_params
 from mlrm.notes import Note
-from mlrm.prompting import join_topics, length_class, tokenize
+from mlrm.prompting import join_topics, length_class, note_tokens, tokenize
 from mlrm.retrieval import (
     BM25Index,
     CHUNK,
@@ -105,6 +105,17 @@ def test_build_table_rows_do_not_depend_on_chunk_or_order(modality):
         assert np.array_equal(reverse.vectors, ahead.vectors[::-1]), mode
         head = build_table(params, cfg, vocab, notes[:CHUNK + 1], modality=modality)
         assert np.array_equal(head.vectors, ahead.vectors[:CHUNK + 1]), mode
+
+
+def test_build_table_names_the_first_note_with_a_non_finite_embedding():
+    # a NaN in one token's embedding row reaches only the notes that use
+    # the token; the first of them is named instead of becoming a NaN row
+    params, cfg, vocab, notes = model_world(n=6)
+    token = note_tokens(notes[-1])[0]
+    params["lm.tok_emb"].data[vocab.index[token], 0] = np.nan
+    first = next(n for n in notes if token in note_tokens(n))
+    with pytest.raises(NumericError, match=f"note {first.id} embeds to a vector of norm nan"):
+        build_table(params, cfg, vocab, notes)
 
 
 def test_identical_notes_embed_identically():
@@ -202,6 +213,19 @@ def test_table_header_is_checked_against_the_file(tmp_path, count, dim):
 def test_table_rejects_negative_ids():
     with pytest.raises(DataError, match="negative"):
         EmbeddingTable(ids=np.asarray([0, -1]), vectors=np.ones((2, 3), np.float32))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_table_with_a_non_finite_entry_fails_to_load(tmp_path, value):
+    # every score against such a row would be NaN
+    path = tmp_path / "emb.mlrm"
+    save_table(path, random_table(n=3, dim=4))
+    blob = bytearray(path.read_bytes())
+    row = 16 + (8 + 4 * 4)  # the second row, after the header
+    blob[row + 8 + 4:row + 8 + 8] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="NaN or infinite"):
+        load_table(path)
 
 
 def test_table_rejects_duplicate_ids():

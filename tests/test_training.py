@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -18,6 +19,7 @@ from mlrm.training import (
     RunSettings,
     batch_loss,
     clip_gradients,
+    decode_config,
     final_loss,
     grad_norm,
     init_state,
@@ -410,11 +412,21 @@ def test_run_settings_reject_negative_seed():
         RunSettings(seed=-1)
 
 
-def test_loss_mode_mismatch_rejected():
-    notes, pairs, vocab, cfg = small_world("basic")
-    with pytest.raises(ConfigError):
-        init_state(cfg, LossConfig(mode="omni"), OptimConfig(steps=2),
-                   RunSettings(), vocab)
+@pytest.mark.parametrize("cls", [ModelConfig, LossConfig, OptimConfig, RunSettings],
+                         ids=lambda cls: cls.__name__)
+def test_no_config_value_ends_in_a_traceback(cls):
+    # each int field at 0 and -1 and each float field at 0, -1, NaN and
+    # inf is refused with a ConfigError or accepted; no model size, head
+    # count or layer-norm eps may take any of them
+    probes = {"int": (0, -1), "float": (0.0, -1.0, math.nan, math.inf)}
+    base = {"vocab_size": 10} if cls is ModelConfig else {}
+    for f in dataclasses.fields(cls):
+        for value in probes.get(f.type, ()):
+            try:
+                decode_config(cls, dict(base, **{f.name: value}), "cfg")
+            except ConfigError:
+                continue
+            assert cls is not ModelConfig, f"ModelConfig accepted {f.name}={value}"
 
 
 @pytest.mark.slow
