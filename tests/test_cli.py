@@ -335,10 +335,18 @@ def test_train_requires_some_dataset(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
-def test_data_section_does_not_replace_dataset_flag(tmp_path, dataset, capsys):
-    # --dataset is the one place the training dataset comes from
+@pytest.mark.parametrize("make_data", [
+    lambda dataset: {"dataset": ["a"]},
+    lambda dataset: {"datset": "x"},
+    lambda dataset: {"dataset": str(dataset)},
+], ids=["dataset-not-string", "unknown-key", "dataset-path"])
+def test_bad_data_section_is_config_error_without_dataset_flag(tmp_path, dataset, capsys,
+                                                               make_data):
+    # --dataset is the one place the training dataset comes from; a config
+    # file's data section, well-formed or not, does not stand in for it
+    data = make_data(dataset)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"data": {"dataset": str(dataset)}}))
+    path.write_text(json.dumps({"data": data}))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "--dataset" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
