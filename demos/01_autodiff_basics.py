@@ -52,20 +52,25 @@ down = forward().item()
 w1.data[0, 0] = keep
 print("finite difference =", (up - down) / (2 * eps))
 
-# Causal attention over two notes packed row after row, of 3 and 2 rows.
-# retain=True also returns the softmax probabilities, one [heads,
-# queries, keys] block per note: a query never sees a later position, so
-# every entry above the diagonal is exactly zero.
+# Causal attention over two notes packed row after row, of 3 and 2 rows,
+# with 2 heads of width 4. Value row j is one-hot at column j of each
+# head, so each head's output rows are exactly its softmax probabilities:
+# a query never sees a later position, so every entry above the diagonal
+# is exactly zero.
 lengths = [3, 2]
-q, k, v = (Tensor(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(3))
-out, probs = ad.attention(q, k, v, 2, lengths, retain=True)
-for n, block in zip(lengths, probs.blocks(probs.data)):
-    print(f"\nhead 0 probabilities of the {n}-row note:\n", block[0].round(4))
+q, k = (Tensor(rng.standard_normal((5, 8)), requires_grad=True) for _ in range(2))
+positions = np.concatenate([np.arange(n) for n in lengths])
+onehot = np.zeros((5, 2, 4))
+onehot[np.arange(5), :, positions] = 1.0
+v = Tensor(onehot.reshape(5, 8), requires_grad=True)
+out, _ = ad.attention(q, k, v, 2, lengths)
+for n, end in zip(lengths, np.cumsum(lengths)):
+    print(f"\nhead 0 probabilities of the {n}-row note:\n", out.data[end - n:end, :n].round(4))
 
 # Hence the first row's output gets exactly zero gradient from every
-# later value row. Its entries summed (a [1, 4] @ [4, 1] product) make a
+# later value row. Its entries summed (a [1, 8] @ [8, 1] product) make a
 # one-element loss.
-backward(ad.matmul(ad.narrow(out, 0, 0, 1), Tensor(np.ones((4, 1)))))
+backward(ad.matmul(ad.narrow(out, 0, 0, 1), Tensor(np.ones((8, 1)))))
 print("\nlargest |gradient| at value rows 1-4:", np.abs(v.grad[1:]).max())
 
 # Inside no_grad() nothing is recorded; useful for evaluation loops.

@@ -16,9 +16,10 @@ What is held for backward, and when it is freed:
 - Each op's closure keeps only what its backward reads. ``attention``
   keeps each segment's softmax row max and row sum, [heads, queries, 1],
   and rebuilds the probabilities just before use with the forward's own
-  steps, which give the same bits; ``ff`` keeps its pre-activation and
-  gelu cdf, and when it records nothing it works through one reused
-  block of rows of those.
+  steps, which give the same bits, also when it retains saliency;
+  ``ff`` keeps gelu(h) when w2 needs a gradient and the gelu derivative
+  when x, w1 or b1 does, and works through one reused block of rows of
+  the pre-activation and cdf.
 - ``backward`` consumes the graph as it goes, as PyTorch does by
   default: the sweep drops each node's backward function, parent links
   and tape slot as soon as it passes the node (skipped nodes too), so
@@ -29,9 +30,9 @@ What is held for backward, and when it is freed:
   a consumed node raises ``ContractError``.
 - Under ``no_grad`` nothing is recorded, so nothing is kept.
 
-On request the packed attention op also returns its probabilities as a
-leaf that requires grad (``Retained``), whose buffer it then reads in
-backward in place of recomputing; a loss over grad-free parameters then
+On request the packed attention op also returns a leaf that requires
+grad (``Retained``), into which its backward writes the head-summed
+|A * dL/dA| of each segment; a loss over grad-free parameters then
 records the tape from the first such leaf on, and the sweep computes
 only what reaches them (used for attention saliency).
 """
@@ -56,8 +57,7 @@ _tls = threading.local()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# rows per block of ff's forward and of its backward's gelu-derivative
-# scratch: a block of the 4x-wide layer stays in cache
+# rows per block of ff's forward: a block of the 4x-wide layer stays in cache
 _FF_BLOCK = 256
 
 
@@ -358,29 +358,31 @@ def _merge(x: np.ndarray) -> np.ndarray:
 
 
 class Retained(Tensor):
-    """Attention probabilities kept by ``attention(..., retain=True)``: a
-    leaf that requires grad, whose ``data`` is one flat buffer of
-    per-segment [heads, queries, keys] blocks, segment after segment, with
-    no padding. Each backward pass through the op writes dL/d(probabilities)
-    into ``grad`` in the same layout. ``queries`` holds each segment's
-    query positions (a slice when every position is a query)."""
+    """Attention saliency kept by ``attention(..., retain=True)``: a leaf
+    that requires grad, so a loss over grad-free parameters records from
+    the op on. Each backward through the op writes the head-sum of
+    |A * dL/dA| into ``data`` (zero until then; ``grad`` stays None): one
+    flat buffer of per-segment [queries, keys] maps, with no padding.
+    ``queries`` holds each segment's query positions (a slice when every
+    position is a query)."""
 
     __slots__ = ("queries", "shapes")
 
-    def __init__(self, shapes: list[tuple[int, int, int]], queries: list):
-        super().__init__(np.empty(sum(math.prod(s) for s in shapes)), requires_grad=True)
+    def __init__(self, shapes: list[tuple[int, int]], queries: list):
+        super().__init__(np.zeros(sum(m * n for m, n in shapes)), requires_grad=True)
         self.shapes, self.queries = shapes, queries
 
-    def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Per-segment [heads, queries, keys] views of ``data`` or ``grad``."""
-        ends = np.cumsum([math.prod(s) for s in self.shapes]).tolist()
-        return [flat[end - math.prod(s):end].reshape(s) for s, end in zip(self.shapes, ends)]
+    def blocks(self) -> list[np.ndarray]:
+        """Per-segment [queries, keys] views of ``data``."""
+        ends = np.cumsum([m * n for m, n in self.shapes]).tolist()
+        return [self.data[end - m * n:end].reshape(m, n)
+                for (m, n), end in zip(self.shapes, ends)]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
               retain: bool = False, queries=None) -> tuple[Tensor, Retained | None]:
     """Multi-head scaled dot-product attention from projected q, k, v to
-    the head-merged output; returns (output, retained probabilities).
+    the head-merged output; returns (output, retained saliency).
 
     With ``lengths`` None, q [B, Tq, d] attends fully over k, v
     [B, Tk, d]. Otherwise k, v are packed [N, d] rows of consecutive
@@ -393,10 +395,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
     rebuilds the segment's probabilities just before use with the
     forward's steps in order (scores, scale, minus the stored max, exp of
     the unmasked entries, over the stored sum), which give the forward's
-    bits, and frees them before the next segment. With ``retain`` (packed rows only) the
-    probabilities are instead kept in one buffer, returned as a
-    ``Retained`` leaf, and read by the backward; else the second value
-    is None.
+    bits, and frees them before the next segment. With ``retain`` (packed
+    rows only) the op also returns a ``Retained`` leaf, into which the
+    backward writes each segment's head-sum of |A * dL/dA| from the
+    rebuilt probabilities; else the second value is None.
     """
     if q.ndim not in (2, 3) or k.shape != v.shape or k.ndim != q.ndim \
             or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads:
@@ -431,15 +433,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         future = ~allowed
         # per segment: the (future, allowed) key positions of each query row
         masks = [(future[r, :n], allowed[r, :n]) for r, n in zip(rows, lengths)]
-        kept = Retained([(heads, m, n) for m, n in zip(counts, lengths)], rows) if retain else None
+        kept = Retained(list(zip(counts, lengths)), rows) if retain else None
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
 
-    def softmax(qh, kh, mask, stats=None, p=None):
-        """One segment's probabilities into ``p``, with its row max and row
-        sum; given ``stats``, the same steps with the stored statistics in
-        place of the reductions, which rebuilds the same bits."""
+    def softmax(qh, kh, mask, stats=None):
+        """One segment's probabilities with their row max and row sum;
+        given ``stats``, the same steps with the stored statistics in place
+        of the reductions, which rebuilds the same bits."""
         future, allowed = mask
-        p = np.matmul(qh, kh.swapaxes(-1, -2), out=p)
+        p = qh @ kh.swapaxes(-1, -2)
         p *= c
         top = (p.max(axis=-1, keepdims=True, where=allowed, initial=-np.inf)
                if stats is None else stats[0])
@@ -455,40 +457,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         return p, (top, total)
 
     out = np.empty_like(q.data)
-    # per segment: the retained block, else the [heads, queries, 1] row max and sum
-    saved = [None] * len(qspans) if kept is None else kept.blocks(kept.data)
-    for i, (qspan, kspan, mask) in enumerate(zip(qspans, kspans, masks)):
+    saved = []  # per segment: the [heads, queries, 1] row max and sum
+    for qspan, kspan, mask in zip(qspans, kspans, masks):
         qh = _heads(q.data[qspan], heads)
         kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
-        p, stats = softmax(qh, kh, mask, p=saved[i])
-        if kept is None:
-            saved[i] = stats
+        p, stats = softmax(qh, kh, mask)
+        saved.append(stats)
         out[qspan] = _merge(p @ vh)
 
     def back(g):
         dq, dk, dv = (np.empty_like(x.data) if x.requires_grad else None for x in (q, k, v))
-        if kept is not None:
-            kept.grad = np.empty_like(kept.data)
-        dps = [None] * len(qspans) if kept is None else kept.blocks(kept.grad)
-        for qspan, kspan, mask, held, dp in zip(qspans, kspans, masks, saved, dps):
+        maps = [None] * len(qspans) if kept is None else kept.blocks()
+        for qspan, kspan, mask, stats, s in zip(qspans, kspans, masks, saved, maps):
             qh = _heads(q.data[qspan], heads)
             kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
-            p = held if kept is not None else softmax(qh, kh, mask, stats=held)[0]
+            p = softmax(qh, kh, mask, stats)[0]
             gh = _heads(g[qspan], heads)
-            dp = np.matmul(gh, vh.swapaxes(-1, -2), out=dp)
+            dp = gh @ vh.swapaxes(-1, -2)
+            if s is not None:
+                np.abs(p * dp).sum(axis=0, out=s)
             if dv is not None:
                 dv[kspan] = _merge(p.swapaxes(-1, -2) @ gh)
             if dq is None and dk is None:
                 continue
-            # softmax backward (in place unless dp is retained), then the 1/sqrt(dh) scale
-            ds = dp if kept is None else dp.copy()
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= c
+            # softmax backward in place, then the 1/sqrt(dh) scale
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= c
             if dq is not None:
-                dq[qspan] = _merge(ds @ kh)
+                dq[qspan] = _merge(dp @ kh)
             if dk is not None:
-                dk[kspan] = _merge(ds.swapaxes(-1, -2) @ qh)
+                dk[kspan] = _merge(dp.swapaxes(-1, -2) @ qh)
         return dq, dk, dv
     parents = (q, k, v) if kept is None else (q, k, v, kept)
     return _record(out, "attention", parents, back), kept
@@ -498,18 +497,19 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Feed-forward block gelu(x @ w1 + b1) @ w2 + b2 over the last axis,
     with the exact erf-based gelu.
 
-    The forward is one loop over blocks of ``_FF_BLOCK`` rows: per block,
-    the pre-activation h, the gelu cdf in place, then that block's output
-    rows. When the call records a node, the blocks are views into full
-    h and cdf, which the closure keeps for backward; when it records
-    none (``no_grad``, or no input requires grad), one block-sized pair
-    is reused and nothing wide outlives the call. A one-row tail joins
-    the block before it, so a block has one row only when the input
-    does: numpy takes its matrix-vector path for a one-row product,
+    The forward is one loop over blocks of ``_FF_BLOCK`` rows, through
+    one reused block-sized pair of buffers: per block, the pre-activation
+    h, the gelu cdf in place, then that block's output rows from
+    gelu(h) = h * cdf. A call that records a node also writes, per block,
+    what its backward reads into full [rows, d_ff] arrays: gelu(h) when
+    w2 needs a gradient, and the derivative cdf + h * phi(h) when x, w1
+    or b1 does; a call that records none keeps nothing wide. A one-row
+    tail joins the block before it, so a block has one row only when the
+    input does: numpy takes its matrix-vector path for a one-row product,
     whose bits differ. Every row's bits are those of the whole-array
-    expression. The backward takes dW2 first, then builds dh in the one
-    g @ w2^T buffer, scaled in place by the gelu derivative worked out
-    in row blocks of a small scratch array.
+    expression. The backward takes dW2 from the kept gelu(h), then
+    builds dh in the one g @ w2^T buffer, scaled in place by the kept
+    derivative.
     """
     d = x.shape[-1]
     if w1.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
@@ -518,46 +518,43 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
                          f"do not fit input {x.shape}")
     rows = x.data.reshape(-1, d)
     n, parents = len(rows), (x, w1, b1, w2, b2)
-    keep = _records(parents)
+    need = [_records(parents) and t.requires_grad for t in parents]
     edges = [*range(0, max(n - 1, 1), _FF_BLOCK), n]
-    size = n if keep else min(n, _FF_BLOCK + 1)
-    h, cdf = np.empty((size, w1.shape[1])), np.empty((size, w1.shape[1]))
+    h, cdf = (np.empty((min(n, _FF_BLOCK + 1), w1.shape[1])) for _ in range(2))
+    act = np.empty((n, w1.shape[1])) if need[3] else None
+    dgelu = np.empty((n, w1.shape[1])) if any(need[:3]) else None
     out = np.empty((n, d))
     for start, stop in zip(edges, edges[1:]):
-        at = slice(start, stop) if keep else slice(0, stop - start)
-        hb, cb = h[at], cdf[at]
-        np.matmul(rows[start:stop], w1.data, out=hb)
+        block = slice(start, stop)
+        hb, cb = h[:stop - start], cdf[:stop - start]
+        np.matmul(rows[block], w1.data, out=hb)
         hb += b1.data
         np.multiply(hb, _INV_SQRT2, out=cb)
         _erf(cb, out=cb)
         cb += 1.0
         cb *= 0.5
-        np.matmul(hb * cb, w2.data, out=out[start:stop])
+        np.matmul(hb * cb if act is None else np.multiply(hb, cb, out=act[block]),
+                  w2.data, out=out[block])
+        if dgelu is not None:
+            # gelu'(h) = (exp(-0.5 * h * h) / sqrt(2 pi)) * h + cdf, step by step
+            s = dgelu[block]
+            np.multiply(hb, -0.5, out=s)
+            s *= hb
+            np.exp(s, out=s)
+            s *= _INV_SQRT2PI
+            s *= hb
+            s += cb
     out += b2.data
 
     def back(g):
         g = g.reshape(-1, d)
-        need = [t.requires_grad for t in (x, w1, b1, w2, b2)]
-        dw2 = (h * cdf).T @ g if need[3] else None
-        if any(need[:3]):
-            # dh *= (c * exp(-0.5 * h * h)) * h + cdf, block by block; the
-            # elementwise products commute, so the bits are the whole-array
-            # expression's
+        dh = None
+        if dgelu is not None:
             dh = g @ w2.data.T
-            scratch = np.empty((min(_FF_BLOCK, len(h)), h.shape[1]))
-            for start in range(0, len(h), _FF_BLOCK):
-                block = slice(start, start + _FF_BLOCK)
-                s = scratch[:len(h[block])]
-                np.multiply(h[block], -0.5, out=s)
-                s *= h[block]
-                np.exp(s, out=s)
-                s *= _INV_SQRT2PI
-                s *= h[block]
-                s += cdf[block]
-                dh[block] *= s
+            dh *= dgelu
         return ((dh @ w1.data.T).reshape(x.shape) if need[0] else None,
                 rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
-                dw2, g.sum(axis=0) if need[4] else None)
+                act.T @ g if need[3] else None, g.sum(axis=0) if need[4] else None)
     return _record(out.reshape(x.shape), "ff", parents, back)
 
 

@@ -188,7 +188,7 @@ def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
                lengths: list[int] | None = None, retain: bool = False,
                queries: list[list[int]] | None = None) -> tuple[Tensor, Tensor | None]:
     """Multi-head attention of x_q over x_kv; returns (output, retained
-    probabilities or None).
+    saliency or None).
 
     With ``lengths`` None, batches [B, T, d] attend fully; otherwise x_kv
     holds packed [N, d] rows, x_q the rows at the per-segment positions
@@ -371,9 +371,9 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
     last computes keys and values over all rows and the rest only at the
     read rows, since no later block consumes the others. Returns the
     hidden states [R, h_t] at the read positions, note after note, and,
-    with ``retain_attention``, the per-layer attention probabilities as
-    ``autodiff.Retained`` leaves of one unpadded [heads, queries, T] block
-    per note (else None); the last layer's queries are the read rows.
+    with ``retain_attention``, the per-layer ``autodiff.Retained`` leaves
+    into which backward writes one unpadded [queries, T] saliency map per
+    note (else None); the last layer's queries are the read rows.
     """
     if x.ndim != 3 or x.shape[0] != 1 or x.shape[1] != sum(lengths):
         raise ShapeError(f"forward_llm: {x.shape} does not pack notes of lengths {lengths}")

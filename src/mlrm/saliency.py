@@ -51,18 +51,17 @@ def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
     The loss runs over grad-free views of the parameters, so the tape
     starts at the first layer's retained attention and the backward pass
     computes no parameter gradient. Each note's means at a layer are
-    read straight from its retained [heads, queries, T] block: rows that
-    were not queries hold zero saliency, so the query rows alone give
-    the means of the dense [T, T] map. The last query row is always the
-    compressed word c = T - 1."""
+    read straight from its retained [queries, T] map, the head-sum of
+    |A * dL/dA| that the backward wrote: rows that were not queries hold
+    zero saliency, so the query rows alone give the means of the dense
+    [T, T] map. The last query row is always the compressed word
+    c = T - 1."""
     views = {name: Tensor(p.data) for name, p in params.items()}
     loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg, retain_attention=True)
     backward(loss)
     out = [[] for _ in reps.infos]
     for layer in reps.attentions:
-        for triples, info, rows, a, g in zip(out, reps.infos, layer.queries,
-                                             layer.blocks(layer.data), layer.blocks(layer.grad)):
-            s = np.abs(a * g).sum(axis=0)
+        for triples, info, rows, s in zip(out, reps.infos, layer.queries, layer.blocks()):
             t, c = info.length, info.compressed_pos
             visual = np.zeros(c, dtype=bool)
             visual[info.visual_positions] = True

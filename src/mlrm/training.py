@@ -41,6 +41,8 @@ from .notes import Note
 from .prompting import Vocab
 
 TAU_NAME = "loss.tau"
+# below it, 2 * exp(tau) < log(float max): exp of cosine gaps in [-2, 2] stays finite
+_TAU_INIT_MAX = math.log(math.log(np.finfo(np.float64).max) / 2.0)
 
 
 @dataclass
@@ -53,8 +55,9 @@ class LossConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
-        if not math.isfinite(self.tau_init):
-            raise ConfigError("tau_init must be finite")
+        if not -math.inf < self.tau_init < _TAU_INIT_MAX:
+            raise ConfigError(f"tau_init must be finite and below {_TAU_INIT_MAX:.4f}, "
+                              f"got {self.tau_init}")
 
 
 @dataclass

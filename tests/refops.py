@@ -4,19 +4,23 @@ The model runs the fused ``autodiff.linear``, ``autodiff.attention``,
 ``autodiff.ff``, ``autodiff.gate_fuse`` and ``autodiff.contrastive``. An
 explicit masked softmax and gelu are the references of attention and the
 feed-forward block: the fused ops must match compositions of these. The
-fused attention recomputes its probabilities in backward and the fused
-feed-forward block works out its gelu derivative in row blocks, and
-layer norm's backward works in place; ``stored_attention``,
-``stored_ff`` and ``stored_layer_norm`` keep the whole-array arithmetic
-those replaced, which the engine's ops must match bit for bit. The
-elementwise, reduction and row-wise primitives below compose the
-reference biased projection (``linear_composition``), late-fusion gate
+fused attention recomputes its probabilities in backward and keeps only
+their head-summed saliency, the fused feed-forward block keeps gelu(h)
+and its derivative in place of the pre-activation and cdf, and layer
+norm's backward works in place; ``stored_attention``, ``stored_ff`` and
+``stored_layer_norm`` keep the whole-array arithmetic those replaced,
+which the engine's ops must match bit for bit. ``stored_attention`` also
+returns its probabilities as explicit leaves that take dL/dA, and
+``attention_probabilities`` runs the saliency loss through it: the
+independent reference of the maps the fused op writes. The elementwise,
+reduction and row-wise primitives below compose the reference biased
+projection (``linear_composition``), late-fusion gate
 (``gate_fuse_composition``) and contrastive loss
 (``contrastive_composition``), which the fused ops must match bit for
 bit, and give the tests scalar reductions. Each keeps its own
 finite-difference cases. The dense saliency maps and position masks at
 the end are the reference of ``saliency.batch_saliency``, which reads
-the same means straight from the retained attention blocks.
+the same means straight from the retained maps.
 """
 
 import math
@@ -27,6 +31,7 @@ from scipy.special import erf
 from mlrm import autodiff as ad
 from mlrm.errors import NumericError, ShapeError
 from mlrm.model import MICL_PROMPT_MODES
+from mlrm.training import batch_loss
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -70,22 +75,37 @@ def gelu(x):
     return ad._record(x.data * cdf, "gelu", (x,), back)
 
 
-def stored_attention(q, k, v, heads, lengths=None):
-    """``autodiff.attention`` without ``queries`` as it was when it kept
-    every probability block for backward and masked the future with -inf
-    before ``exp``: q, k, v [B, T, d] attending fully, or packed [N, d]
-    rows of causal segments of the given lengths. The reference of the
-    fused op's recomputing backward."""
+def _positions(lengths, queries):
+    """Each segment's query positions: all of them when ``queries`` is None."""
+    if queries is None:
+        return [np.arange(n) for n in lengths]
+    return [np.asarray(r) for r in queries]
+
+
+def stored_attention(q, k, v, heads, lengths=None, queries=None, retain=False):
+    """``autodiff.attention`` as it was when it kept every probability
+    block for backward and masked the future with -inf before ``exp``:
+    q, k, v [B, T, d] attending fully, or packed [N, d] rows of causal
+    segments of the given lengths, queried at every position or at the
+    per-segment positions ``queries``. Returns (output, probabilities):
+    with ``retain``, each segment's [heads, queries, keys] probabilities
+    as a leaf that requires grad and is a parent of the output, so
+    ``backward`` writes dL/dA into its ``grad``; else None. The
+    reference of the fused op's recomputing backward and of its saliency
+    maps."""
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
     if lengths is None:
-        spans, masks = [Ellipsis], [None]
+        qspans, kspans, masks = [Ellipsis], [Ellipsis], [None]
     else:
-        ends = np.cumsum(lengths).tolist()
-        spans = [slice(end - n, end) for n, end in zip(lengths, ends)]
-        masks = [~np.tri(n, dtype=bool) for n in lengths]
+        rows = _positions(lengths, queries)
+        qspans, kspans = (
+            [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
+            for sizes in ([len(r) for r in rows], lengths))
+        masks = [~np.tri(n, dtype=bool)[r] for r, n in zip(rows, lengths)]
     out, probs = np.empty_like(q.data), []
-    for span, mask in zip(spans, masks):
-        qh, kh, vh = (ad._heads(x.data[span], heads) for x in (q, k, v))
+    for qspan, kspan, mask in zip(qspans, kspans, masks):
+        qh = ad._heads(q.data[qspan], heads)
+        kh, vh = (ad._heads(x.data[kspan], heads) for x in (k, v))
         p = np.matmul(qh, kh.swapaxes(-1, -2))
         p *= c
         if mask is not None:
@@ -93,29 +113,59 @@ def stored_attention(q, k, v, heads, lengths=None):
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        out[span] = ad._merge(p @ vh)
+        out[qspan] = ad._merge(p @ vh)
         probs.append(p)
 
     def back(g):
         dq, dk, dv = (np.empty_like(x.data) for x in (q, k, v))
-        for span, p in zip(spans, probs):
-            qh, kh, vh = (ad._heads(x.data[span], heads) for x in (q, k, v))
-            gh = ad._heads(g[span], heads)
+        dps = []
+        for qspan, kspan, p in zip(qspans, kspans, probs):
+            qh = ad._heads(q.data[qspan], heads)
+            kh, vh = (ad._heads(x.data[kspan], heads) for x in (k, v))
+            gh = ad._heads(g[qspan], heads)
             dp = np.matmul(gh, vh.swapaxes(-1, -2))
-            dv[span] = ad._merge(p.swapaxes(-1, -2) @ gh)
-            dp -= (dp * p).sum(axis=-1, keepdims=True)
-            dp *= p
-            dp *= c
-            dq[span] = ad._merge(dp @ kh)
-            dk[span] = ad._merge(dp.swapaxes(-1, -2) @ qh)
-        return dq, dk, dv
-    return ad._record(out, "attention", (q, k, v), back)
+            dps.append(dp)
+            dv[kspan] = ad._merge(p.swapaxes(-1, -2) @ gh)
+            ds = dp.copy()
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= c
+            dq[qspan] = ad._merge(ds @ kh)
+            dk[kspan] = ad._merge(ds.swapaxes(-1, -2) @ qh)
+        return dq, dk, dv, *dps
+    leaves = [ad.Tensor(p, requires_grad=True) for p in probs] if retain else []
+    return ad._record(out, "attention", (q, k, v, *leaves), back), leaves or None
+
+
+def attention_probabilities(params, cfg, vocab, notes, loss_cfg):
+    """``saliency.batch_saliency``'s loss and backward, over grad-free
+    views of the parameters, with ``stored_attention`` in place of the
+    fused op. Returns (loss, reps, layers): layers[l][b] is (rows, probs),
+    note b's query positions at LM layer l and its [heads, queries, T]
+    probability leaf, whose ``grad`` holds dL/dA. Every value matches the
+    fused op's run bit for bit."""
+    layers = []
+
+    def stored(q, k, v, heads, lengths=None, retain=False, queries=None):
+        out, probs = stored_attention(q, k, v, heads, lengths, queries, retain)
+        if retain:
+            layers.append(list(zip(_positions(lengths, queries), probs)))
+        return out, None
+    fused, ad.attention = ad.attention, stored
+    try:
+        views = {name: ad.Tensor(p.data) for name, p in params.items()}
+        loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg, retain_attention=True)
+        ad.backward(loss)
+    finally:
+        ad.attention = fused
+    return loss, reps, layers
 
 
 def stored_ff(x, w1, b1, w2, b2):
-    """Feed-forward block with the whole-array gelu-derivative expression
-    of the earlier ``autodiff.ff`` backward, the reference of the fused
-    op's row-blocked one."""
+    """Feed-forward block that keeps its whole pre-activation and gelu
+    cdf, with the whole-array gelu-derivative expression of the earlier
+    ``autodiff.ff`` backward: the reference of the fused op, which keeps
+    gelu(h) and the derivative from its row-blocked forward instead."""
     d = x.shape[-1]
     rows = x.data.reshape(-1, d)
     h = rows @ w1.data
@@ -345,16 +395,15 @@ def position_sets(info, mode):
     return p_v, p_t, p_o
 
 
-def saliency_matrices(attentions, infos):
+def saliency_matrices(layers, infos):
     """Dense per-note, per-layer [T, T] head-sums of |A * dL/dA| from the
-    retained attention after backward; rows that were not queries are
-    zero. Returns matrices[b][l]."""
+    explicit probabilities of ``attention_probabilities``; rows that were
+    not queries are zero. Returns matrices[b][l]."""
     out = [[] for _ in infos]
-    for layer in attentions:
-        for per_layer, info, rows, a, g in zip(out, infos, layer.queries,
-                                               layer.blocks(layer.data), layer.blocks(layer.grad)):
+    for layer in layers:
+        for per_layer, info, (rows, probs) in zip(out, infos, layer):
             matrix = np.zeros((info.length, info.length))
-            matrix[rows] = np.abs(a * g).sum(axis=0)
+            matrix[rows] = np.abs(probs.data * probs.grad).sum(axis=0)
             per_layer.append(matrix)
     return out
 

@@ -56,9 +56,9 @@ from mlrm.training import (
 )
 
 from fdcheck import central_diff
-from refops import (add_rows, addc, decompose, exp, gelu, log1p, masked_softmax, mul,
-                    position_sets, power, saliency_matrices, scale_rows, sigmoid, smul, tmean,
-                    transpose, tsum)
+from refops import (add_rows, addc, attention_probabilities, decompose, exp, gelu, log1p,
+                    masked_softmax, mul, position_sets, power, saliency_matrices, scale_rows,
+                    sigmoid, smul, tmean, transpose, tsum)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -581,7 +581,8 @@ def test_criterion_08_saliency_correctness(small_world, monkeypatch):
     state = init_state(cfg, LossConfig(), OptimConfig(), RunSettings(seed=2), vocab)
     batch = short_notes(notes, 4)
     # the production decomposition runs the loss and backward itself; keep
-    # its retained attention for the dense reference
+    # its retained maps to hold against the stored reference's explicit
+    # probabilities and dL/dA
     seen = []
 
     def keep_reps(*args, **kwargs):
@@ -591,17 +592,19 @@ def test_criterion_08_saliency_correctness(small_world, monkeypatch):
     monkeypatch.setattr(saliency, "batch_loss", keep_reps)
     triples = saliency.batch_saliency(state.params, cfg, vocab, batch, state.loss_cfg)
     (reps,) = seen
-    matrices = saliency_matrices(reps.attentions, reps.infos)
+    _, ref_reps, layers = attention_probabilities(state.params, cfg, vocab, batch,
+                                                  state.loss_cfg)
+    matrices = saliency_matrices(layers, ref_reps.infos)
 
     worst = 0.0
-    probs = reps.attentions[0]  # the only, last layer holds the read rows
-    blocks = zip(probs.queries, probs.blocks(probs.data), probs.blocks(probs.grad))
-    for idx, (info, (rows, a_rows, g_rows)) in enumerate(zip(reps.infos, blocks)):
+    kept = reps.attentions[0]  # the only, last layer holds the read rows
+    blocks = zip(kept.queries, kept.blocks(), layers[0])
+    for info, (rows, s, (_, probs)) in zip(reps.infos, blocks):
         t = info.length
-        a, g = np.zeros((t, t)), np.zeros((t, t))
-        a[rows], g[rows] = a_rows[0], g_rows[0]
+        a, g, got = np.zeros((t, t)), np.zeros((t, t)), np.zeros((t, t))
+        a[rows], g[rows], got[rows] = probs.data[0], probs.grad[0], s
         direct = np.abs(a * g)
-        worst = max(worst, float(np.max(np.abs(matrices[idx][0] - direct))))
+        worst = max(worst, float(np.max(np.abs(got - direct))))
 
     partition_ok = True
     for info in reps.infos:

@@ -54,11 +54,18 @@ def test_matmul_shape_errors():
 
 
 def causal_probs(q, k, lengths, heads=1):
-    """Per-segment [heads, T, T] probabilities of packed causal attention:
-    the masked softmax inside ``attention``, whose mask hides every later
-    position."""
-    _, kept = ad.attention(t(q), t(k), t(np.zeros_like(k)), heads, lengths, retain=True)
-    return kept.blocks(kept.data)
+    """Per-segment [heads, T, T] probabilities of packed causal attention,
+    read exactly from the op's output: each head is at least as wide as
+    the longest segment, and value row j is one-hot at column j of every
+    head, so output row i of a head is row i of its probabilities."""
+    n, width = sum(lengths), q.shape[1] // heads
+    assert width >= max(lengths)
+    positions = np.concatenate([np.arange(m) for m in lengths])
+    v = np.zeros((n, heads, width))
+    v[np.arange(n), :, positions] = 1.0
+    out, _ = ad.attention(t(q), t(k), t(v.reshape(n, -1)), heads, lengths)
+    rows = out.data.reshape(n, heads, width).swapaxes(0, 1)
+    return [rows[:, end - m:end, :m] for m, end in zip(lengths, np.cumsum(lengths))]
 
 
 def assert_causal_rows(lengths, blocks):
@@ -71,18 +78,21 @@ def assert_causal_rows(lengths, blocks):
 def test_masked_softmax_rows_sum_to_one_and_masked_exactly_zero():
     rng = np.random.default_rng(1)
     lengths = [1, 4, 6]
-    q, k = (rng.normal(size=(11, 6)) * 5 for _ in range(2))
+    q, k = (rng.normal(size=(11, 12)) * 5 for _ in range(2))
     assert_causal_rows(lengths, causal_probs(q, k, lengths, heads=2))
 
 
 def test_masked_softmax_uniform_under_equal_logits():
-    (block,) = causal_probs(np.zeros((4, 2)), np.ones((4, 2)), [4])
+    (block,) = causal_probs(np.zeros((4, 4)), np.ones((4, 4)), [4])
     np.testing.assert_allclose(block[0], np.tri(4) / np.arange(1.0, 5.0)[:, None], atol=1e-15)
 
 
 def test_masked_softmax_stability_under_large_logits():
-    # one head of width 1, so the query-key products are the logits
-    (block,) = causal_probs(np.ones((2, 1)), np.array([[1e4], [1e4 - 1.0]]), [2])
+    # one head of width 4, so the 1/sqrt(4) scale halves the query-key
+    # products exactly and the logits are 1e4 and 1e4 - 1
+    q = np.array([[2.0, 0, 0, 0]] * 2)
+    k = np.array([[1e4, 0, 0, 0], [1e4 - 1.0, 0, 0, 0]])
+    (block,) = causal_probs(q, k, [2])
     assert np.isfinite(block).all()
     np.testing.assert_allclose(block[0, 1, 0], 1 / (1 + np.e ** -1), rtol=1e-12)
 
@@ -170,13 +180,16 @@ def test_no_grad_is_per_thread():
     assert y.requires_grad and not y.is_leaf()
 
 
-def test_retained_tensor_keeps_value_and_grad():
+def test_retained_tensor_holds_its_map_and_no_grad():
     x = t(np.array([[0.5, -1.0], [2.0, 0.1]]))
-    out, probs = ad.attention(x, x, x, 2, [2], retain=True)
+    out, kept = ad.attention(x, x, x, 2, [2], retain=True)
+    assert not kept.data.any()  # zero until a backward pass writes it
     loss = scalar_loss(out)
     ad.backward(loss)
-    assert probs.grad is not None and np.isfinite(probs.grad).all()
-    assert np.isfinite(probs.data).all()
+    (block,) = kept.blocks()
+    assert kept.grad is None and block.shape == (2, 2)
+    assert np.isfinite(block).all() and (block >= 0.0).all() and block[0, 1] == 0.0
+    assert block[1].any()
 
 
 def test_gradient_accumulates_across_backward_calls():
@@ -243,6 +256,24 @@ def test_packed_attention_forward_keeps_row_statistics_only():
     assert held < prob_bytes / 2, (held, prob_bytes)
 
 
+def test_retaining_attention_forward_holds_no_probabilities():
+    # the forward keeps the row statistics and a zeroed [queries, keys]
+    # map per segment, a quarter of the probabilities with four heads
+    rng = np.random.default_rng(31)
+    heads, d, lengths = 4, 16, [256, 256]
+    q, k, v = (t(rng.normal(size=(sum(lengths), d))) for _ in range(3))
+    prob_bytes = sum(heads * n * n for n in lengths) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and kept.data.nbytes == prob_bytes // heads
+    assert held < prob_bytes / 2, (held, prob_bytes)
+
+
 def test_second_backward_on_a_consumed_graph_raises():
     x = t(np.array([3.0]))
     y = ad.scale(x, 2.0)
@@ -285,6 +316,10 @@ def _check(op_name, build, arrays, n_wrt=None):
         assert_grad_close(tensors[k].grad, numeric, f"{op_name}[{k}]")
 
 
+# grad-free ff inputs around the one that takes a gradient
+FF_FIXED = [t(np.random.default_rng(29).normal(size=s), grad=False)
+            for s in [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]]
+
 CASES = {
     "add": (lambda ts: ad.add(ts[0], ts[1]), [(3, 4), (3, 4)]),
     "add_bias": (lambda ts: ad.add(ts[0], ts[1]), [(3, 4), (4,)]),
@@ -325,6 +360,9 @@ CASES = {
     "attention_cross": (
         lambda ts: ad.attention(ts[0], ts[1], ts[2], 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    # one input takes a gradient: ff keeps only the gelu derivative, or only gelu(h)
+    "ff_x": (lambda ts: ad.ff(ts[0], *FF_FIXED[1:]), [(2, 3, 4)]),
+    "ff_w2": (lambda ts: ad.ff(*FF_FIXED[:3], ts[0], FF_FIXED[4]), [(6, 4)]),
     "gate_fuse": (lambda ts: ad.gate_fuse(*ts), [(3, 4), (3, 4), (4, 8), (4,)]),
     # one v into two gates, as notellm2 wires its visual summary
     "gate_fuse_shared": (
@@ -403,13 +441,11 @@ def test_attention_rows_match_full_causal_attention():
     np.testing.assert_allclose(rows[0].grad, full[0].grad[index], **close)
     for a, b in zip(rows[1:], full[1:]):
         np.testing.assert_allclose(a.grad, b.grad, **close)
-    assert kept.shapes == [(heads, len(r), n) for r, n in zip(queries, lengths)]
-    for a, b in ((kept.data, kept_full.data), (kept.grad, kept_full.grad)):
-        for r, block, block_full in zip(queries, kept.blocks(a), kept_full.blocks(b)):
-            np.testing.assert_allclose(block, block_full[:, r], **close)
-    # the full op's gradient is exactly zero at the rows no loss reads
-    for r, n, block_full in zip(queries, lengths, kept_full.blocks(kept_full.grad)):
-        assert not block_full[:, np.setdiff1d(np.arange(n), r)].any()
+    assert kept.shapes == [(len(r), n) for r, n in zip(queries, lengths)]
+    for r, n, block, block_full in zip(queries, lengths, kept.blocks(), kept_full.blocks()):
+        np.testing.assert_allclose(block, block_full[r], **close)
+        # the full op's saliency is exactly zero at the rows no loss reads
+        assert not block_full[np.setdiff1d(np.arange(n), r)].any()
 
 
 def _capture(x):
@@ -445,7 +481,7 @@ def test_attention_matches_unfused_composition_note_by_note():
     q, k, v = (t(a) for a in qkv)
     out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
     ad.backward(tsum(mul(out, t(w, grad=False))))
-    assert kept.shapes == [(heads, n, n) for n in lengths]
+    assert kept.shapes == [(n, n) for n in lengths]
     start = 0
     for i, n in enumerate(lengths):
         span = slice(start, start + n)
@@ -457,8 +493,9 @@ def test_attention_matches_unfused_composition_note_by_note():
         np.testing.assert_allclose(out.data[span], ref.data[0], **close)
         for fused, part in zip((q, k, v), parts):
             np.testing.assert_allclose(fused.grad[span], part.grad[0], **close)
-        np.testing.assert_allclose(kept.blocks(kept.data)[i], probs.data[0], **close)
-        np.testing.assert_allclose(kept.blocks(kept.grad)[i], probs.grad[0], **close)
+        # the kept map is the head-sum of |A * dL/dA| of the explicit softmax
+        np.testing.assert_allclose(kept.blocks()[i],
+                                   np.abs(probs.data[0] * probs.grad[0]).sum(axis=0), **close)
 
 
 def test_batched_attention_matches_unfused_composition():
@@ -503,8 +540,8 @@ def _attention_grads(arrays, **kwargs):
 
 @pytest.mark.parametrize("with_queries", [False, True])
 def test_recomputed_attention_matches_retained_bitwise(with_queries):
-    # retain=False rebuilds each block from the stored row max and sum;
-    # retain=True still keeps the probabilities: the same bits either way
+    # both rebuild each block from the stored row max and sum; retain=True
+    # also writes the saliency maps, which leaves every other bit alone
     rng = np.random.default_rng(23)
     heads, lengths = 2, [5, 1, 9, 4]
     queries = _query_rows(lengths, rng) if with_queries else None
@@ -517,16 +554,20 @@ def test_recomputed_attention_matches_retained_bitwise(with_queries):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("lengths", [None, [5, 1, 9, 4]], ids=["batched", "packed"])
-def test_attention_matches_stored_probabilities_bitwise(lengths):
+@pytest.mark.parametrize("layout", ["batched", "packed", "rows"])
+def test_attention_matches_stored_probabilities_bitwise(layout):
     # the fused op recomputes its probabilities and never takes exp of
     # the masked entries; the reference keeps them and masks with -inf
     rng = np.random.default_rng(24)
+    lengths = None if layout == "batched" else [5, 1, 9, 4]
+    queries = _query_rows(lengths, rng) if layout == "rows" else None
     shapes = [(3, 4, 8), (3, 7, 8), (3, 7, 8)] if lengths is None else [(sum(lengths), 8)] * 3
+    if queries is not None:
+        shapes[0] = (sum(len(r) for r in queries), 8)
     arrays = [rng.normal(size=s) * 3 for s in shapes]
-    fused = _attention_grads(arrays, heads=2, lengths=lengths)
+    fused = _attention_grads(arrays, heads=2, lengths=lengths, queries=queries)
     ref_in = [t(a) for a in arrays]
-    ref = stored_attention(*ref_in, 2, lengths)
+    ref, _ = stored_attention(*ref_in, 2, lengths, queries)
     ad.backward(scalar_loss(ref))
     for a, b in zip(fused, [ref.data] + [x.grad for x in ref_in]):
         assert np.array_equal(a, b)
@@ -539,13 +580,14 @@ FF_ROWS = [1, 2, 10, 64, 150, ad._FF_BLOCK - 1, ad._FF_BLOCK, ad._FF_BLOCK + 1,
 
 
 @pytest.mark.parametrize("rows", FF_ROWS)
-@pytest.mark.parametrize("grads", ["all", "x", "weights"])
+@pytest.mark.parametrize("grads", ["all", "x", "w2", "weights"])
 def test_ff_matches_whole_array_backward_bitwise(rows, grads):
-    # the row-blocked forward and gelu derivative give the whole-array
-    # expressions' bits
+    # the row-blocked forward, gelu(h) and gelu derivative give the
+    # whole-array expressions' bits, whichever of them the call keeps
     rng = np.random.default_rng(25)
     arrays = [rng.normal(size=s) for s in [(rows, 4), (4, 16), (16,), (16, 4), (4,)]]
-    flags = {"all": [True] * 5, "x": [True] + [False] * 4, "weights": [False] + [True] * 4}[grads]
+    flags = {"all": [True] * 5, "x": [True] + [False] * 4,
+             "w2": [False, False, False, True, False], "weights": [False] + [True] * 4}[grads]
     results = []
     for op in (ad.ff, stored_ff):
         ins = [t(a, grad=f) for a, f in zip(arrays, flags)]
@@ -588,6 +630,26 @@ def test_ff_without_a_node_holds_one_block_of_the_wide_layer():
         tracemalloc.stop()
     assert out.shape == (rows, d) and not out.requires_grad
     assert peak < wide_bytes, (peak, wide_bytes)
+
+
+@pytest.mark.parametrize("weights_grad", [False, True])
+def test_recording_ff_holds_what_its_backward_reads(weights_grad):
+    # the gelu derivative for x, plus gelu(h) when w2 takes a gradient
+    rng = np.random.default_rng(30)
+    rows, d, d_ff = 4096, 64, 256
+    arrays = [rng.normal(size=s) for s in [(rows, d), (d, d_ff), (d_ff,), (d_ff, d), (d,)]]
+    ins = [t(arrays[0])] + [t(a, grad=weights_grad) for a in arrays[1:]]
+    wide_bytes = rows * d_ff * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.ff(*ins)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the [rows, d] output and the closure are well under one wide array
+    assert held // wide_bytes == (2 if weights_grad else 1), (held, wide_bytes)
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (10, 8), (3, 7, 16), (150, 48)])
@@ -714,15 +776,21 @@ def test_retained_attention_holds_unpadded_blocks():
         runs.append((qkv, kept))
     (qkv, kept), (qkv_free, kept_free) = runs
     assert isinstance(kept, ad.Retained) and kept.is_leaf() and kept.requires_grad
-    size = sum(heads * len(r) * n for r, n in zip(queries, lengths))
-    assert kept.data.shape == kept.grad.shape == (size,)
-    for block, r, n in zip(kept.blocks(kept.grad), queries, lengths):
-        assert block.shape == (heads, len(r), n) and np.shares_memory(block, kept.grad)
+    size = sum(len(r) * n for r, n in zip(queries, lengths))
+    assert kept.data.shape == (size,) and kept.grad is None
+    for block, r, n in zip(kept.blocks(), queries, lengths):
+        assert block.shape == (len(r), n) and np.shares_memory(block, kept.data)
     # with grad-free q, k and v the tape starts at the retained leaf, and
-    # the backward pass writes the same dL/dA and nothing else
+    # the backward pass writes the same maps and nothing else
     assert all(x.grad is None for x in qkv_free) and all(x.grad is not None for x in qkv)
     assert np.array_equal(kept_free.data, kept.data)
-    assert np.array_equal(kept_free.grad, kept.grad)
+    # the maps are the head-sums of |A * dL/dA| of the stored reference's
+    # explicit probabilities, to the bit
+    ref, probs = stored_attention(*(t(a, grad=False) for a in arrays), heads, lengths,
+                                  queries, retain=True)
+    ad.backward(tsum(mul(ref, w)))
+    for block, p in zip(kept.blocks(), probs):
+        assert np.array_equal(block, np.abs(p.data * p.grad).sum(axis=0))
 
 
 SKIP_CASES = {
@@ -797,7 +865,7 @@ def test_attention_and_ff_shape_errors():
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.integers(0, 2**31 - 1))
 def test_masked_softmax_rows_property(lengths, seed):
     rng = np.random.default_rng(seed)
-    q, k = (rng.normal(size=(sum(lengths), 4)) * 10 for _ in range(2))
+    q, k = (rng.normal(size=(sum(lengths), 12)) * 10 for _ in range(2))
     assert_causal_rows(lengths, causal_probs(q, k, lengths, heads=2))
 
 

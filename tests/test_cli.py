@@ -383,13 +383,14 @@ def test_unknown_config_section(tmp_path, dataset, capsys):
     ({"data": {"datset": "x"}}, "unknown config sections ['data']"),
     ({"loss": {"mode": "basic"}}, "loss: unknown key 'mode'"),
     ({"loss": {"alpha": float("inf")}}, "alpha must be finite and positive"),
+    ({"loss": {"tau_init": 1000}}, "tau_init must be finite and below 5.8718"),
     ({"model": {"lm_heads": 0}}, "lm_heads must be positive"),
     ({"model": {"vision_heads": -1}}, "vision_heads must be positive"),
     ({"model": {"ff_mult": 0}}, "ff_mult must be positive"),
     ({"model": {"eps": -1.0}}, "eps must be finite and positive"),
 ], ids=["unknown-key", "not-object", "bad-type", "data-not-object", "seed-not-int",
         "batch-pairs-bool", "freeze-vision-int", "dataset-not-string", "data-unknown-key",
-        "loss-mode", "alpha-inf", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
+        "loss-mode", "alpha-inf", "tau-init-overflows", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
         "eps-negative"])
 def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, want):
     path = tmp_path / "cfg.json"
@@ -433,9 +434,11 @@ def _add_field(section):
     (lambda trailer: trailer["model"].update(vision_heads=-1), "vision_heads must be positive"),
     (lambda trailer: trailer["model"].update(ff_mult=0), "ff_mult must be positive"),
     (lambda trailer: trailer["model"].update(eps=-1.0), "eps must be finite and positive"),
+    (lambda trailer: trailer["loss"].update(tau_init=1000),
+     "tau_init must be finite and below 5.8718"),
 ], ids=["no-loss", "no-optim", "no-run", "model-field", "run-field", "extra-key",
         "loss-not-object", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
-        "eps-negative"])
+        "eps-negative", "tau-init-overflows"])
 def test_bad_checkpoint_trailer_is_format_error(tmp_path, dataset, trained, capsys,
                                                 corrupt, want):
     arrays, moments, step, configs, vocab = load_checkpoint(trained)

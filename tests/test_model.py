@@ -13,7 +13,7 @@ from mlrm.notes import Note
 from mlrm.prompting import Vocab, build_basic_prompt, build_micl_prompt, join_topics
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
 
-from refops import mul, saliency_matrices, tsum
+from refops import attention_probabilities, mul, saliency_matrices, tsum
 
 
 def tiny_cfg(vocab_size, **kw):
@@ -189,31 +189,25 @@ def test_last_block_at_read_rows_matches_full_forward(setup, monkeypatch):
 
 def test_read_rows_leave_saliency_unchanged(setup, monkeypatch):
     cfg, params, vocab, notes = setup
-    params = {**params, TAU_NAME: ad.Tensor(np.asarray(3.0), requires_grad=True)}
+    params = {**params, TAU_NAME: ad.Tensor(np.asarray(3.0))}
 
     def matrices():
-        loss, reps = batch_loss(params, cfg, vocab, notes[:4],
-                                LossConfig(), retain_attention=True)
-        ad.backward(loss)
-        for tensor in params.values():
-            tensor.grad = None
-        return saliency_matrices(reps.attentions, reps.infos), reps
+        _, reps, layers = attention_probabilities(params, cfg, vocab, notes[:4], LossConfig())
+        return saliency_matrices(layers, reps.infos), reps, layers
 
-    got, reps = matrices()
+    got, reps, layers = matrices()
     with monkeypatch.context() as patch:
         patch.setattr(mm, "forward_llm", _full_forward_llm)
-        want, full = matrices()
+        want, _, full = matrices()
     # the full forward's last-layer attention gradient is exactly zero
-    # outside the read rows, which the read-row forward does not retain
-    last, last_full = reps.attentions[-1], full.attentions[-1]
-    blocks = zip(reps.infos, last.queries, last.blocks(last.data),
-                 last_full.blocks(last_full.data), last_full.blocks(last_full.grad))
-    for b, (info, rows, probs, probs_full, grads_full) in enumerate(blocks):
+    # outside the read rows, which the read-row forward does not query
+    for b, (info, (rows, probs), (_, probs_full)) in enumerate(zip(reps.infos, layers[-1],
+                                                                  full[-1])):
         read = [info.visual_word_pos, info.compressed_pos]
         assert rows.tolist() == read and probs.shape == (cfg.lm_heads, 2, info.length)
         unread = np.setdiff1d(np.arange(info.length), read)
-        assert not grads_full[:, unread].any()
-        assert np.array_equal(probs, probs_full[:, read])
+        assert not probs_full.grad[:, unread].any()
+        assert np.array_equal(probs.data, probs_full.data[:, read])
         for layer in range(cfg.lm_layers):
             # zero entries must match exactly; the backward through the
             # last block's smaller products may round differently

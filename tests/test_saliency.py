@@ -12,7 +12,7 @@ from mlrm.model import MODES, ModelConfig, embed_notes, init_params
 from mlrm.saliency import batch_saliency, saliency_report, write_report, CSV_FIELDS
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
 from mlrm.autodiff import Tensor
-from refops import decompose, position_sets, saliency_matrices
+from refops import attention_probabilities, decompose, position_sets, saliency_matrices
 
 
 def make_cfg(mode, **kw):
@@ -38,9 +38,19 @@ def setup(mode, n=4, **cfg_kw):
 
 
 def run_retained(params, cfg, vocab, notes):
-    loss, reps = batch_loss(params, cfg, vocab, notes, LossConfig(), retain_attention=True)
+    """``batch_saliency``'s loss and backward over grad-free views of the
+    parameters; the retained maps are in ``reps.attentions``."""
+    views = {name: Tensor(p.data) for name, p in params.items()}
+    loss, reps = batch_loss(views, cfg, vocab, notes, LossConfig(), retain_attention=True)
     backward(loss)
     return loss, reps
+
+
+def run_stored(params, cfg, vocab, notes):
+    """The dense reference: (reps, layers, matrices) of the saliency loss
+    run through the stored attention's explicit probabilities."""
+    _, reps, layers = attention_probabilities(params, cfg, vocab, notes, LossConfig())
+    return reps, layers, saliency_matrices(layers, reps.infos)
 
 
 # ---------------------------------------------------------------------------
@@ -92,34 +102,37 @@ def test_visual_set_row_is_compressed_position():
 
 
 def test_saliency_single_head_hadamard_oracle():
+    # the fused op's map against |A * dL/dA| of the reference's explicit
+    # single-head probabilities
     params, cfg, vocab, notes = setup("notellm2", n=4,
                                                lm_layers=1, lm_heads=1)
     loss, reps = run_retained(params, cfg, vocab, notes)
-    matrices = saliency_matrices(reps.attentions, reps.infos)
-    layer = reps.attentions[0]
-    assert layer.grad is not None
-    blocks = zip(layer.queries, layer.blocks(layer.data), layer.blocks(layer.grad))
-    for b, (info, (rows, probs, grads)) in enumerate(zip(reps.infos, blocks)):
+    _, (layer,), _ = run_stored(params, cfg, vocab, notes)
+    kept = reps.attentions[0]
+    assert kept.grad is None
+    for info, rows, s, (_, probs) in zip(reps.infos, kept.queries, kept.blocks(), layer):
         # the only layer is the last: it holds the read rows alone
         t = info.length
-        a, g = np.zeros((t, t)), np.zeros((t, t))
-        a[rows], g[rows] = probs[0], grads[0]
+        assert rows.tolist() == [info.visual_word_pos, info.compressed_pos]
+        a, g, got = np.zeros((t, t)), np.zeros((t, t)), np.zeros((t, t))
+        a[rows], g[rows], got[rows] = probs.data[0], probs.grad[0], s
         want = np.abs(a * g)
-        assert np.max(np.abs(matrices[b][0] - want)) <= 1e-12
-        assert np.all(matrices[b][0] >= 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(got >= 0.0)
 
 
 def test_saliency_sums_over_heads():
     params, cfg, vocab, notes = setup("notellm2", n=4, lm_heads=2)
     loss, reps = run_retained(params, cfg, vocab, notes)
-    matrices = saliency_matrices(reps.attentions, reps.infos)
-    layer0 = reps.attentions[0]
+    _, layers, matrices = run_stored(params, cfg, vocab, notes)
     b, info = 0, reps.infos[0]
     t = info.length
-    a, g = layer0.blocks(layer0.data)[b], layer0.blocks(layer0.grad)[b]
-    assert a.shape == g.shape == (cfg.lm_heads, t, t)
+    rows, probs = layers[0][b]
+    a, g = probs.data, probs.grad
+    assert rows.tolist() == list(range(t)) and a.shape == g.shape == (cfg.lm_heads, t, t)
     want = sum(np.abs(a[h] * g[h]) for h in range(cfg.lm_heads))
     assert np.allclose(matrices[b][0], want, rtol=0, atol=1e-15)
+    assert np.allclose(reps.attentions[0].blocks()[b], want, rtol=0, atol=1e-15)
 
 
 def test_saliency_zero_for_single_pair_batch():
@@ -136,10 +149,30 @@ def test_saliency_zero_for_single_pair_batch():
 def test_saliency_support_is_causal():
     params, cfg, vocab, notes = setup("notellm2", n=4)
     loss, reps = run_retained(params, cfg, vocab, notes)
-    matrices = saliency_matrices(reps.attentions, reps.infos)
+    _, _, matrices = run_stored(params, cfg, vocab, notes)
     for per_layer in matrices:
         for m in per_layer:
             assert np.all(m[np.triu_indices(m.shape[0], k=1)] == 0.0)
+    # the fused op's maps too: row i of a segment is zero beyond column i
+    for layer in reps.attentions:
+        for rows, s in zip(layer.queries, layer.blocks()):
+            positions = np.arange(s.shape[1])[rows]
+            assert np.all(s[positions[:, None] < np.arange(s.shape[1])] == 0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stored_reference_matches_fused_maps_bitwise(mode):
+    # the reference keeps every probability block and reads dL/dA from
+    # its explicit leaves; the fused op writes the same maps to the bit
+    params, cfg, vocab, notes = setup(mode, n=4)
+    loss, reps = run_retained(params, cfg, vocab, notes)
+    ref_loss, _, layers = attention_probabilities(params, cfg, vocab, notes, LossConfig())
+    assert loss.data.tobytes() == ref_loss.data.tobytes()
+    assert len(layers) == len(reps.attentions) == cfg.lm_layers
+    for kept, layer in zip(reps.attentions, layers):
+        for rows, s, (ref_rows, probs) in zip(kept.queries, kept.blocks(), layer):
+            assert np.array_equal(np.arange(s.shape[1])[rows], ref_rows)
+            assert s.tobytes() == np.abs(probs.data * probs.grad).sum(axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +181,7 @@ def test_saliency_support_is_causal():
 
 def test_decompose_matches_brute_force_scan():
     params, cfg, vocab, notes = setup("notellm2", n=4)
-    loss, reps = run_retained(params, cfg, vocab, notes)
-    matrices = saliency_matrices(reps.attentions, reps.infos)
+    reps, _, matrices = run_stored(params, cfg, vocab, notes)
     for b, info in enumerate(reps.infos):
         for layer in range(cfg.lm_layers):
             m = matrices[b][layer]
@@ -164,21 +196,14 @@ def test_decompose_matches_brute_force_scan():
 
 
 @pytest.mark.parametrize("mode, layers", [(m, 2) for m in MODES] + [("notellm2", 1)])
-def test_batch_saliency_matches_dense_reference(monkeypatch, mode, layers):
-    # the production means, read from the retained blocks, equal the dense
-    # maps' masked means bit for bit on the very same attention; with one
-    # layer, the last layer's block holds only the read rows
+def test_batch_saliency_matches_dense_reference(mode, layers):
+    # the production means, read from the fused op's maps, equal the
+    # masked means of the dense maps of the stored reference's explicit
+    # probabilities bit for bit; with one layer, the last layer's block
+    # holds only the read rows
     params, cfg, vocab, notes = setup(mode, n=4, lm_layers=layers)
-    seen = []
-
-    def spy(*args, **kwargs):
-        loss, reps = batch_loss(*args, **kwargs)
-        seen.append(reps)
-        return loss, reps
-    monkeypatch.setattr(saliency, "batch_loss", spy)
     triples = batch_saliency(params, cfg, vocab, notes, LossConfig())
-    (reps,) = seen
-    matrices = saliency_matrices(reps.attentions, reps.infos)
+    reps, _, matrices = run_stored(params, cfg, vocab, notes)
     want = [[decompose(m, position_sets(info, mode)) for m in per_layer]
             for per_layer, info in zip(matrices, reps.infos)]
     assert len(triples) == len(notes)
