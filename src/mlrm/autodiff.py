@@ -13,22 +13,34 @@ requires grad.
 
 What is held for backward, and when it is freed:
 
-- Each op's closure keeps only what its backward reads. ``attention``
-  keeps each segment's softmax row max and row sum, [heads, queries, 1],
-  and rebuilds the probabilities just before use with the forward's own
-  steps, which give the same bits, also when it retains saliency;
-  ``ff`` keeps gelu(h) when w2 needs a gradient and the gelu derivative
-  when x, w1 or b1 does, and works through one reused block of rows of
-  the pre-activation and cdf.
+- The tape is made of ``Node`` objects, apart from the values. A
+  recorded op's output ``Tensor`` points to its node, which holds the op
+  name, the backward function and the parents' nodes; a leaf's node
+  holds the leaf tensor only when it takes a gradient. No node holds its
+  own value or its parents' values, and no backward function holds a
+  parent ``Tensor``: each keeps the arrays and flags it reads. ``linear``,
+  ``matmul`` and ``ff`` keep their input rows only when the weight takes
+  a gradient; ``add``, ``narrow`` and ``embedding_lookup`` keep no array
+  (a shape at most). So an op's output dies when the model code drops
+  it, unless a backward that will run reads it.
+- ``attention`` keeps q, k and v and each segment's softmax row max and
+  row sum, [heads, queries, 1], and rebuilds the probabilities just
+  before use with the forward's own steps, which give the same bits,
+  also when it retains saliency; ``ff`` keeps gelu(h) when w2 needs a
+  gradient and the gelu derivative when x, w1 or b1 does, and works
+  through one reused block of rows of the pre-activation and cdf.
 - ``backward`` consumes the graph as it goes, as PyTorch does by
   default: the sweep drops each node's backward function, parent links
   and tape slot as soon as it passes the node (skipped nodes too), so
   the arrays that node saved are freed before any earlier node runs,
   even while the caller still holds the loss; only ``op`` stays, for
-  diagnostics. Whatever walks the graph (``first_nonfinite``,
-  ``_topo_order``) must run before it, and a second ``backward`` through
-  a consumed node raises ``ContractError``.
+  diagnostics. ``_topo_order`` must run before it, and a second
+  ``backward`` through a consumed node raises ``ContractError``.
 - Under ``no_grad`` nothing is recorded, so nothing is kept.
+- Values are not on the tape, so ``first_nonfinite`` rebuilds a graph
+  with each op's value kept on its node (a thread-local switch next to
+  ``no_grad``, which only it turns on) and reports the oldest node whose
+  value is not finite.
 
 On request the packed attention op also returns a leaf that requires
 grad (``Retained``), into which its backward writes the head-summed
@@ -40,9 +52,9 @@ only what reaches them (used for attention saliency).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import threading
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +62,6 @@ from scipy.special import erf as _erf
 
 from .errors import ContractError, NumericError, ShapeError
 
-_ids = itertools.count()
 # recording is toggled per thread: a library caller embedding under no_grad()
 # on one thread must not switch recording off on the others
 _tls = threading.local()
@@ -76,25 +87,51 @@ def no_grad():
         _tls.grad_enabled = prev
 
 
+@contextlib.contextmanager
+def _keeping_values():
+    """Keep each recorded op's value on its node inside the block; only
+    ``first_nonfinite`` enters it."""
+    prev = getattr(_tls, "keep_values", False)
+    _tls.keep_values = True
+    try:
+        yield
+    finally:
+        _tls.keep_values = prev
+
+
+class Node:
+    """One tape entry. A recorded op's node holds its name ``op``, its
+    ``backward_fn`` and its ``parents``' nodes, one per parent slot. A
+    leaf's node has no op and no parents, and holds the leaf ``tensor``
+    when that takes a gradient (None when it does not). ``value`` is None
+    except in a graph built for ``first_nonfinite``."""
+
+    __slots__ = ("op", "backward_fn", "parents", "tensor", "value", "__weakref__")
+
+    def __init__(self, op: str | None = None,
+                 backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None,
+                 parents: tuple[Node, ...] = (), tensor: Tensor | None = None):
+        self.op, self.backward_fn, self.parents = op, backward_fn, parents
+        self.tensor, self.value = tensor, None
+
+
 class Tensor:
     """A float64 array plus the bookkeeping reverse mode needs.
 
     ``data`` is the row-major value buffer, ``grad`` is filled by
-    ``backward`` for leaves with ``requires_grad``, and ``node_id``
-    identifies the tensor on the tape.
+    ``backward`` for leaves with ``requires_grad``, and ``node`` is the
+    tape entry of the op that made the tensor (None for a leaf).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "op",
-                 "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "node", "_leaf")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_ids)
-        self.op: str | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self.node: Node | None = None
+        # a leaf's node, held weakly: it lives as long as a graph that reads the leaf
+        self._leaf: weakref.ref[Node] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,16 +150,25 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def is_leaf(self) -> bool:
-        return self._backward_fn is None
-
     def __repr__(self) -> str:
         flags = []
         if self.requires_grad:
             flags.append("grad")
-        if self.op:
-            flags.append(self.op)
+        if self.node is not None:
+            flags.append(self.node.op)
         return f"Tensor(shape={self.shape}{', ' + ','.join(flags) if flags else ''})"
+
+
+def _entry(t: Tensor) -> Node:
+    """``t``'s tape entry: the node of the op that made it, or else the one
+    leaf node that stands for it in every graph alive at once."""
+    if t.node is not None:
+        return t.node
+    node = t._leaf() if t._leaf is not None else None
+    if node is None:
+        node = Node(tensor=t if t.requires_grad else None)
+        t._leaf = weakref.ref(node)
+    return node
 
 
 def _records(parents: tuple[Tensor, ...]) -> bool:
@@ -135,31 +181,31 @@ def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     out = Tensor(data)
     if _records(parents):
         out.requires_grad = True
-        out.op = op
-        out._parents = parents
-        out._backward_fn = backward_fn
+        out.node = Node(op, backward_fn, tuple(_entry(p) for p in parents))
+        if getattr(_tls, "keep_values", False):
+            out.node.value = out.data
     return out
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Every tensor reachable from ``root`` through parent links, parents
+def _topo_order(root: Tensor) -> list[Node]:
+    """Every node reachable from ``root``'s node through parent links, parents
     strictly before children."""
-    nodes: list[Tensor] = []
-    seen: set[int] = set()
-    # Iterative post-order: parents are appended before the tensors
-    # that consume them.
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    nodes: list[Node] = []
+    seen: set[Node] = set()
+    # Iterative post-order: parents are appended before the nodes that
+    # consume them.
+    stack: list[tuple[Node, bool]] = [(_entry(root), False)]
     while stack:
-        t, expanded = stack.pop()
-        if t.node_id in seen:
+        node, expanded = stack.pop()
+        if node in seen:
             continue
         if expanded:
-            seen.add(t.node_id)
-            nodes.append(t)
+            seen.add(node)
+            nodes.append(node)
             continue
-        stack.append((t, True))
-        for p in t._parents:
-            if p.node_id not in seen:
+        stack.append((node, True))
+        for p in node.parents:
+            if p not in seen:
                 stack.append((p, False))
     return nodes
 
@@ -169,41 +215,44 @@ def backward(loss: Tensor) -> None:
 
     Visits every tape node exactly once in reverse topological order,
     accumulating gradients. Leaves with ``requires_grad`` receive (or
-    accumulate into) ``.grad``. As the sweep passes a node, visited or
-    skipped, the node drops its backward function and parent links and
-    the sweep drops its tape slot, so the arrays its closure saved die
-    before the next node's backward runs (PyTorch's
+    accumulate into) ``.grad`` through their nodes. As the sweep passes a
+    node, visited or skipped, the node drops its backward function and
+    parent links and the sweep drops its tape slot, so the arrays its
+    closure saved die before the next node's backward runs (PyTorch's
     ``retain_graph=False``); the sweep's peak holds the gradients in
-    flight and the saved arrays of the nodes not yet reached. Walk the
-    graph (``first_nonfinite``, ``_topo_order``) before calling this; a
-    graph that an earlier call consumed raises ``ContractError``.
+    flight and the saved arrays of the nodes not yet reached. Values the
+    forward made and no backward reads were freed when the caller dropped
+    them, before the sweep starts. Walk the graph (``_topo_order``)
+    before calling this; a graph that an earlier call consumed raises
+    ``ContractError``.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
-    for t in order:
-        if t.op is not None and t._backward_fn is None:
-            raise ContractError(f"backward: the {t.op!r} node was consumed by an "
+    for node in order:
+        if node.op is not None and node.backward_fn is None:
+            raise ContractError(f"backward: the {node.op!r} node was consumed by an "
                                 f"earlier backward; rebuild the graph")
-    flowing: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    flowing: dict[Node, np.ndarray] = {order[-1]: np.ones_like(loss.data)}
     for i in range(len(order) - 1, -1, -1):
         # the loop names below are the closure's last references, rebound
         # before the next node's backward runs
-        t, order[i] = order[i], None
-        fn, parents = t._backward_fn, t._parents
-        t._backward_fn, t._parents = None, ()
-        g = flowing.pop(t.node_id, None)
+        node, order[i] = order[i], None
+        fn, parents = node.backward_fn, node.parents
+        node.backward_fn, node.parents = None, ()
+        g = flowing.pop(node, None)
         if g is None:
             continue
         if fn is None:
-            if t.requires_grad:
+            t = node.tensor
+            if t is not None:
                 t.grad = g.copy() if t.grad is None else t.grad + g
             continue
         for p, pg in zip(parents, fn(g)):
-            if pg is None or not p.requires_grad:
+            if pg is None or p.op is None and p.tensor is None:
                 continue
-            acc = flowing.get(p.node_id)
-            flowing[p.node_id] = pg if acc is None else acc + pg
+            acc = flowing.get(p)
+            flowing[p] = pg if acc is None else acc + pg
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +268,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g, g
         return _record(a.data + b.data, "add", (a, b), back)
     if 1 <= b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
-        lead = a.ndim - b.ndim
+        lead, grads = a.ndim - b.ndim, (a.requires_grad, b.requires_grad)
 
         def back(g):
-            return (g if a.requires_grad else None,
-                    g.sum(axis=tuple(range(lead))) if b.requires_grad else None)
+            return (g if grads[0] else None,
+                    g.sum(axis=tuple(range(lead))) if grads[1] else None)
         return _record(a.data + b.data, "add", (a, b), back)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
@@ -256,9 +305,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} vs {b.shape}")
 
+    bt = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+    at = np.swapaxes(a.data, -1, -2) if b.requires_grad else None
+
     def back(g):
-        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
-                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
+        return (None if bt is None else g @ bt, None if at is None else at @ g)
     return _record(a.data @ b.data, "matmul", (a, b), back)
 
 
@@ -269,19 +320,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Works on the [rows, d_in] view of x and holds one [rows, d_out]
     buffer where ``add(matmul(x, w), b)`` holds two; forward and backward
     repeat that composition's numpy steps on the views, so both give the
-    same bits.
+    same bits. The backward keeps the input rows only when w takes a
+    gradient, and w only when x does.
     """
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
     rows = x.data.reshape(-1, w.shape[0])
     out = rows @ w.data
     out += b.data
+    shapes = (x.shape, out.shape)
+    wt = w.data.T if x.requires_grad else None
+    rows_t = rows.T if w.requires_grad else None
+    db = b.requires_grad
 
     def back(g):
-        g = g.reshape(out.shape)
-        return ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-                rows.T @ g if w.requires_grad else None,
-                g.sum(axis=(0,)) if b.requires_grad else None)
+        g = g.reshape(shapes[1])
+        return (None if wt is None else (g @ wt).reshape(shapes[0]),
+                None if rows_t is None else rows_t @ g, g.sum(axis=(0,)) if db else None)
     return _record(out.reshape(x.shape[:-1] + w.shape[1:]), "linear", (x, w, b), back)
 
 
@@ -320,10 +375,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside axis {axis} of {x.shape}")
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
-    index = tuple(index)
+    index, shape = tuple(index), x.shape
 
     def back(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[index] = g
         return (full,)
     return _record(np.ascontiguousarray(x.data[index]), "narrow", (x,), back)
@@ -339,8 +394,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(f"embedding_lookup: id out of range for table of {table.shape[0]} rows")
 
+    shape = table.shape
+
     def back(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape)
         np.add.at(full, ids, g)
         return (full,)
     return _record(table.data[ids], "embedding_lookup", (table,), back)
@@ -456,21 +513,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         p /= total
         return p, (top, total)
 
+    qkv = (q.data, k.data, v.data)
     out = np.empty_like(q.data)
     saved = []  # per segment: the [heads, queries, 1] row max and sum
     for qspan, kspan, mask in zip(qspans, kspans, masks):
-        qh = _heads(q.data[qspan], heads)
-        kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
+        qh = _heads(qkv[0][qspan], heads)
+        kh, vh = (_heads(x[kspan], heads) for x in qkv[1:])
         p, stats = softmax(qh, kh, mask)
         saved.append(stats)
         out[qspan] = _merge(p @ vh)
+    grads = [x.requires_grad for x in (q, k, v)]
+    maps = [None] * len(qspans) if kept is None else kept.blocks()
 
     def back(g):
-        dq, dk, dv = (np.empty_like(x.data) if x.requires_grad else None for x in (q, k, v))
-        maps = [None] * len(qspans) if kept is None else kept.blocks()
+        dq, dk, dv = (np.empty_like(x) if need else None for x, need in zip(qkv, grads))
         for qspan, kspan, mask, stats, s in zip(qspans, kspans, masks, saved, maps):
-            qh = _heads(q.data[qspan], heads)
-            kh, vh = (_heads(x.data[kspan], heads) for x in (k, v))
+            qh = _heads(qkv[0][qspan], heads)
+            kh, vh = (_heads(x[kspan], heads) for x in qkv[1:])
             p = softmax(qh, kh, mask, stats)[0]
             gh = _heads(g[qspan], heads)
             dp = gh @ vh.swapaxes(-1, -2)
@@ -546,14 +605,19 @@ def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             s += cb
     out += b2.data
 
+    shape = x.shape
+    w1t = w1.data.T if need[0] else None
+    rows_t = rows.T if need[1] else None
+    w2t = w2.data.T if dgelu is not None else None
+
     def back(g):
         g = g.reshape(-1, d)
         dh = None
         if dgelu is not None:
-            dh = g @ w2.data.T
+            dh = g @ w2t
             dh *= dgelu
-        return ((dh @ w1.data.T).reshape(x.shape) if need[0] else None,
-                rows.T @ dh if need[1] else None, dh.sum(axis=0) if need[2] else None,
+        return (None if w1t is None else (dh @ w1t).reshape(shape),
+                None if rows_t is None else rows_t @ dh, dh.sum(axis=0) if need[2] else None,
                 act.T @ g if need[3] else None, g.sum(axis=0) if need[4] else None)
     return _record(out.reshape(x.shape), "ff", parents, back)
 
@@ -570,20 +634,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     out = xhat * gain.data + bias.data
+    gain_x = gain.data if x.requires_grad else None
+    dgain_, dbias_ = gain.requires_grad, bias.requires_grad
 
     def back(g):
         # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) step by step,
         # in dx and one scratch buffer that first holds g * xhat for the gain
-        buf = g * xhat if gain.requires_grad else np.empty_like(xhat)
-        dgain = buf.reshape(-1, d).sum(axis=0) if gain.requires_grad else None
+        buf = g * xhat if dgain_ else np.empty_like(xhat)
+        dgain = buf.reshape(-1, d).sum(axis=0) if dgain_ else None
         dx = None
-        if x.requires_grad:
-            dx = g * gain.data
+        if gain_x is not None:
+            dx = g * gain_x
             np.multiply(dx, xhat, out=buf)
             dx -= dx.mean(axis=-1, keepdims=True)
             dx -= np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
             dx *= inv
-        return dx, dgain, g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
+        return dx, dgain, g.reshape(-1, d).sum(axis=0) if dbias_ else None
     return _record(out, "layer_norm", (x, gain, bias), back)
 
 
@@ -609,15 +675,17 @@ def gate_fuse(v: Tensor, n: Tensor, w: Tensor, b: Tensor) -> Tensor:
     z = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.clip(a, 0, None))),
                  np.exp(np.clip(a, None, 0)) / (1.0 + np.exp(np.clip(a, None, 0))))
     rest = 1.0 - z
+    vd, nd = v.data, n.data
+    gv, gn, gb = v.requires_grad, n.requires_grad, b.requires_grad
+    xt = x.T if w.requires_grad else None
 
     def back(g):
-        da = (g * v.data - g * n.data) * z * rest
-        dx = da @ wt.T if v.requires_grad or n.requires_grad else None
+        da = (g * vd - g * nd) * z * rest
+        dx = da @ wt.T if gv or gn else None
         dv, dn = (None, None) if dx is None else np.split(dx, [h], axis=1)
-        return (g * z if v.requires_grad else None, dv if v.requires_grad else None,
-                g * rest + dn if n.requires_grad else None,
-                np.ascontiguousarray((x.T @ da).T) if w.requires_grad else None,
-                da.sum(axis=(0,)) if b.requires_grad else None)
+        return (g * z if gv else None, dv if gv else None, g * rest + dn if gn else None,
+                None if xt is None else np.ascontiguousarray((xt @ da).T),
+                da.sum(axis=(0,)) if gb else None)
     return _record(z * v.data + rest * n.data, "gate_fuse", (v, v, n, w, b), back)
 
 
@@ -640,15 +708,15 @@ def contrastive(queries: Tensor, candidates: Tensor, tau: Tensor) -> Tensor:
         raise ShapeError(f"contrastive: need two equal tables of an even row count and "
                          f"a scalar tau, got {queries.shape}/{candidates.shape} and {tau.shape}")
     tables = (queries,) if candidates is queries else (queries, candidates)
-    norms = []  # per table: squared row norms, their -1/2 power, unit rows
+    norms = []  # per table: rows, squared row norms, their -1/2 power, unit rows
     for x in tables:
         sq = (x.data * x.data).sum(axis=1)
         bad = np.flatnonzero(sq == 0.0)
         if bad.size:
             raise NumericError(f"zero-norm embedding at row {bad[0]}")
         inv = sq ** -0.5
-        norms.append((sq, inv, x.data * inv[:, None]))
-    q, c = norms[0][2], norms[-1][2]
+        norms.append((x.data, sq, inv, x.data * inv[:, None]))
+    q, c = norms[0][3], norms[-1][3]
     ct = np.ascontiguousarray(c.T)
     rows = np.arange(n)
     partner = rows ^ 1
@@ -661,30 +729,40 @@ def contrastive(queries: Tensor, candidates: Tensor, tau: Tensor) -> Tensor:
     keep[rows, partner] = 0.0
     terms = (ex * keep).sum(axis=1)
     loss = np.asarray(np.log1p(terms).sum()) / float(n)
+    dq_, dc_, dtau_ = queries.requires_grad, candidates.requires_grad, tau.requires_grad
 
     def back(g):
         dlogits = ((g / float(n)) / (1.0 + terms))[:, None] * keep * ex
         dsims = dlogits * scale
         dsims[rows, partner] -= dsims.sum(axis=1)  # through the subtracted positive
-        dq = dsims @ ct.T if queries.requires_grad else None
-        dc = np.ascontiguousarray((q.T @ dsims).T) if candidates.requires_grad else None
-        grads = [dq, dc] if len(tables) == 2 else [None if dq is None else dq + dc]
-        for i, (x, (sq, inv, _)) in enumerate(zip(tables, norms)):
+        dq = dsims @ ct.T if dq_ else None
+        dc = np.ascontiguousarray((q.T @ dsims).T) if dc_ else None
+        grads = [dq, dc] if len(norms) == 2 else [None if dq is None else dq + dc]
+        for i, (x, sq, inv, _) in enumerate(norms):
             if grads[i] is not None:
                 # through |x|^2: d(x * x)/dx adds x twice, as a product's two parents do
-                half = ((grads[i] * x.data).sum(axis=1) * -0.5 * sq ** -1.5)[:, None] * x.data
+                half = ((grads[i] * x).sum(axis=1) * -0.5 * sq ** -1.5)[:, None] * x
                 grads[i] = grads[i] * inv[:, None] + half + half
-        return (*grads, (dlogits * shifted).sum() * scale if tau.requires_grad else None)
+        return (*grads, (dlogits * shifted).sum() * scale if dtau_ else None)
     return _record(loss, "contrastive", (*tables, tau), back)
 
 
-def first_nonfinite(root: Tensor) -> Tensor | None:
-    """Oldest tape node under ``root`` whose value is non-finite.
+def first_nonfinite(build: Callable[[], Tensor]) -> Node | None:
+    """Oldest tape node whose value is non-finite, in the graph that
+    ``build()`` records with every op's value kept on its node.
 
-    Used to blame the origin of a NaN/Inf loss; returns None when the
-    whole region is finite.
+    Used to blame the origin of a NaN/Inf loss: a normal forward keeps no
+    values on the tape, so the caller passes a function that repeats the
+    failing forward. The value is ``node.value`` for an op and
+    ``node.tensor.data`` for a leaf that takes a gradient (such as a
+    parameter); a grad-free input is not on the tape, so its fault shows
+    at the first op that reads it. Returns None when the whole graph is
+    finite.
     """
-    for t in _topo_order(root):
-        if not np.isfinite(t.data).all():
-            return t
+    with _keeping_values():
+        root = build()
+    for node in _topo_order(root):
+        value = node.value if node.tensor is None else node.tensor.data
+        if value is not None and not np.isfinite(value).all():
+            return node
     return None

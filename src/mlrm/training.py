@@ -364,6 +364,17 @@ def _drop_metrics_after(path, step: int) -> None:
         fh.write(kept.encode("utf-8"))
 
 
+def _blame(node, params: dict) -> str:
+    """Name the origin of a non-finite value: the parameter, or the op
+    and the shape of its output."""
+    if node is None:
+        return "unknown node"
+    if node.op is None:
+        name = next((name for name, p in params.items() if p is node.tensor), None)
+        return f"parameter {name!r}, shape={node.tensor.shape}"
+    return f"op={node.op!r}, shape={node.value.shape}"
+
+
 def train(state: TrainState, notes: list[Note], pairs: list[Pair],
           out_dir=None, steps: int | None = None,
           on_step=None) -> TrainState:
@@ -372,7 +383,9 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
     Appends one metrics record per step to out_dir/metrics.jsonl when
     out_dir is given, after its records up to state.step, and
     checkpoints there at the end. A non-finite loss aborts with the
-    oldest offending graph node named.
+    oldest offending graph node named: the step's forward runs again
+    with the values kept, and the first parameter or op whose value is
+    not finite is blamed.
     """
     notes_by_id = {n.id: n for n in notes}
     if len(notes_by_id) != len(notes):
@@ -398,13 +411,15 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
 
     for step in range(state.step + 1, stop + 1):
         batch_notes = [notes_by_id[i] for i in next(stream)]
-        loss, _ = batch_loss(state.params, state.model_cfg, state.vocab,
-                             batch_notes, state.loss_cfg, image_cache=image_cache)
+
+        def forward():
+            return batch_loss(state.params, state.model_cfg, state.vocab,
+                              batch_notes, state.loss_cfg, image_cache=image_cache)[0]
+        loss = forward()
         value = loss.item()
         if not math.isfinite(value):
-            origin = first_nonfinite(loss)
-            where = f"op={origin.op!r}, shape={origin.shape}" if origin else "unknown node"
-            raise NumericError(f"non-finite loss at step {step}; first bad value: {where}")
+            raise NumericError(f"non-finite loss at step {step}; first bad value: "
+                               f"{_blame(first_nonfinite(forward), state.params)}")
         backward(loss)
         norm = clip_gradients(state.params, state.optim_cfg.max_grad_norm)
         lr = lr_at(step, state.optim_cfg)

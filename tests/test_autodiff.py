@@ -161,7 +161,7 @@ def test_no_grad_blocks_recording():
     x = t(np.ones(3))
     with ad.no_grad():
         y = ad.scale(x, 2.0)
-    assert not y.requires_grad and y.is_leaf()
+    assert not y.requires_grad and y.node is None
 
 
 def test_no_grad_is_per_thread():
@@ -177,7 +177,7 @@ def test_no_grad_is_per_thread():
         flags = list(pool.map(embed, range(64)))
     assert not any(flags)
     y = ad.scale(t(np.ones(2)), 2.0)
-    assert y.requires_grad and not y.is_leaf()
+    assert y.requires_grad and y.node is not None
 
 
 def test_retained_tensor_holds_its_map_and_no_grad():
@@ -211,7 +211,7 @@ def test_backward_frees_the_tape_while_the_loss_is_held():
     assert saved() is not None
     ad.backward(loss)
     assert saved() is None
-    assert loss.op is not None and loss._parents == () and loss._backward_fn is None
+    assert loss.node.op is not None and loss.node.parents == () and loss.node.backward_fn is None
     assert all(x.grad is not None for x in inputs)
 
 
@@ -237,7 +237,38 @@ def test_backward_frees_each_node_as_the_sweep_passes():
     ad.backward(tsum(out))
     assert alive == [False]
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 2.0])
-    assert earlier._backward_fn is None and earlier._parents == ()
+    assert earlier.node.backward_fn is None and earlier.node.parents == ()
+
+
+def test_forward_values_die_unless_a_backward_reads_them():
+    # with the loss held and before backward: the linear output that only
+    # an add reads, and that add's output, which only layer norm reads
+    # (it keeps its own xhat), are gone once the caller drops them;
+    # attention's q lives until the sweep passes the attention node
+    rng = np.random.default_rng(24)
+    x, w, b, gain, bias, wq, bq = (t(rng.normal(size=s)) for s in
+                                   ((5, 4), (4, 4), (4,), (4,), (4,), (4, 4), (4,)))
+    alive = []
+
+    def probe_back(g):
+        alive.append(q_alive() is not None)
+        return (g,)
+
+    def build():
+        h = ad.linear(x, w, b)
+        r = ad.add(h, x)
+        normed = ad.layer_norm(r, gain, bias)
+        proj = ad.linear(normed, wq, bq)
+        q = ad._record(proj.data.copy(), "probe", (proj,), probe_back)
+        out, _ = ad.attention(q, normed, normed, 2, [2, 3])
+        refs = [weakref.ref(a if a.base is None else a.base) for a in (h.data, r.data)]
+        return scalar_loss(out), refs, weakref.ref(q.data)
+    loss, dropped, q_alive = build()
+    assert all(ref() is None for ref in dropped)
+    assert q_alive() is not None
+    ad.backward(loss)
+    assert alive == [False]
+    assert all(p.grad is not None for p in (x, w, b, gain, bias, wq, bq))
 
 
 def test_packed_attention_forward_keeps_row_statistics_only():
@@ -634,22 +665,31 @@ def test_ff_without_a_node_holds_one_block_of_the_wide_layer():
 
 @pytest.mark.parametrize("weights_grad", [False, True])
 def test_recording_ff_holds_what_its_backward_reads(weights_grad):
-    # the gelu derivative for x, plus gelu(h) when w2 takes a gradient
+    # the gelu derivative for x, plus gelu(h) when w2 takes a gradient;
+    # the input rows only when w1 takes a gradient, as linear keeps them
+    # only for its w
     rng = np.random.default_rng(30)
     rows, d, d_ff = 4096, 64, 256
     arrays = [rng.normal(size=s) for s in [(rows, d), (d, d_ff), (d_ff,), (d_ff, d), (d,)]]
-    ins = [t(arrays[0])] + [t(a, grad=weights_grad) for a in arrays[1:]]
+    weights = [t(a, grad=weights_grad) for a in arrays[1:]]
     wide_bytes = rows * d_ff * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ad.ff(*ins)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    # the [rows, d] output and the closure are well under one wide array
-    assert held // wide_bytes == (2 if weights_grad else 1), (held, wide_bytes)
+    # ff: the [rows, d] output and the closure are well under one wide
+    # array; linear [d, d_ff]: its wide output and nothing else
+    for op, args, wide in ((ad.ff, weights, 2 if weights_grad else 1),
+                           (ad.linear, weights[:2], 1)):
+        x = ad.scale(t(arrays[0]), 1.0)  # an input no other backward reads
+        rows_alive = weakref.ref(x.data)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(x, *args)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        del x
+        assert out.requires_grad
+        assert held // wide_bytes == wide, (op.__name__, held, wide_bytes)
+        assert (rows_alive() is not None) == weights_grad, op.__name__
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (10, 8), (3, 7, 16), (150, 48)])
@@ -701,7 +741,7 @@ def test_linear_matches_composition_bitwise():
         ts = [t(a, grad=True) for a in arrays]
         if fused:
             out = ad.linear(*ts)
-            assert out.shape == (2, 5, 4) and out._parents[0] is ts[0]
+            assert out.shape == (2, 5, 4) and out.node.parents[0].tensor is ts[0]
         else:
             out = ad.reshape(linear_composition(ad.reshape(ts[0], (10, 3)), *ts[1:]), (2, 5, 4))
         ad.backward(tsum(mul(out, w)))
@@ -775,7 +815,7 @@ def test_retained_attention_holds_unpadded_blocks():
         ad.backward(tsum(mul(out, w)))
         runs.append((qkv, kept))
     (qkv, kept), (qkv_free, kept_free) = runs
-    assert isinstance(kept, ad.Retained) and kept.is_leaf() and kept.requires_grad
+    assert isinstance(kept, ad.Retained) and kept.node is None and kept.requires_grad
     size = sum(len(r) * n for r, n in zip(queries, lengths))
     assert kept.data.shape == (size,) and kept.grad is None
     for block, r, n in zip(kept.blocks(), queries, lengths):
@@ -819,17 +859,18 @@ def test_backward_skips_parents_without_grad(name):
     arrays = [rng.normal(size=shape) for shape in shapes]
     out = build([t(a) for a in arrays])
     g = rng.normal(size=out.shape)
-    want = out._backward_fn(g)
+    want = out.node.backward_fn(g)
     masks = [[j != k for j in range(len(arrays))] for k in range(len(arrays))]
     masks += [[j == k for j in range(len(arrays))] for k in range(len(arrays))]
     for mask in masks:
         out = build([t(a, grad=m) for a, m in zip(arrays, mask)])
         if not any(mask):  # a single-parent op records nothing without grad
-            assert out.is_leaf() and not out.requires_grad
+            assert out.node is None and not out.requires_grad
             continue
-        # one slot per parent; gate_fuse lists v twice
-        for p, got, ref in zip(out._parents, out._backward_fn(g), want):
-            assert (got is None) if not p.requires_grad else np.array_equal(got, ref), (name, mask)
+        # one slot per parent; gate_fuse lists v twice; a leaf's node holds
+        # the leaf only when it takes a gradient
+        for p, got, ref in zip(out.node.parents, out.node.backward_fn(g), want):
+            assert (got is None) if p.tensor is None else np.array_equal(got, ref), (name, mask)
 
 
 def test_attention_and_ff_shape_errors():
@@ -880,7 +921,13 @@ def test_matmul_matches_numpy(n, m, seed):
 def test_first_nonfinite_names_origin():
     x = t(np.array([1.0, -1.0]))
     with np.errstate(invalid="ignore"):
-        y = power(x, 0.5)  # produces a nan
-    z = ad.scale(y, 2.0)
-    bad = ad.first_nonfinite(z)
-    assert bad is not None and bad.op == "power"
+        z = ad.scale(power(x, 0.5), 2.0)  # power produces a nan
+        bad = ad.first_nonfinite(lambda: ad.scale(power(x, 0.5), 2.0))
+    # a normal forward keeps no values on the tape; the rebuild does
+    assert all(node.value is None for node in ad._topo_order(z))
+    assert bad is not None and bad.op == "power" and np.isnan(bad.value[1])
+    assert ad.first_nonfinite(lambda: ad.scale(x, 2.0)) is None
+    # a leaf that takes a gradient is blamed through its node
+    x.data[0] = np.inf
+    bad = ad.first_nonfinite(lambda: ad.scale(x, 2.0))
+    assert bad.op is None and bad.tensor is x

@@ -145,6 +145,40 @@ def test_default_notellm2_batch_tape_size():
                                       "transpose"))
 
 
+def test_recording_forward_llm_holds_what_its_backward_reads():
+    # After a recording 2-layer forward, with its output held, only the
+    # arrays the backward closures read remain. In [row, d] units, over
+    # the N packed rows and the R read rows:
+    #   block 0, N rows: ln1 xhat and output, q, k, v, the attention
+    #     output, ln2 xhat and output (8), ff gelu(h) and gelu'(h)
+    #     (2 * ff_mult);
+    #   block 1, N rows: ln1 xhat and output, k, v (4);
+    #   block 1, R rows: the gathered ln1 rows, q, the attention output,
+    #     ln2 xhat and output (5), ff (2 * ff_mult); ln_f xhat and output (2).
+    # Residual sums, the position lookup and the wo and ff outputs are
+    # read by no backward and die; one more [N, d] array breaks the bound.
+    import gc
+    import tracemalloc
+    cfg = tiny_cfg(vocab_size=20, hidden_text=64, ff_mult=4)
+    params = mm.init_params(cfg, seed=1)
+    lengths = [40, 70, 55, 62, 48, 66, 51, 58]
+    reads = [[n - 2, n - 1] for n in lengths]
+    n, r, d, m = sum(lengths), 2 * len(lengths), cfg.hidden_text, cfg.ff_mult
+    x = ad.Tensor(np.random.default_rng(0).normal(size=(1, n, d)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hidden, _ = mm.forward_llm(params, cfg, x, lengths, reads)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert hidden.requires_grad and hidden.shape == (r, d)
+    read_units = (8 + 2 * m) * n + 4 * n + (5 + 2 * m + 2) * r
+    # the rest (softmax statistics, masks, 1/std, indices, nodes) is under one [N, d]
+    assert read_units * d * 8 <= held < (read_units + n) * d * 8, (held / (d * 8), read_units)
+
+
 def _full_forward_llm(params, cfg, x, lengths, reads, retain_attention=False):
     """Reference LM: every block over every row, then the read rows."""
     n, d = x.shape[1:]

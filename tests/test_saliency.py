@@ -271,7 +271,7 @@ def test_report_computes_no_parameter_gradients(monkeypatch):
     grad_leaves = []
 
     def spy(loss):
-        grad_leaves.extend(x for x in _topo_order(loss) if x.is_leaf() and x.requires_grad)
+        grad_leaves.extend(node.tensor for node in _topo_order(loss) if node.tensor is not None)
         backward(loss)
     monkeypatch.setattr(saliency, "backward", spy)
     saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),

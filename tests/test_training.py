@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -386,13 +387,22 @@ def test_resume_is_bitwise_identical(tmp_path):
 
 
 def test_train_aborts_on_nonfinite_loss():
+    # the blame names a parameter that is not finite, else the oldest op
+    # whose output is not: a finite tau so large that exp(tau) overflows
+    # inside the loss is the loss op's fault
     notes, pairs, vocab, cfg = small_world()
-    state = init_state(cfg, LossConfig(), OptimConfig(steps=3),
-                       RunSettings(seed=1, batch_pairs=2), vocab)
-    state.params["lm.tok_emb"].data[:, 0] = np.inf
-    with pytest.raises(NumericError, match="op="):
-        with np.errstate(all="ignore"):
-            train(state, notes, pairs)
+    for name, index, value in (("lm.tok_emb", (slice(None), 0), np.inf),
+                               ("lm.blocks.0.ff.w1", (0, 0), np.nan),
+                               (TAU_NAME, (), 1e3)):
+        state = init_state(cfg, LossConfig(), OptimConfig(steps=3),
+                           RunSettings(seed=1, batch_pairs=2), vocab)
+        param = state.params[name]
+        param.data[index] = value
+        blamed = ("op='contrastive', shape=()" if name == TAU_NAME
+                  else f"parameter {name!r}, shape={param.shape}")
+        with pytest.raises(NumericError, match=re.escape(f"at step 1; first bad value: {blamed}")):
+            with np.errstate(all="ignore"):
+                train(state, notes, pairs)
 
 
 def test_validation_loss_runs_without_gradients():
