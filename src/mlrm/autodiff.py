@@ -13,16 +13,17 @@ requires grad.
 
 What is held for backward, and when it is freed:
 
-- The tape is made of ``Node`` objects, apart from the values. A
-  recorded op's output ``Tensor`` points to its node, which holds the op
-  name, the backward function and the parents' nodes; a leaf's node
-  holds the leaf tensor only when it takes a gradient. No node holds its
-  own value or its parents' values, and no backward function holds a
-  parent ``Tensor``: each keeps the arrays and flags it reads. ``linear``,
-  ``matmul`` and ``ff`` keep their input rows only when the weight takes
-  a gradient; ``add``, ``narrow`` and ``embedding_lookup`` keep no array
-  (a shape at most). So an op's output dies when the model code drops
-  it, unless a backward that will run reads it.
+- The tape is made of ``Node`` objects, apart from the values, one per
+  recorded op and none for a leaf. A recorded op's output ``Tensor``
+  points to its node, which holds the op name, the backward function
+  and one slot per parent: the parent's node, the parent itself when it
+  is a leaf that takes a gradient, or None. No node holds a value, and
+  no backward function holds a parent ``Tensor``: each keeps the arrays
+  and flags it reads. ``linear``, ``matmul`` and ``ff`` keep their input
+  rows only when the weight takes a gradient; ``add``, ``narrow`` and
+  ``embedding_lookup`` keep no array (a shape at most). So an op's
+  output dies when the model code drops it, unless a backward that will
+  run reads it.
 - ``attention`` keeps q, k and v and each segment's softmax row max and
   row sum, [heads, queries, 1], and rebuilds the probabilities just
   before use with the forward's own steps, which give the same bits,
@@ -37,10 +38,10 @@ What is held for backward, and when it is freed:
   diagnostics. ``_topo_order`` must run before it, and a second
   ``backward`` through a consumed node raises ``ContractError``.
 - Under ``no_grad`` nothing is recorded, so nothing is kept.
-- Values are not on the tape, so ``first_nonfinite`` rebuilds a graph
-  with each op's value kept on its node (a thread-local switch next to
-  ``no_grad``, which only it turns on) and reports the oldest node whose
-  value is not finite.
+- Values are not on the tape, so ``first_nonfinite`` runs a forward
+  again under ``no_grad`` (with a thread-local switch next to it, which
+  only it turns on) and stops at the first op whose output is not
+  finite.
 
 On request the packed attention op also returns a leaf that requires
 grad (``Retained``), into which its backward writes the head-summed
@@ -54,7 +55,6 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,32 +87,22 @@ def no_grad():
         _tls.grad_enabled = prev
 
 
-@contextlib.contextmanager
-def _keeping_values():
-    """Keep each recorded op's value on its node inside the block; only
-    ``first_nonfinite`` enters it."""
-    prev = getattr(_tls, "keep_values", False)
-    _tls.keep_values = True
-    try:
-        yield
-    finally:
-        _tls.keep_values = prev
+class _NonFinite(Exception):
+    """Raised by ``_record`` inside ``first_nonfinite``'s replay."""
 
 
 class Node:
-    """One tape entry. A recorded op's node holds its name ``op``, its
-    ``backward_fn`` and its ``parents``' nodes, one per parent slot. A
-    leaf's node has no op and no parents, and holds the leaf ``tensor``
-    when that takes a gradient (None when it does not). ``value`` is None
-    except in a graph built for ``first_nonfinite``."""
+    """One tape entry of a recorded op: its name ``op``, its ``backward_fn``
+    and one ``parents`` slot per input, which holds the input's node when
+    an op made it, the input ``Tensor`` itself when it is a leaf that
+    takes a gradient, and None otherwise."""
 
-    __slots__ = ("op", "backward_fn", "parents", "tensor", "value", "__weakref__")
+    __slots__ = ("op", "backward_fn", "parents")
 
-    def __init__(self, op: str | None = None,
-                 backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None,
-                 parents: tuple[Node, ...] = (), tensor: Tensor | None = None):
+    def __init__(self, op: str,
+                 backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+                 parents: tuple[Node | Tensor | None, ...]):
         self.op, self.backward_fn, self.parents = op, backward_fn, parents
-        self.tensor, self.value = tensor, None
 
 
 class Tensor:
@@ -123,15 +113,13 @@ class Tensor:
     tape entry of the op that made the tensor (None for a leaf).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node", "_leaf")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.node: Node | None = None
-        # a leaf's node, held weakly: it lives as long as a graph that reads the leaf
-        self._leaf: weakref.ref[Node] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -159,18 +147,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{', ' + ','.join(flags) if flags else ''})"
 
 
-def _entry(t: Tensor) -> Node:
-    """``t``'s tape entry: the node of the op that made it, or else the one
-    leaf node that stands for it in every graph alive at once."""
-    if t.node is not None:
-        return t.node
-    node = t._leaf() if t._leaf is not None else None
-    if node is None:
-        node = Node(tensor=t if t.requires_grad else None)
-        t._leaf = weakref.ref(node)
-    return node
-
-
 def _records(parents: tuple[Tensor, ...]) -> bool:
     """Whether an op over ``parents`` records a node on the tape."""
     return grad_enabled() and any(p.requires_grad for p in parents)
@@ -181,20 +157,22 @@ def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     out = Tensor(data)
     if _records(parents):
         out.requires_grad = True
-        out.node = Node(op, backward_fn, tuple(_entry(p) for p in parents))
-        if getattr(_tls, "keep_values", False):
-            out.node.value = out.data
+        out.node = Node(op, backward_fn, tuple(
+            p.node if p.node is not None else p if p.requires_grad else None
+            for p in parents))
+    elif getattr(_tls, "find_nonfinite", False) and not np.isfinite(out.data).all():
+        raise _NonFinite(op, out.shape)
     return out
 
 
 def _topo_order(root: Tensor) -> list[Node]:
-    """Every node reachable from ``root``'s node through parent links, parents
+    """Every op node reachable from ``root`` through parent links, parents
     strictly before children."""
     nodes: list[Node] = []
     seen: set[Node] = set()
     # Iterative post-order: parents are appended before the nodes that
     # consume them.
-    stack: list[tuple[Node, bool]] = [(_entry(root), False)]
+    stack: list[tuple[Node, bool]] = [] if root.node is None else [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if node in seen:
@@ -205,7 +183,7 @@ def _topo_order(root: Tensor) -> list[Node]:
             continue
         stack.append((node, True))
         for p in node.parents:
-            if p not in seen:
+            if isinstance(p, Node) and p not in seen:
                 stack.append((p, False))
     return nodes
 
@@ -213,12 +191,13 @@ def _topo_order(root: Tensor) -> list[Node]:
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss, consuming its graph.
 
-    Visits every tape node exactly once in reverse topological order,
-    accumulating gradients. Leaves with ``requires_grad`` receive (or
-    accumulate into) ``.grad`` through their nodes. As the sweep passes a
-    node, visited or skipped, the node drops its backward function and
-    parent links and the sweep drops its tape slot, so the arrays its
-    closure saved die before the next node's backward runs (PyTorch's
+    Visits every op node exactly once in reverse topological order,
+    accumulating gradients; each leaf's sum stays in flight until the
+    sweep ends, when leaves with ``requires_grad`` receive (or
+    accumulate into) ``.grad``. As the sweep passes a node, visited or
+    skipped, the node drops its backward function and parent links and
+    the sweep drops its tape slot, so the arrays its closure saved die
+    before the next node's backward runs (PyTorch's
     ``retain_graph=False``); the sweep's peak holds the gradients in
     flight and the saved arrays of the nodes not yet reached. Values the
     forward made and no backward reads were freed when the caller dropped
@@ -230,10 +209,11 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
     for node in order:
-        if node.op is not None and node.backward_fn is None:
+        if node.backward_fn is None:
             raise ContractError(f"backward: the {node.op!r} node was consumed by an "
                                 f"earlier backward; rebuild the graph")
-    flowing: dict[Node, np.ndarray] = {order[-1]: np.ones_like(loss.data)}
+    flowing: dict[Node | Tensor, np.ndarray] = {
+        loss if loss.node is None else loss.node: np.ones_like(loss.data)}
     for i in range(len(order) - 1, -1, -1):
         # the loop names below are the closure's last references, rebound
         # before the next node's backward runs
@@ -243,16 +223,16 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(node, None)
         if g is None:
             continue
-        if fn is None:
-            t = node.tensor
-            if t is not None:
-                t.grad = g.copy() if t.grad is None else t.grad + g
-            continue
         for p, pg in zip(parents, fn(g)):
-            if pg is None or p.op is None and p.tensor is None:
+            if pg is None or p is None:
                 continue
             acc = flowing.get(p)
             flowing[p] = pg if acc is None else acc + pg
+    # only leaves are left; a copy, since an op may hand one array to two parents
+    while flowing:
+        t, g = flowing.popitem()
+        if t.requires_grad:
+            t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -747,22 +727,22 @@ def contrastive(queries: Tensor, candidates: Tensor, tau: Tensor) -> Tensor:
     return _record(loss, "contrastive", (*tables, tau), back)
 
 
-def first_nonfinite(build: Callable[[], Tensor]) -> Node | None:
-    """Oldest tape node whose value is non-finite, in the graph that
-    ``build()`` records with every op's value kept on its node.
+def first_nonfinite(build: Callable[[], Tensor]) -> tuple[str, tuple[int, ...]] | None:
+    """(op, output shape) of the first op whose output is not finite when
+    ``build()`` runs again under ``no_grad``, or None when none is.
 
-    Used to blame the origin of a NaN/Inf loss: a normal forward keeps no
-    values on the tape, so the caller passes a function that repeats the
-    failing forward. The value is ``node.value`` for an op and
-    ``node.tensor.data`` for a leaf that takes a gradient (such as a
-    parameter); a grad-free input is not on the tape, so its fault shows
-    at the first op that reads it. Returns None when the whole graph is
-    finite.
+    Used to blame the origin of a NaN/Inf loss: the tape keeps no values,
+    so the caller passes a function that repeats the failing forward,
+    which records nothing and stops at that op. A leaf is no op, so a
+    non-finite input shows at the first op that reads it.
     """
-    with _keeping_values():
-        root = build()
-    for node in _topo_order(root):
-        value = node.value if node.tensor is None else node.tensor.data
-        if value is not None and not np.isfinite(value).all():
-            return node
+    prev = getattr(_tls, "find_nonfinite", False)
+    _tls.find_nonfinite = True
+    try:
+        with no_grad():
+            build()
+    except _NonFinite as bad:
+        return bad.args
+    finally:
+        _tls.find_nonfinite = prev
     return None

@@ -293,14 +293,6 @@ class AssembledInfo:
     visual_len: int  # spliced visual rows, or 1 for the kept placeholder token
     length: int      # sequence length after splicing
 
-    def spliced_pos(self, token_pos: int) -> int:
-        """Map a raw token index to its post-splice position."""
-        if token_pos < self.layout.img_slot:
-            return token_pos
-        if token_pos == self.layout.img_slot and self.spliced:
-            raise ShapeError("the image placeholder itself has no post-splice position")
-        return token_pos + self.visual_len - 1
-
     @property
     def visual_positions(self) -> range:
         return range(self.layout.img_slot, self.layout.img_slot + self.visual_len)
@@ -308,10 +300,12 @@ class AssembledInfo:
     @property
     def visual_word_pos(self) -> int | None:
         """Position read as the visual embedding: the one just before the
-        in-context compressed-word token (None for single-segment prompts)."""
+        in-context compressed-word token (None for single-segment prompts).
+        That token comes after the image placeholder, whose one row became
+        ``visual_len`` rows."""
         if self.layout.img_emb_pos is None:
             return None
-        return self.spliced_pos(self.layout.img_emb_pos) - 1
+        return self.layout.img_emb_pos + self.visual_len - 2
 
     @property
     def compressed_pos(self) -> int:

@@ -373,7 +373,7 @@ def write_eval_report(report: dict, json_path, csv_path) -> None:
     import json
 
     with atomic_write(json_path) as fh:
-        fh.write((json.dumps(report, indent=2, default=_json_key) + "\n").encode("utf-8"))
+        fh.write((json.dumps(report, indent=2) + "\n").encode("utf-8"))
     rows = io.StringIO()
     writer = csv_mod.writer(rows)
     writer.writerow(["source", "slice", "k", "recall", "random_baseline", "n_pairs"])
@@ -391,10 +391,6 @@ def write_eval_report(report: dict, json_path, csv_path) -> None:
                 ])
     with atomic_write(csv_path) as fh:
         fh.write(rows.getvalue().encode("utf-8"))
-
-
-def _json_key(obj):
-    raise TypeError(f"not JSON serializable: {obj!r}")
 
 
 # ---------------------------------------------------------------------------

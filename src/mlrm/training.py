@@ -364,15 +364,15 @@ def _drop_metrics_after(path, step: int) -> None:
         fh.write(kept.encode("utf-8"))
 
 
-def _blame(node, params: dict) -> str:
-    """Name the origin of a non-finite value: the parameter, or the op
-    and the shape of its output."""
-    if node is None:
-        return "unknown node"
-    if node.op is None:
-        name = next((name for name, p in params.items() if p is node.tensor), None)
-        return f"parameter {name!r}, shape={node.tensor.shape}"
-    return f"op={node.op!r}, shape={node.value.shape}"
+def _blame(params: dict, forward) -> str:
+    """Name the origin of a non-finite loss: the first parameter by name
+    that is not finite, frozen ones too, else the op and the shape of the
+    first output that is not when ``forward`` runs again."""
+    for name in sorted(params):
+        if not np.isfinite(params[name].data).all():
+            return f"parameter {name!r}, shape={params[name].shape}"
+    bad = first_nonfinite(forward)
+    return "unknown node" if bad is None else f"op={bad[0]!r}, shape={bad[1]}"
 
 
 def train(state: TrainState, notes: list[Note], pairs: list[Pair],
@@ -382,10 +382,9 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
 
     Appends one metrics record per step to out_dir/metrics.jsonl when
     out_dir is given, after its records up to state.step, and
-    checkpoints there at the end. A non-finite loss aborts with the
-    oldest offending graph node named: the step's forward runs again
-    with the values kept, and the first parameter or op whose value is
-    not finite is blamed.
+    checkpoints there at the end. A non-finite loss aborts with its
+    origin named: the first parameter that is not finite, or else the
+    first op whose output is not when the step's forward runs again.
     """
     notes_by_id = {n.id: n for n in notes}
     if len(notes_by_id) != len(notes):
@@ -419,7 +418,7 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
         value = loss.item()
         if not math.isfinite(value):
             raise NumericError(f"non-finite loss at step {step}; first bad value: "
-                               f"{_blame(first_nonfinite(forward), state.params)}")
+                               f"{_blame(state.params, forward)}")
         backward(loss)
         norm = clip_gradients(state.params, state.optim_cfg.max_grad_norm)
         lr = lr_at(step, state.optim_cfg)

@@ -741,7 +741,7 @@ def test_linear_matches_composition_bitwise():
         ts = [t(a, grad=True) for a in arrays]
         if fused:
             out = ad.linear(*ts)
-            assert out.shape == (2, 5, 4) and out.node.parents[0].tensor is ts[0]
+            assert out.shape == (2, 5, 4) and out.node.parents[0] is ts[0]
         else:
             out = ad.reshape(linear_composition(ad.reshape(ts[0], (10, 3)), *ts[1:]), (2, 5, 4))
         ad.backward(tsum(mul(out, w)))
@@ -867,10 +867,10 @@ def test_backward_skips_parents_without_grad(name):
         if not any(mask):  # a single-parent op records nothing without grad
             assert out.node is None and not out.requires_grad
             continue
-        # one slot per parent; gate_fuse lists v twice; a leaf's node holds
-        # the leaf only when it takes a gradient
+        # one slot per parent; gate_fuse lists v twice; a slot holds the
+        # leaf only when it takes a gradient
         for p, got, ref in zip(out.node.parents, out.node.backward_fn(g), want):
-            assert (got is None) if p.tensor is None else np.array_equal(got, ref), (name, mask)
+            assert (got is None) if p is None else np.array_equal(got, ref), (name, mask)
 
 
 def test_attention_and_ff_shape_errors():
@@ -918,16 +918,58 @@ def test_matmul_matches_numpy(n, m, seed):
     np.testing.assert_array_equal(ad.matmul(t(a), t(b)).data, a @ b)
 
 
-def test_first_nonfinite_names_origin():
+def test_first_nonfinite_replays_without_recording():
     x = t(np.array([1.0, -1.0]))
+    made = []
+
+    def build(p):
+        made.append(ad.scale(x, 2.0))
+        made.append(power(x, p))  # p = 0.5 makes a nan, and the replay stops here
+        made.append(ad.scale(made[-1], 2.0))
+        return made[-1]
     with np.errstate(invalid="ignore"):
-        z = ad.scale(power(x, 0.5), 2.0)  # power produces a nan
-        bad = ad.first_nonfinite(lambda: ad.scale(power(x, 0.5), 2.0))
-    # a normal forward keeps no values on the tape; the rebuild does
-    assert all(node.value is None for node in ad._topo_order(z))
-    assert bad is not None and bad.op == "power" and np.isnan(bad.value[1])
-    assert ad.first_nonfinite(lambda: ad.scale(x, 2.0)) is None
-    # a leaf that takes a gradient is blamed through its node
-    x.data[0] = np.inf
-    bad = ad.first_nonfinite(lambda: ad.scale(x, 2.0))
-    assert bad.op is None and bad.tensor is x
+        assert ad.first_nonfinite(lambda: build(0.5)) == ("power", (2,))
+    assert len(made) == 1
+    assert ad.first_nonfinite(lambda: build(2.0)) is None
+    assert len(made) == 4 and all(m.node is None for m in made)
+
+    def boom():
+        raise KeyError("boom")
+    with pytest.raises(KeyError):
+        ad.first_nonfinite(boom)
+    # the switch and no_grad are off again: a recording forward over a
+    # nan records its node and does not raise
+    with np.errstate(invalid="ignore"):
+        y = power(x, 0.5)
+    assert ad.grad_enabled() and y.node is not None and y.node.op == "power"
+
+
+def test_leaf_gradients_sum_in_sweep_order_per_graph():
+    # w is read by three ops of one graph and by a second graph built
+    # before either backward: each backward adds its own graph's sum
+    a, big = 1e16, np.full(3, -1e16)
+    w, u, v = t(np.ones(3)), t(big, grad=False), t(np.ones(3), grad=False)
+    u2 = t(np.arange(1.0, 4.0), grad=False)
+    first = tsum(mul(ad.add(ad.add(ad.scale(w, a), mul(w, u)), w), v))
+    second = tsum(mul(w, u2))
+    # each op's gradient into w, summed in the order the sweep visits them
+    into_w = {"scale": a * v.data, "mul": u.data * v.data, "add": v.data}
+    sweep = [into_w[n.op] for n in reversed(ad._topo_order(first))
+             if any(p is w for p in n.parents)]
+    assert len(sweep) == 3
+    want = sweep[0] + sweep[1] + sweep[2]
+    assert want.tobytes() != (sweep[0] + (sweep[1] + sweep[2])).tobytes()  # the order shows
+    ad.backward(first)
+    assert w.grad.tobytes() == want.tobytes()
+    ad.backward(second)
+    assert w.grad.tobytes() == (want + u2.data).tobytes()
+    # a retained attention leaf takes no gradient
+    q = t(np.ones((3, 4)))
+    out, kept = ad.attention(q, q, q, 2, [3], retain=True)
+    ad.backward(tsum(out))
+    assert kept.grad is None and q.grad is not None
+    # a loss that is itself a leaf gets ones only when it requires grad
+    for grad in (True, False):
+        loss = t(np.asarray(2.0), grad=grad)
+        ad.backward(loss)
+        assert (loss.grad == 1.0) if grad else (loss.grad is None)

@@ -120,16 +120,23 @@ def test_batch_tape_size_is_independent_of_batch_size(setup):
         assert counts[0] == counts[1], (mode, counts)
 
 
+# op nodes a default batch records per mode; leaves have no node
+DEFAULT_TAPE_SIZE = {"basic": 69, "micl": 76, "late_fusion": 71, "notellm2": 79,
+                     "only_late_fusion": 32, "omni": 183}
+
+
 def test_default_notellm2_batch_tape_size():
     notes = make_notes(32, tiny_cfg(vocab_size=64, patches=16, patch_dim=32), seed=6)
     vocab = vocab_for(notes)
-    cfg = mm.ModelConfig(vocab_size=len(vocab))
-    params = mm.init_params(cfg, seed=0)
-    params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
-    loss, _ = batch_loss(params, cfg, vocab, notes, LossConfig())
-    tape = ad._topo_order(loss)
-    assert len(tape) <= 180
-    ops = Counter(node.op for node in tape)
+    tapes = {}
+    for mode in mm.MODES:
+        cfg = mm.ModelConfig(vocab_size=len(vocab), mode=mode)
+        params = mm.init_params(cfg, seed=0)
+        params[TAU_NAME] = ad.Tensor(np.asarray(3.0), requires_grad=True)
+        loss, _ = batch_loss(params, cfg, vocab, notes, LossConfig())
+        tapes[mode] = ad._topo_order(loss)
+    assert {mode: len(tape) for mode, tape in tapes.items()} == DEFAULT_TAPE_SIZE
+    ops = Counter(node.op for node in tapes["notellm2"])
     # two LM layers and two connector layers of self- and cross-attention;
     # the frozen vision encoder records nothing; one node per gate and one
     # loss node per table

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlrm import saliency
-from mlrm.autodiff import Retained, _topo_order, backward
+from mlrm.autodiff import Retained, Tensor, _topo_order, backward
 from mlrm.data import build_pairs, build_vocab, generate_synthetic, PairConfig, SyntheticConfig
 from mlrm.model import MODES, ModelConfig, embed_notes, init_params
 from mlrm.saliency import batch_saliency, saliency_report, write_report, CSV_FIELDS
@@ -271,7 +271,8 @@ def test_report_computes_no_parameter_gradients(monkeypatch):
     grad_leaves = []
 
     def spy(loss):
-        grad_leaves.extend(node.tensor for node in _topo_order(loss) if node.tensor is not None)
+        grad_leaves.extend(p for node in _topo_order(loss) for p in node.parents
+                           if isinstance(p, Tensor))
         backward(loss)
     monkeypatch.setattr(saliency, "backward", spy)
     saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),

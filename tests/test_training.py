@@ -387,12 +387,13 @@ def test_resume_is_bitwise_identical(tmp_path):
 
 
 def test_train_aborts_on_nonfinite_loss():
-    # the blame names a parameter that is not finite, else the oldest op
-    # whose output is not: a finite tau so large that exp(tau) overflows
-    # inside the loss is the loss op's fault
+    # the blame names a parameter that is not finite, frozen ones too,
+    # else the first op whose output is not: a finite tau so large that
+    # exp(tau) overflows inside the loss is the loss op's fault
     notes, pairs, vocab, cfg = small_world()
     for name, index, value in (("lm.tok_emb", (slice(None), 0), np.inf),
                                ("lm.blocks.0.ff.w1", (0, 0), np.nan),
+                               ("vision.patch_proj.w", (0, 0), np.nan),
                                (TAU_NAME, (), 1e3)):
         state = init_state(cfg, LossConfig(), OptimConfig(steps=3),
                            RunSettings(seed=1, batch_pairs=2), vocab)
