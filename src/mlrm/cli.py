@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -107,6 +108,18 @@ def _dataset_paths(directory) -> dict:
         raise DataError(f"dataset directory not found: {directory}")
     return {name: _require_file(os.path.join(directory, name), name)
             for name in ("notes.jsonl", "pairs.jsonl", "vocab.txt")}
+
+
+def _check_vocab(path, vocab: Vocab) -> None:
+    """DataError unless the dataset vocabulary at ``path`` is the
+    checkpoint's line for line: another dataset's words would be looked
+    up in the wrong table."""
+    tokens = Vocab.load(path).tokens
+    for line, (ours, saved) in enumerate(itertools.zip_longest(tokens, vocab.tokens), 1):
+        if ours != saved:
+            shown = [repr(t) if t is not None else "nothing" for t in (ours, saved)]
+            raise DataError(f"{path} is not the checkpoint's vocabulary: line {line} holds "
+                            f"{shown[0]}, the checkpoint's {shown[1]}")
 
 
 def _load_config_file(path) -> dict:
@@ -205,6 +218,7 @@ def cmd_train(args) -> int:
                               f"drop {', '.join(clashes)}")
         _require_file(args.resume, "checkpoint")
         state = load_state(args.resume)
+        _check_vocab(paths["vocab.txt"], state.vocab)
         if args.mode is not None and args.mode != state.model_cfg.mode:
             raise ConfigError(f"--mode {args.mode} contradicts the checkpoint's "
                               f"mode {state.model_cfg.mode}")
@@ -308,6 +322,7 @@ def cmd_analyze(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     paths = _dataset_paths(args.dataset)
     state = load_state(args.checkpoint)
+    _check_vocab(paths["vocab.txt"], state.vocab)
     notes = load_notes(paths["notes.jsonl"])
     pairs = load_pairs(paths["pairs.jsonl"])
     batch_pairs = state.run.batch_pairs

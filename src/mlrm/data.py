@@ -6,7 +6,8 @@ detail words and image offsets. Users browse one (cluster, subtopic)
 neighborhood, so the click log links notes that share fine-grained
 vocabulary and imagery; with full modality correlation the mined pairs
 are almost entirely intra-cluster. A training batch is a list of note
-ids holding its pairs one after another: query, related, query, ...
+ids holding its pairs one after another: query, related, query, ...;
+``make_batches`` packs an epoch's batches one at a time as they are read.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +64,8 @@ def cooccurrence(events: list[BehaviorEvent]) -> dict[tuple[int, int], float]:
 
     Each user contributes 1 / (number of distinct notes they clicked over
     the whole log) to every ordered pair they produced, at most once per
-    pair. Contributions are summed with fsum over a sorted list, so the
-    result does not depend on event order.
+    pair. Contributions are summed with fsum, which is correctly rounded,
+    so the result does not depend on event order.
     """
     clicks_per_user: dict[int, set[int]] = {}
     for e in events:
@@ -75,7 +77,7 @@ def cooccurrence(events: list[BehaviorEvent]) -> dict[tuple[int, int], float]:
         contributors.setdefault((e.viewed, e.clicked), set()).add(e.user)
 
     return {
-        pair: math.fsum(sorted(weight[u] for u in users))
+        pair: math.fsum(weight[u] for u in users)
         for pair, users in contributors.items()
     }
 
@@ -328,22 +330,26 @@ def split_pairs(pairs: list[Pair], val_fraction: float, seed: int) -> tuple[list
     return train, val
 
 
-def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> list[list[int]]:
+def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> Iterator[list[int]]:
     """Shuffle pairs for one epoch and pack duplicate-free batches of
     2 * ``batch_pairs`` note ids, each pair's query right before its
     related note: the row layout ``autodiff.contrastive`` expects.
 
     A pair whose notes already appear in the open batch is deferred to a
-    later batch; each pair is used at most once per epoch. Raises when
-    enough pairs exist but not even one clash-free batch can be packed.
+    later batch; each pair is used at most once per epoch. Arguments are
+    checked at the call, and each batch is packed as it is read; the first
+    ``next`` raises when not even one clash-free batch can be packed.
     """
     if batch_pairs < 1:
         raise ConfigError("batch_pairs must be positive")
     if len(pairs) < batch_pairs:
         raise DataError(f"need at least {batch_pairs} pairs per batch, have {len(pairs)}")
+    return _pack_batches(pairs, batch_pairs, seed, epoch)
+
+
+def _pack_batches(pairs, batch_pairs, seed, epoch):
     order = np.random.default_rng([seed, epoch]).permutation(len(pairs))
     remaining = [pairs[i] for i in order]
-    batches: list[list[int]] = []
     while len(remaining) >= batch_pairs:
         ids: list[int] = []
         used: set[int] = set()
@@ -358,10 +364,9 @@ def make_batches(pairs: list[Pair], batch_pairs: int, seed: int, epoch: int) -> 
                 ids += [pair.query, pair.related]
                 used.update((pair.query, pair.related))
         if len(ids) < 2 * batch_pairs:
-            break
-        batches.append(ids)
+            if len(remaining) == len(pairs):  # no batch packed yet
+                raise DataError("could not assemble a single duplicate-free batch; "
+                                "too few distinct notes across the pair list")
+            return
+        yield ids
         remaining = deferred
-    if not batches:
-        raise DataError("could not assemble a single duplicate-free batch; "
-                        "too few distinct notes across the pair list")
-    return batches

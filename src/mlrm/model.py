@@ -94,19 +94,14 @@ class ModelConfig:
 # Parameters
 
 
-def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Create all weights; vision.* tensors are frozen when configured."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+def param_table(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], str, bool]]:
+    """Every weight's shape, fill ("normal", "zeros" or "ones") and whether
+    it trains, in the order ``init_params`` draws them; the one freeze rule
+    is that vision.* weights take no gradient under ``freeze_vision``."""
+    table: dict[str, tuple[tuple[int, ...], str, bool]] = {}
 
-    def add(name, shape, kind="normal"):
-        if kind == "normal":
-            data = rng.normal(0.0, 0.02, shape)
-        elif kind == "zeros":
-            data = np.zeros(shape)
-        else:
-            data = np.ones(shape)
-        params[name] = Tensor(data, requires_grad=True)
+    def add(name, shape, fill="normal"):
+        table[name] = (shape, fill, not (cfg.freeze_vision and name.startswith("vision.")))
 
     def add_attention(prefix, d_q, d_kv, d):
         add(f"{prefix}.wq", (d_q, d))
@@ -168,12 +163,16 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     add("fusion.gate_multimodal.b", (ht,), "zeros")
     add("fusion.null_image", (ht,))
     add("project.w", (ht, cfg.out_dim))
+    return table
 
-    if cfg.freeze_vision:
-        for name, tensor in params.items():
-            if name.startswith("vision."):
-                tensor.requires_grad = False
-    return params
+
+def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """Draw every weight of ``param_table`` from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    fills = {"normal": lambda shape: rng.normal(0.0, 0.02, shape),
+             "zeros": np.zeros, "ones": np.ones}
+    return {name: Tensor(fills[fill](shape), requires_grad=trains)
+            for name, (shape, fill, trains) in param_table(cfg).items()}
 
 
 def trainable_names(params: dict[str, Tensor]) -> list[str]:

@@ -299,7 +299,7 @@ def _source_report(ranks: dict, subsets: dict, ks) -> dict:
         recall = {}
         for k in ks:
             values = [v for v in per_seed[k] if v is not None]
-            recall[k] = math.fsum(sorted(values)) / len(values) if values else None
+            recall[k] = math.fsum(values) / len(values) if values else None
         slices[kind] = {"n_pairs": [len(s) for s in per_seed_pairs], "recall": recall,
                         "per_seed": per_seed}
     return slices

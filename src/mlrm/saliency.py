@@ -25,15 +25,10 @@ import numpy as np
 from .autodiff import Tensor, backward
 from .checkpoint import atomic_write
 from .data import Pair, make_batches
-from .errors import NumericError
 from .model import MICL_PROMPT_MODES, ModelConfig
 from .notes import Note
 from .prompting import Vocab
 from .training import LossConfig, batch_loss
-
-
-def _sorted_mean(values: list[float]) -> float:
-    return math.fsum(sorted(values)) / len(values)
 
 
 @dataclass
@@ -81,25 +76,22 @@ def saliency_report(params, cfg: ModelConfig, vocab: Vocab,
                     notes_by_id: dict[int, Note], pairs: list[Pair],
                     loss_cfg: LossConfig, *, batch_pairs: int = 16, seed: int = 0,
                     max_notes: int = 1000) -> SaliencyReport:
-    """Average the decomposition over sampled batches of paired notes."""
-    batches = make_batches(pairs, batch_pairs, seed, 0)
+    """Average the decomposition over the epoch-0 batches that hold the first ``max_notes`` notes."""
     per_layer: list[list[tuple[float, float, float]]] = [[] for _ in range(cfg.lm_layers)]
     n_notes = 0
-    for batch in batches:
-        if n_notes >= max_notes:
-            break
+    for batch in make_batches(pairs, batch_pairs, seed, 0):
         notes = [notes_by_id[i] for i in batch]
         triples = batch_saliency(params, cfg, vocab, notes, loss_cfg)
         for note_triples in triples:
             for layer, triple in enumerate(note_triples):
                 per_layer[layer].append(triple)
         n_notes += len(notes)
-    if n_notes == 0:
-        raise NumericError("no notes sampled; not enough pairs for one batch")
+        if n_notes >= max_notes:
+            break
 
     layers = []
     for layer, layer_triples in enumerate(per_layer):
-        s_v, s_t, s_o = (_sorted_mean(list(column)) for column in zip(*layer_triples))
+        s_v, s_t, s_o = (math.fsum(column) / len(column) for column in zip(*layer_triples))
         total = s_v + s_t + s_o
         if total == 0.0:
             share_v = share_t = share_o = 0.0

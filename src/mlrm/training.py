@@ -3,12 +3,15 @@
 Every variant trains on the in-batch contrastive loss of
 ``autodiff.contrastive`` (see there for its factored, tiny-loss-accurate
 form), over one embedding table or across two, on batches laid out as
-consecutive (query, related) pairs by ``data.make_batches``.
+consecutive (query, related) pairs by ``data.make_batches``. ``train``
+chains the epochs' batch iterators and on resume at step k skips k
+batches; ``load_state`` draws nothing, it checks the records it uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -35,6 +38,7 @@ from .model import (
     ModelConfig,
     embed_notes,
     init_params,
+    param_table,
     trainable_names,
 )
 from .notes import Note
@@ -147,7 +151,7 @@ def grad_norm(params: dict[str, Tensor]) -> float:
     """Global L2 norm over all trainable gradients, order-independent."""
     squares = [float((params[n].grad ** 2).sum())
                for n in trainable_names(params) if params[n].grad is not None]
-    return math.sqrt(math.fsum(sorted(squares)))
+    return math.sqrt(math.fsum(squares))
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -168,11 +172,14 @@ class AdamW:
     temperature, biases and layer-norm parameters unregularized.
     """
 
-    def __init__(self, params: dict[str, Tensor], cfg: OptimConfig):
+    def __init__(self, params: dict[str, Tensor], cfg: OptimConfig, moments: dict | None = None):
+        """Zero moments at step 0, or ``moments`` as ``moments()`` gives them."""
         self.cfg = cfg
-        self.t = 0
-        self.m = {n: np.zeros_like(params[n].data) for n in trainable_names(params)}
-        self.v = {n: np.zeros_like(params[n].data) for n in trainable_names(params)}
+        if moments is None:
+            moments = {kind: {n: np.zeros_like(params[n].data) for n in trainable_names(params)}
+                       for kind in "mv"}
+            moments["t"] = 0
+        self.m, self.v, self.t = moments["m"], moments["v"], moments["t"]
 
     def moments(self) -> dict:
         return {"m": self.m, "v": self.v, "t": self.t}
@@ -217,8 +224,9 @@ class RunSettings:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.batch_pairs < 1:
-            raise ConfigError("batch_pairs must be positive")
+        if self.batch_pairs < 2:
+            raise ConfigError(f"batch_pairs must be at least 2, got {self.batch_pairs}: "
+                              f"a one-pair batch has no negatives, so its loss is 0")
         if not (0 <= self.val_fraction < 1):
             raise ConfigError("val_fraction must lie in [0, 1)")
 
@@ -276,8 +284,9 @@ def init_state(model_cfg: ModelConfig, loss_cfg: LossConfig, optim_cfg: OptimCon
 
 
 def load_state(path) -> TrainState:
-    """``init_state`` of the saved configs with the records in place of its
-    parameters and moments; a missing, unknown or mis-shaped record is a FormatError."""
+    """The saved state, its parameters and moments the records as read; a
+    record missing from, unknown to or mis-shaped for ``model.param_table``
+    of the saved model config is a FormatError."""
     arrays, moments, step, configs, vocab_tokens = load_checkpoint(path)
     loss_mode = configs["loss"].pop("mode", None)  # format 1: null or the model's mode
     model_cfg, loss_cfg, optim_cfg, run = (
@@ -290,48 +299,34 @@ def load_state(path) -> TrainState:
     if len(vocab_tokens) != model_cfg.vocab_size:
         raise FormatError(f"{path}: vocabulary holds {len(vocab_tokens)} tokens, "
                           f"the model config needs {model_cfg.vocab_size}")
-    state = init_state(model_cfg, loss_cfg, optim_cfg, run, Vocab(vocab_tokens))
-    params, opt = state.params, state.optimizer
-    missing = sorted(params.keys() - arrays.keys())
-    unknown = sorted(arrays.keys() - params.keys()) + sorted(
-        f"adam.{kind}.{name}" for kind in "mv" for name in moments[kind].keys() - opt.m.keys())
+    table = param_table(model_cfg) | {TAU_NAME: ((), "tau_init", True)}
+    trained = {name for name, (_, _, trains) in table.items() if trains}
+    missing = sorted(table.keys() - arrays.keys())
+    unknown = sorted(arrays.keys() - table.keys()) + sorted(
+        f"adam.{kind}.{name}" for kind in "mv" for name in moments[kind].keys() - trained)
     if missing or unknown:
         raise FormatError(f"{path}: checkpoint lacks parameter records {missing}, "
                           f"has unknown records {unknown}")
-    for name, p in params.items():
-        if arrays[name].shape != p.shape:
+    for name, (shape, _, _) in table.items():
+        if arrays[name].shape != shape:
             raise FormatError(f"{path}: record {name!r} has shape {arrays[name].shape}, "
-                              f"the model config needs {p.shape}")
-        p.data = arrays[name]
-        if name not in opt.m:  # frozen: no optimizer state
+                              f"the model config needs {shape}")
+        if name not in trained:  # frozen: no optimizer state
             continue
-        for fresh, saved in ((opt.m, moments["m"]), (opt.v, moments["v"])):
+        for saved in (moments["m"], moments["v"]):
             if name not in saved:
                 raise FormatError(f"{path}: checkpoint is missing optimizer state for {name!r}")
-            if saved[name].shape != p.shape:
+            if saved[name].shape != shape:
                 raise FormatError(f"{path}: optimizer state shape mismatch for {name!r}")
-            fresh[name] = saved[name]
-    state.step = opt.t = step
-    return state
+    params = {name: Tensor(arrays[name], requires_grad=name in trained) for name in table}
+    return TrainState(params=params, optimizer=AdamW(params, optim_cfg, moments), step=step,
+                      model_cfg=model_cfg, loss_cfg=loss_cfg, optim_cfg=optim_cfg,
+                      run=run, vocab=Vocab(vocab_tokens))
 
 
 def save_state(state: TrainState, path) -> None:
     save_checkpoint(path, state.params, state.optimizer.moments(), state.step,
                     state.configs(), state.vocab.tokens)
-
-
-def batch_stream(pairs: list[Pair], batch_pairs: int, seed: int):
-    """Deterministic endless sequence of training batches.
-
-    Epoch e is exactly make_batches(pairs, batch_pairs, seed, e), so any
-    position in the stream can be recomputed from scratch; resuming at
-    step k means skipping the first k batches.
-    """
-    epoch = 0
-    while True:
-        for batch in make_batches(pairs, batch_pairs, seed, epoch):
-            yield batch
-        epoch += 1
 
 
 def validation_loss(params, model_cfg, vocab, notes_by_id, val_pairs,
@@ -340,7 +335,7 @@ def validation_loss(params, model_cfg, vocab, notes_by_id, val_pairs,
     """Mean loss over a few deterministic validation batches, no gradients."""
     if len(val_pairs) < batch_pairs:
         return None
-    batches = make_batches(val_pairs, batch_pairs, seed, 0)[:max_batches]
+    batches = itertools.islice(make_batches(val_pairs, batch_pairs, seed, 0), max_batches)
     values = []
     with no_grad():
         for batch in batches:
@@ -348,7 +343,7 @@ def validation_loss(params, model_cfg, vocab, notes_by_id, val_pairs,
             loss, _ = batch_loss(params, model_cfg, vocab, notes, loss_cfg,
                                  image_cache=image_cache)
             values.append(loss.item())
-    return math.fsum(sorted(values)) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def _drop_metrics_after(path, step: int) -> None:
@@ -404,12 +399,12 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
             _drop_metrics_after(metrics_path, state.step)
 
     image_cache: dict = {}
-    stream = batch_stream(train_pairs, state.run.batch_pairs, state.run.seed)
-    for _ in range(state.step):
-        next(stream)
+    batches = itertools.islice(itertools.chain.from_iterable(
+        make_batches(train_pairs, state.run.batch_pairs, state.run.seed, epoch)
+        for epoch in itertools.count()), state.step, None)
 
-    for step in range(state.step + 1, stop + 1):
-        batch_notes = [notes_by_id[i] for i in next(stream)]
+    for step, batch in zip(range(state.step + 1, stop + 1), batches):
+        batch_notes = [notes_by_id[i] for i in batch]
 
         def forward():
             return batch_loss(state.params, state.model_cfg, state.vocab,

@@ -64,6 +64,15 @@ def trained(tmp_path_factory, dataset):
     return out / "checkpoint.mlrm"
 
 
+@pytest.fixture(scope="session")
+def midway(tmp_path_factory, dataset):
+    """The step-2 checkpoint of a 4-step run on ``dataset``."""
+    root = tmp_path_factory.mktemp("midway")
+    assert main(["train", "--config", write_config(root / "cfg.json"), "--dataset",
+                 str(dataset), "--checkpoint-every", "2", "--out", str(root / "run")]) == 0
+    return root / "run" / "checkpoint-000002.mlrm"
+
+
 # ---------------------------------------------------------------------------
 # parser basics
 
@@ -218,12 +227,15 @@ def test_train_rejects_negative_seed(tmp_path, dataset, capsys, monkeypatch, whe
     ([], {"max_grad_norm": -1.0}, "max_grad_norm"),
     ([], {"max_grad_norm": 0.0}, "max_grad_norm"),
     ([], {"max_grad_norm": float("nan")}, "max_grad_norm"),
+    (["--batch-pairs", "1"], {}, "a one-pair batch has no negatives"),
 ], ids=["lr-flag-nan", "lr-flag-inf", "lr-nan", "eps-inf", "eps-nan", "decay-nan",
-        "decay-inf", "decay-negative", "clip-negative", "clip-zero", "clip-nan"])
+        "decay-inf", "decay-negative", "clip-negative", "clip-zero", "clip-nan",
+        "batch-pairs-flag-one"])
 def test_train_rejects_bad_optimizer_values(tmp_path, dataset, capsys, monkeypatch,
                                             flag, optim, want):
-    # a NaN rate makes every parameter NaN and a negative clip norm flips
-    # every gradient's sign, so each must stop before any file is read
+    # a NaN rate makes every parameter NaN, a negative clip norm flips
+    # every gradient's sign and a one-pair batch has a loss of exactly 0,
+    # so each must stop before any file is read
     _forbid_loading(monkeypatch, "train")
     monkeypatch.setattr(cli.Vocab, "load", lambda *a: pytest.fail("read the vocabulary"))
     cfg = write_config(tmp_path / "cfg.json")
@@ -281,6 +293,48 @@ def test_train_resume_into_own_out_matches_uninterrupted_run(tmp_path, dataset, 
     assert main(resume) == 0
     for name in ("metrics.jsonl", "checkpoint.mlrm"):
         assert filecmp.cmp(full / name, run / name, shallow=False)
+
+
+def _first_differing_line(a, b):
+    lines = zip(a.read_text().splitlines(), b.read_text().splitlines())
+    return next(n for n, (x, y) in enumerate(lines, 1) if x != y)
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+def test_other_datasets_vocabulary_is_data_error(tmp_path, dataset, midway, capsys,
+                                                 monkeypatch, command):
+    # a dataset of another seed has other words; the checkpoint would look
+    # them up in its own vocabulary and train or analyze on the wrong rows
+    other = tmp_path / "other"
+    assert main(["gen-data", "--seed", "6", "--notes", "40", "--clusters", "2",
+                 "--out", str(other)]) == 0
+    line = _first_differing_line(other / "vocab.txt", dataset / "vocab.txt")
+    for name in ("load_notes", "load_pairs"):
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("read the dataset"))
+    out = tmp_path / "out"
+    argv = (["train", "--resume", str(midway)] if command == "train"
+            else ["analyze", "--checkpoint", str(midway)])
+    assert main([*argv, "--dataset", str(other), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{other / 'vocab.txt'} is not the checkpoint's vocabulary: line {line} holds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+def test_dataset_with_the_checkpoints_vocabulary_is_accepted(tmp_path, dataset, midway,
+                                                             capsys, command):
+    # a dataset derived from the training one, here with half its pairs,
+    # keeps its vocab.txt and so its checkpoints
+    derived = tmp_path / "derived"
+    shutil.copytree(dataset, derived)
+    pairs = (dataset / "pairs.jsonl").read_text().splitlines(keepends=True)
+    (derived / "pairs.jsonl").write_text("".join(pairs[::2]))
+    for ds in (dataset, derived):
+        out = tmp_path / f"{command}-{ds.name}"
+        argv = (["train", "--resume", str(midway)] if command == "train"
+                else ["analyze", "--checkpoint", str(midway), "--batches", "1"])
+        assert main([*argv, "--dataset", str(ds), "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_train_resume_rejects_conflicting_flags(tmp_path, dataset, trained, capsys):
@@ -388,10 +442,11 @@ def test_unknown_config_section(tmp_path, dataset, capsys):
     ({"model": {"vision_heads": -1}}, "vision_heads must be positive"),
     ({"model": {"ff_mult": 0}}, "ff_mult must be positive"),
     ({"model": {"eps": -1.0}}, "eps must be finite and positive"),
+    ({"run": {"batch_pairs": 1}}, "a one-pair batch has no negatives"),
 ], ids=["unknown-key", "not-object", "bad-type", "data-not-object", "seed-not-int",
         "batch-pairs-bool", "freeze-vision-int", "dataset-not-string", "data-unknown-key",
         "loss-mode", "alpha-inf", "tau-init-overflows", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
-        "eps-negative"])
+        "eps-negative", "batch-pairs-one"])
 def test_bad_config_section_is_config_error(tmp_path, dataset, capsys, section, want):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(section))
@@ -436,9 +491,10 @@ def _add_field(section):
     (lambda trailer: trailer["model"].update(eps=-1.0), "eps must be finite and positive"),
     (lambda trailer: trailer["loss"].update(tau_init=1000),
      "tau_init must be finite and below 5.8718"),
+    (lambda trailer: trailer["run"].update(batch_pairs=1), "a one-pair batch has no negatives"),
 ], ids=["no-loss", "no-optim", "no-run", "model-field", "run-field", "extra-key",
         "loss-not-object", "lm-heads-zero", "vision-heads-negative", "ff-mult-zero",
-        "eps-negative", "tau-init-overflows"])
+        "eps-negative", "tau-init-overflows", "one-pair-batches"])
 def test_bad_checkpoint_trailer_is_format_error(tmp_path, dataset, trained, capsys,
                                                 corrupt, want):
     arrays, moments, step, configs, vocab = load_checkpoint(trained)
@@ -503,7 +559,12 @@ def _negative_step(records, trailer):
         "no-optimizer-state", "extra-moment", "optimizer-step-not-step", "negative-step",
         "step-bool", "loss-mode-contradicts-model"])
 def test_bad_checkpoint_records_are_format_errors(tmp_path, dataset, trained, capsys,
-                                                  write_records, corrupt, want):
+                                                  monkeypatch, write_records, corrupt, want):
+    # the records are checked against the model's parameter table; no
+    # parameter set is drawn to compare them with
+    for module in ("mlrm.model", "mlrm.training"):
+        monkeypatch.setattr(f"{module}.init_params",
+                            lambda *a: pytest.fail("load_state drew a parameter set"))
     arrays, moments, step, configs, vocab = load_checkpoint(trained)
     records = dict(arrays)
     for kind in ("m", "v"):

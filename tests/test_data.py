@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -298,7 +299,7 @@ def test_build_vocab_matches_corpus():
 
 def test_make_batches_shapes_and_partner():
     pairs = [Pair(2 * i, 2 * i + 1, 1.0) for i in range(10)]
-    batches = make_batches(pairs, 4, seed=1, epoch=0)
+    batches = list(make_batches(pairs, 4, seed=1, epoch=0))
     assert len(batches) == 2  # 10 pairs, incomplete tail dropped
     for b in batches:
         assert len(b) == 8
@@ -309,16 +310,16 @@ def test_make_batches_shapes_and_partner():
 
 def test_make_batches_deterministic_and_epoch_dependent():
     pairs = [Pair(2 * i, 2 * i + 1, 1.0) for i in range(40)]
-    a = make_batches(pairs, 8, seed=3, epoch=0)
-    b = make_batches(pairs, 8, seed=3, epoch=0)
+    a = list(make_batches(pairs, 8, seed=3, epoch=0))
+    b = list(make_batches(pairs, 8, seed=3, epoch=0))
     assert a == b
-    c = make_batches(pairs, 8, seed=3, epoch=1)
+    c = list(make_batches(pairs, 8, seed=3, epoch=1))
     assert a != c
 
 
 def test_make_batches_defers_clashing_pairs():
     pairs = [Pair(1, 2, 1.0), Pair(1, 3, 1.0), Pair(4, 5, 1.0), Pair(6, 7, 1.0)]
-    batches = make_batches(pairs, 2, seed=0, epoch=0)
+    batches = list(make_batches(pairs, 2, seed=0, epoch=0))
     assert len(batches) == 2
     for b in batches:
         assert len(set(b)) == 4
@@ -329,7 +330,7 @@ def test_make_batches_defers_clashing_pairs():
 def test_make_batches_each_pair_at_most_once():
     rng = np.random.default_rng(5)
     pairs = [Pair(int(a), int(b), 1.0) for a, b in rng.integers(0, 60, (50, 2)) if a != b]
-    batches = make_batches(pairs, 4, seed=9, epoch=2)
+    batches = list(make_batches(pairs, 4, seed=9, epoch=2))
     seen = [tuple(b[i:i + 2]) for b in batches for i in range(0, 8, 2)]
     assert len(seen) == len(set(seen)) or \
         len(seen) <= len(pairs)  # duplicates only if the pair list repeats them
@@ -376,18 +377,22 @@ def test_make_batches_matches_full_scan():
             for batch_pairs in (2, 16, 64):
                 want, clashes = _full_scan_batches(pairs, batch_pairs, seed, epoch)
                 got = make_batches(pairs, batch_pairs, seed, epoch)
-                assert got == want
+                assert isinstance(got, Iterator)
+                assert list(got) == want
                 assert clashes > 0
 
 
 def test_make_batches_errors():
-    with pytest.raises(DataError):
+    # bad arguments raise at the call, before any batch is read
+    with pytest.raises(DataError, match="need at least 2 pairs"):
         make_batches([Pair(1, 2, 1.0)], 2, seed=0, epoch=0)
     clashing = [Pair(1, 2, 1.0), Pair(1, 3, 1.0), Pair(1, 4, 1.0)]
-    with pytest.raises(DataError):
-        make_batches(clashing, 2, seed=0, epoch=0)
     with pytest.raises(ConfigError):
         make_batches(clashing, 0, seed=0, epoch=0)
+    # no clash-free batch: the first batch read raises
+    batches = make_batches(clashing, 2, seed=0, epoch=0)
+    with pytest.raises(DataError, match="duplicate-free"):
+        next(batches)
 
 
 def test_split_pairs_deterministic_disjoint():

@@ -7,7 +7,8 @@ import pytest
 
 from mlrm import saliency
 from mlrm.autodiff import Retained, Tensor, _topo_order, backward
-from mlrm.data import build_pairs, build_vocab, generate_synthetic, PairConfig, SyntheticConfig
+from mlrm.data import (build_pairs, build_vocab, generate_synthetic, make_batches, PairConfig,
+                       SyntheticConfig)
 from mlrm.model import MODES, ModelConfig, embed_notes, init_params
 from mlrm.saliency import batch_saliency, saliency_report, write_report, CSV_FIELDS
 from mlrm.training import TAU_NAME, LossConfig, batch_loss
@@ -245,9 +246,7 @@ def test_report_shares_sum_to_one():
 
 def test_report_single_batch_equals_batch_decomposition():
     params, cfg, vocab, by_id, pairs = world_with_pairs()
-    from mlrm.data import make_batches
-
-    batch = make_batches(pairs, 2, seed=0, epoch=0)[0]
+    batch = next(make_batches(pairs, 2, seed=0, epoch=0))
     notes = [by_id[i] for i in batch]
     triples = batch_saliency(params, cfg, vocab, notes, LossConfig())
     report = saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),
@@ -256,6 +255,22 @@ def test_report_single_batch_equals_batch_decomposition():
         vals = sorted(t[layer][0] for t in triples)
         want = math.fsum(vals) / len(vals)
         assert report.layers[layer]["S_v"] == want
+
+
+def test_report_packs_only_the_batches_it_reads(monkeypatch):
+    params, cfg, vocab, by_id, pairs = world_with_pairs()
+    packed = []
+
+    def counting(*args):
+        for batch in make_batches(*args):
+            packed.append(batch)
+            yield batch
+    monkeypatch.setattr(saliency, "make_batches", counting)
+    report = saliency_report(params, cfg, vocab, by_id, pairs, LossConfig(),
+                             batch_pairs=2, seed=0, max_notes=8)
+    assert report.n_notes == 8
+    assert len(packed) == 2
+    assert len(list(make_batches(pairs, 2, 0, 0))) > 2
 
 
 def test_report_param_grads_left_clean():

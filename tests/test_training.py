@@ -7,6 +7,8 @@ import struct
 import numpy as np
 import pytest
 
+import mlrm.model
+import mlrm.training
 from mlrm.autodiff import Tensor, backward, contrastive
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.data import PairConfig, SyntheticConfig, build_pairs, build_vocab, generate_synthetic
@@ -609,3 +611,34 @@ def test_save_state_load_state_round_trip(tmp_path):
         assert back.params[name].requires_grad == p.requires_grad
     assert np.array_equal(back.optimizer.m["lm.tok_emb"], state.optimizer.m["lm.tok_emb"])
     assert back.optimizer.t == state.optimizer.t
+
+
+def test_load_state_draws_nothing(tmp_path, monkeypatch):
+    # every parameter and moment is its record as read: no random draw
+    # stands in for them, not even one that is then overwritten
+    notes, pairs, vocab, cfg = small_world()
+    assert cfg.mode == "notellm2" and cfg.freeze_vision
+    run = RunSettings(seed=3, batch_pairs=2)
+    state = train(init_state(cfg, LossConfig(), OptimConfig(steps=4), run, vocab),
+                  notes, pairs, steps=2)
+    path = tmp_path / "s.mlrm"
+    save_state(state, path)
+    arrays, moments, _, _, _ = load_checkpoint(path)
+    fresh = init_state(cfg, LossConfig(), OptimConfig(steps=4), run, vocab)
+
+    def never(*args, **kwargs):
+        raise AssertionError("load_state drew a parameter set")
+    monkeypatch.setattr(mlrm.model, "init_params", never)
+    monkeypatch.setattr(mlrm.training, "init_params", never)
+    back = load_state(path)
+    assert list(back.params) == list(fresh.params)
+    for name, p in back.params.items():
+        assert p.data.dtype == arrays[name].dtype and p.shape == arrays[name].shape
+        assert p.data.tobytes() == arrays[name].tobytes()
+        assert p.requires_grad == fresh.params[name].requires_grad
+    opt = back.optimizer
+    assert opt.t == back.step == 2
+    for kind, got in (("m", opt.m), ("v", opt.v)):
+        assert sorted(got) == sorted(fresh.optimizer.m)
+        for name, a in got.items():
+            assert a.tobytes() == moments[kind][name].tobytes()
