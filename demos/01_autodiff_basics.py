@@ -63,7 +63,7 @@ positions = np.concatenate([np.arange(n) for n in lengths])
 onehot = np.zeros((5, 2, 4))
 onehot[np.arange(5), :, positions] = 1.0
 v = Tensor(onehot.reshape(5, 8), requires_grad=True)
-out, _ = ad.attention(q, k, v, 2, lengths)
+out = ad.attention(q, k, v, 2, lengths)
 for n, end in zip(lengths, np.cumsum(lengths)):
     print(f"\nhead 0 probabilities of the {n}-row note:\n", out.data[end - n:end, :n].round(4))
 

@@ -27,7 +27,7 @@ What is held for backward, and when it is freed:
 - ``attention`` keeps q, k and v and each segment's softmax row max and
   row sum, [heads, queries, 1], and rebuilds the probabilities just
   before use with the forward's own steps, which give the same bits,
-  also when it retains saliency; ``ff`` keeps gelu(h) when w2 needs a
+  also inside ``retaining()``; ``ff`` keeps gelu(h) when w2 needs a
   gradient and the gelu derivative when x, w1 or b1 does, and works
   through one reused block of rows of the pre-activation and cdf.
 - ``backward`` consumes the graph as it goes, as PyTorch does by
@@ -39,15 +39,15 @@ What is held for backward, and when it is freed:
   ``backward`` through a consumed node raises ``ContractError``.
 - Under ``no_grad`` nothing is recorded, so nothing is kept.
 - Values are not on the tape, so ``first_nonfinite`` runs a forward
-  again under ``no_grad`` (with a thread-local switch next to it, which
-  only it turns on) and stops at the first op whose output is not
-  finite.
+  again without recording and stops at the first op whose output is
+  not finite.
 
-On request the packed attention op also returns a leaf that requires
-grad (``Retained``), into which its backward writes the head-summed
-|A * dL/dA| of each segment; a loss over grad-free parameters then
-records the tape from the first such leaf on, and the sweep computes
-only what reaches them (used for attention saliency).
+``no_grad``, that replay and ``retaining`` are per-thread modes. Inside
+``retaining()`` each packed attention call that records also makes a
+leaf that requires grad (``Retained``), into which its backward writes
+the head-summed |A * dL/dA| of each segment; a loss over grad-free
+parameters then records the tape from the first such leaf on, and the
+sweep computes only what reaches them (used for attention saliency).
 """
 
 from __future__ import annotations
@@ -62,9 +62,15 @@ from scipy.special import erf as _erf
 
 from .errors import ContractError, NumericError, ShapeError
 
-# recording is toggled per thread: a library caller embedding under no_grad()
-# on one thread must not switch recording off on the others
-_tls = threading.local()
+
+# per-thread modes, defaults on the class: no_grad() on one thread leaves the others recording
+class _Modes(threading.local):
+    grad_enabled = True
+    find_nonfinite = False  # first_nonfinite's replay
+    retained = None  # the leaves retaining() collects
+
+
+_tls = _Modes()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -72,19 +78,30 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _FF_BLOCK = 256
 
 
-def grad_enabled() -> bool:
-    return getattr(_tls, "grad_enabled", True)
-
-
 @contextlib.contextmanager
+def _mode(name: str, value):
+    """Set mode ``name`` to ``value`` inside the block, also on an exception."""
+    prev = getattr(_tls, name)
+    setattr(_tls, name, value)
+    try:
+        yield value
+    finally:
+        setattr(_tls, name, prev)
+
+
+def grad_enabled() -> bool:
+    return _tls.grad_enabled
+
+
 def no_grad():
     """Disable graph recording inside the block (pure inference)."""
-    prev = grad_enabled()
-    _tls.grad_enabled = False
-    try:
-        yield
-    finally:
-        _tls.grad_enabled = prev
+    return _mode("grad_enabled", False)
+
+
+def retaining():
+    """Yield the ``Retained`` leaves of the block's packed ``attention`` calls
+    in call order; an inner block keeps its own, batched calls retain none."""
+    return _mode("retained", [])
 
 
 class _NonFinite(Exception):
@@ -160,7 +177,7 @@ def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
         out.node = Node(op, backward_fn, tuple(
             p.node if p.node is not None else p if p.requires_grad else None
             for p in parents))
-    elif getattr(_tls, "find_nonfinite", False) and not np.isfinite(out.data).all():
+    elif _tls.find_nonfinite and not np.isfinite(out.data).all():
         raise _NonFinite(op, out.shape)
     return out
 
@@ -395,13 +412,13 @@ def _merge(x: np.ndarray) -> np.ndarray:
 
 
 class Retained(Tensor):
-    """Attention saliency kept by ``attention(..., retain=True)``: a leaf
-    that requires grad, so a loss over grad-free parameters records from
-    the op on. Each backward through the op writes the head-sum of
-    |A * dL/dA| into ``data`` (zero until then; ``grad`` stays None): one
-    flat buffer of per-segment [queries, keys] maps, with no padding.
-    ``queries`` holds each segment's query positions (a slice when every
-    position is a query)."""
+    """Attention saliency kept by a packed ``attention`` call inside
+    ``retaining()``: a leaf that requires grad, so a loss over grad-free
+    parameters records from the op on. Each backward through the op
+    writes the head-sum of |A * dL/dA| into ``data`` (zero until then;
+    ``grad`` stays None): one flat buffer of per-segment [queries, keys]
+    maps, with no padding. ``queries`` holds each segment's query
+    positions (a slice when every position is a query)."""
 
     __slots__ = ("queries", "shapes")
 
@@ -417,9 +434,9 @@ class Retained(Tensor):
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
-              retain: bool = False, queries=None) -> tuple[Tensor, Retained | None]:
+              queries=None) -> Tensor:
     """Multi-head scaled dot-product attention from projected q, k, v to
-    the head-merged output; returns (output, retained saliency).
+    the head-merged output.
 
     With ``lengths`` None, q [B, Tq, d] attends fully over k, v
     [B, Tk, d]. Otherwise k, v are packed [N, d] rows of consecutive
@@ -432,17 +449,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
     rebuilds the segment's probabilities just before use with the
     forward's steps in order (scores, scale, minus the stored max, exp of
     the unmasked entries, over the stored sum), which give the forward's
-    bits, and frees them before the next segment. With ``retain`` (packed
-    rows only) the op also returns a ``Retained`` leaf, into which the
-    backward writes each segment's head-sum of |A * dL/dA| from the
-    rebuilt probabilities; else the second value is None.
+    bits, and frees them before the next segment. A packed call inside
+    ``retaining()``, with recording on, also adds a ``Retained`` leaf to
+    the scope's list, into which the backward writes each segment's head-sum
+    of |A * dL/dA| from the rebuilt probabilities.
     """
     if q.ndim not in (2, 3) or k.shape != v.shape or k.ndim != q.ndim \
             or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
                          f"with {heads} heads")
     if lengths is None:
-        if q.ndim != 3 or q.shape[0] != k.shape[0] or queries is not None or retain:
+        if q.ndim != 3 or q.shape[0] != k.shape[0] or queries is not None:
             raise ShapeError(f"attention: batched q {q.shape}, k {k.shape} (or packed-only args)")
         qspans, kspans, masks, kept = [Ellipsis], [Ellipsis], [(None, True)], None
     else:
@@ -470,7 +487,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
         future = ~allowed
         # per segment: the (future, allowed) key positions of each query row
         masks = [(future[r, :n], allowed[r, :n]) for r, n in zip(rows, lengths)]
-        kept = Retained(list(zip(counts, lengths)), rows) if retain else None
+        kept = None
+        if _tls.retained is not None and _tls.grad_enabled:
+            kept = Retained(list(zip(counts, lengths)), rows)
+            _tls.retained.append(kept)
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
 
     def softmax(qh, kh, mask, stats=None):
@@ -529,7 +549,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
                 dk[kspan] = _merge(dp.swapaxes(-1, -2) @ qh)
         return dq, dk, dv
     parents = (q, k, v) if kept is None else (q, k, v, kept)
-    return _record(out, "attention", parents, back), kept
+    return _record(out, "attention", parents, back)
 
 
 def ff(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -736,13 +756,9 @@ def first_nonfinite(build: Callable[[], Tensor]) -> tuple[str, tuple[int, ...]] 
     which records nothing and stops at that op. A leaf is no op, so a
     non-finite input shows at the first op that reads it.
     """
-    prev = getattr(_tls, "find_nonfinite", False)
-    _tls.find_nonfinite = True
     try:
-        with no_grad():
+        with _mode("find_nonfinite", True), no_grad():
             build()
     except _NonFinite as bad:
         return bad.args
-    finally:
-        _tls.find_nonfinite = prev
     return None

@@ -149,6 +149,8 @@ def load_checkpoint(path):
     for key, kind in TRAILER_KEYS.items():
         if not isinstance(trailer[key], kind) or isinstance(trailer[key], bool):
             raise FormatError(f"{path}: config trailer {key!r} is not a {kind.__name__}")
+    if not all(isinstance(token, str) for token in trailer["vocab"]):
+        raise FormatError(f"{path}: config trailer 'vocab' is not a list of strings")
 
     step = trailer.pop("step")
     if step < 0:

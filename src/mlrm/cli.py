@@ -33,7 +33,7 @@ from .data import (
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import MODES, MODALITIES, ModelConfig
 from .notes import load_notes
-from .prompting import Vocab
+from .prompting import Vocab, note_tokens
 from .retrieval import (
     build_table,
     check_eval_options,
@@ -120,6 +120,16 @@ def _check_vocab(path, vocab: Vocab) -> None:
             shown = [repr(t) if t is not None else "nothing" for t in (ours, saved)]
             raise DataError(f"{path} is not the checkpoint's vocabulary: line {line} holds "
                             f"{shown[0]}, the checkpoint's {shown[1]}")
+
+
+def _check_note_tokens(notes, vocab: Vocab) -> None:
+    """DataError naming the first note with a token the checkpoint's
+    vocabulary lacks: another dataset's words would read as <UNK>."""
+    for note in notes:
+        for token in note_tokens(note):
+            if token not in vocab.index:
+                raise DataError(f"note {note.id} has the token {token!r}, which is not "
+                                f"in the checkpoint's vocabulary")
 
 
 def _load_config_file(path) -> dict:
@@ -280,6 +290,7 @@ def cmd_eval(args) -> int:
     modalities = _modalities(args.modality)
     state = load_state(args.checkpoint)
     pool_notes = load_notes(args.pool)
+    _check_note_tokens(pool_notes, state.vocab)
     pairs = load_pairs(args.pairs)
     by_id = {n.id: n for n in pool_notes}
     pairs = [p for p in pairs if p.query in by_id and p.related in by_id]
@@ -353,6 +364,7 @@ def cmd_export_embeddings(args) -> int:
                           f"{MODALITIES}")
     state = load_state(args.checkpoint)
     notes = load_notes(args.notes)
+    _check_note_tokens(notes, state.vocab)
     table = build_table(state.params, state.model_cfg, state.vocab, notes,
                         modality=args.modality,
                         provenance={"checkpoint_sha256": _sha256(args.checkpoint)})

@@ -116,6 +116,13 @@ def load_pairs(path) -> list[Pair]:
     return read_jsonl(path, _pair_from_row)
 
 
+def check_pairs(pairs: list[Pair], notes_by_id: dict) -> None:
+    """DataError naming the first pair with a note that ``notes_by_id`` lacks."""
+    for p in pairs:
+        if p.query not in notes_by_id or p.related not in notes_by_id:
+            raise DataError(f"pair ({p.query}, {p.related}) references an unknown note")
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpus
 

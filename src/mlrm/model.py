@@ -184,10 +184,8 @@ def trainable_names(params: dict[str, Tensor]) -> list[str]:
 
 
 def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
-               lengths: list[int] | None = None, retain: bool = False,
-               queries: list[list[int]] | None = None) -> tuple[Tensor, Tensor | None]:
-    """Multi-head attention of x_q over x_kv; returns (output, retained
-    saliency or None).
+               lengths: list[int] | None = None, queries: list[list[int]] | None = None) -> Tensor:
+    """Multi-head attention of x_q over x_kv.
 
     With ``lengths`` None, batches [B, T, d] attend fully; otherwise x_kv
     holds packed [N, d] rows, x_q the rows at the per-segment positions
@@ -198,8 +196,8 @@ def _attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
     """
     q, k, v = (ad.linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"])
                for x, n in ((x_q, "q"), (x_kv, "k"), (x_kv, "v")))
-    out, probs = ad.attention(q, k, v, heads, lengths, retain, queries)
-    return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), probs
+    out = ad.attention(q, k, v, heads, lengths, queries)
+    return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ln(params: dict, prefix: str, x: Tensor, eps: float) -> Tensor:
@@ -210,7 +208,7 @@ def _ff(params: dict, prefix: str, x: Tensor) -> Tensor:
     return ad.ff(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
-def _encoder_block(params, cfg, prefix, x, heads, lengths=None, retain=False, reads=None):
+def _encoder_block(params, cfg, prefix, x, heads, lengths=None, reads=None):
     """Pre-norm attention and feed-forward block. With ``reads`` (per
     segment of packed rows, ascending positions) only the rows at those
     positions are computed and returned: keys and values still come from
@@ -222,10 +220,8 @@ def _encoder_block(params, cfg, prefix, x, heads, lengths=None, retain=False, re
         index = np.concatenate([start + np.asarray(r) for start, r in zip(starts, reads)])
         x_q = ad.embedding_lookup(normed, index)
         x = ad.embedding_lookup(x, index)
-    a, probs = _attention(params, f"{prefix}.attn", x_q, normed, heads, lengths, retain, reads)
-    x = ad.add(x, a)
-    x = ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln2", x, cfg.eps)))
-    return x, probs
+    x = ad.add(x, _attention(params, f"{prefix}.attn", x_q, normed, heads, lengths, reads))
+    return ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln2", x, cfg.eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +240,7 @@ def encode_images(params: dict, cfg: ModelConfig, images: np.ndarray) -> Tensor:
     x = ad.concat([ad.concat([cls] * b, axis=0), x], axis=1)
     x = ad.add(x, params["vision.pos"])
     for i in range(cfg.vision_layers):
-        x, _ = _encoder_block(params, cfg, f"vision.blocks.{i}", x, cfg.vision_heads)
+        x = _encoder_block(params, cfg, f"vision.blocks.{i}", x, cfg.vision_heads)
     return _ln(params, "vision.ln_f", x, cfg.eps)
 
 
@@ -262,13 +258,10 @@ def connect(params: dict, cfg: ModelConfig, vision_feats: Tensor) -> Tensor:
     for i in range(cfg.connector_layers):
         prefix = f"connector.blocks.{i}"
         normed = _ln(params, f"{prefix}.ln_self", x, cfg.eps)
-        a, _ = _attention(params, f"{prefix}.self_attn", normed, normed,
-                          cfg.connector_heads)
-        x = ad.add(x, a)
-        a, _ = _attention(params, f"{prefix}.cross_attn",
-                          _ln(params, f"{prefix}.ln_cross", x, cfg.eps), vision_feats,
-                          cfg.connector_heads)
-        x = ad.add(x, a)
+        x = ad.add(x, _attention(params, f"{prefix}.self_attn", normed, normed, cfg.connector_heads))
+        x = ad.add(x, _attention(params, f"{prefix}.cross_attn",
+                                 _ln(params, f"{prefix}.ln_cross", x, cfg.eps), vision_feats,
+                                 cfg.connector_heads))
         x = ad.add(x, _ff(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln_ff", x, cfg.eps)))
     return ad.linear(x, params["connector.out.w"], params["connector.out.b"])
 
@@ -354,8 +347,7 @@ def assemble(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
 
 
 def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
-                reads: list[list[int]],
-                retain_attention: bool = False) -> tuple[Tensor, list[ad.Retained] | None]:
+                reads: list[list[int]]) -> Tensor:
     """Causal transformer over the packed rows [1, N, h_t] of notes with
     the given lengths; each note attends only within itself.
 
@@ -363,10 +355,9 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
     states are wanted. Every block but the last runs over all N rows; the
     last computes keys and values over all rows and the rest only at the
     read rows, since no later block consumes the others. Returns the
-    hidden states [R, h_t] at the read positions, note after note, and,
-    with ``retain_attention``, the per-layer ``autodiff.Retained`` leaves
-    into which backward writes one unpadded [queries, T] saliency map per
-    note (else None); the last layer's queries are the read rows.
+    hidden states [R, h_t] at the read positions, note after note; inside
+    ``autodiff.retaining()`` each layer retains one unpadded [queries, T]
+    map per note, and the last layer's queries are the read rows.
     """
     if x.ndim != 3 or x.shape[0] != 1 or x.shape[1] != sum(lengths):
         raise ShapeError(f"forward_llm: {x.shape} does not pack notes of lengths {lengths}")
@@ -376,13 +367,11 @@ def forward_llm(params: dict, cfg: ModelConfig, x: Tensor, lengths: list[int],
                           f"({cfg.max_positions})")
     positions = np.concatenate([np.arange(t) for t in lengths])
     x = ad.add(ad.reshape(x, (n, d)), ad.embedding_lookup(params["lm.pos"], positions))
-    attentions = []
     for i in range(cfg.lm_layers):
         last = i == cfg.lm_layers - 1
-        x, probs = _encoder_block(params, cfg, f"lm.blocks.{i}", x, cfg.lm_heads,
-                                  lengths, retain_attention, reads if last else None)
-        attentions.append(probs)
-    return _ln(params, "lm.ln_f", x, cfg.eps), attentions if retain_attention else None
+        x = _encoder_block(params, cfg, f"lm.blocks.{i}", x, cfg.lm_heads,
+                           lengths, reads if last else None)
+    return _ln(params, "lm.ln_f", x, cfg.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +399,6 @@ class BatchRepresentations:
     fused_multimodal: Tensor | None   # [B, h_t]
     out_visual: Tensor | None         # [B, out_dim], projected
     out_multimodal: Tensor            # [B, out_dim], projected; the eval embedding
-    attentions: list[ad.Retained] | None  # per layer, retained; the last
-                                          # layer's queries are the read rows
 
 
 def _vision_fingerprint(params: dict) -> bytes:
@@ -455,7 +442,7 @@ def _vision_features(params, cfg, notes, text_only, image_cache):
 
 
 def embed_notes(params: dict, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
-                modality: str = "multimodal", retain_attention: bool = False,
+                modality: str = "multimodal",
                 image_cache: dict | None = None) -> BatchRepresentations:
     """Batched note embedding along the wiring of the variant ``cfg.mode``."""
     if modality not in MODALITIES:
@@ -465,13 +452,11 @@ def embed_notes(params: dict, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
     if modality == "image_only":
         notes = [n.replace_text(title="", topics=[], content="") for n in notes]
     layouts = [build_prompt(n, vocab, use_micl=cfg.mode in MICL_PROMPT_MODES) for n in notes]
-    return embed_layouts(params, cfg, layouts, notes, modality,
-                         retain_attention=retain_attention, image_cache=image_cache)
+    return embed_layouts(params, cfg, layouts, notes, modality, image_cache=image_cache)
 
 
 def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
                   notes: list[Note], modality: str = "multimodal",
-                  retain_attention: bool = False,
                   image_cache: dict | None = None) -> BatchRepresentations:
     """Lower-level entry point taking pre-built prompt layouts."""
     ht, mode = cfg.hidden_text, cfg.mode
@@ -491,7 +476,7 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         reads = [[info.visual_word_pos, info.compressed_pos] for info in infos]
     else:
         reads = [[info.compressed_pos] for info in infos]
-    hidden, attentions = forward_llm(params, cfg, packed, lengths, reads, retain_attention)
+    hidden = forward_llm(params, cfg, packed, lengths, reads)
 
     # hidden holds each note's read rows in turn: [visual word,] compressed word
     n_m, n_v = hidden, None
@@ -515,5 +500,4 @@ def embed_layouts(params: dict, cfg: ModelConfig, layouts: list[PromptLayout],
         infos=infos, raw_visual=n_v, raw_multimodal=n_m,
         fused_visual=fused_v, fused_multimodal=fused_m,
         out_visual=out_v, out_multimodal=out_m,
-        attentions=attentions,
     )

@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .autodiff import no_grad
 from .checkpoint import atomic_write
-from .data import Pair
+from .data import Pair, check_pairs
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import ModelConfig, embed_notes
 from .notes import Note
@@ -336,9 +336,7 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
     if len(sizes) > 1:
         raise ConfigError(f"tables disagree on pool size: {sorted(sizes)}")
     pool_size = sizes.pop() if sizes else len(bm25_pool or ())
-    for p in pairs:
-        if p.query not in notes_by_id or p.related not in notes_by_id:
-            raise DataError(f"pair ({p.query}, {p.related}) references an unknown note")
+    check_pairs(pairs, notes_by_id)
 
     samples = [_subsample(pairs, max_pairs, seed) for seed in seeds]
     sampled = {(p.query, p.related) for s in samples for p in s}

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, retaining
 from .checkpoint import atomic_write
-from .data import Pair, make_batches
+from .data import Pair, check_pairs, make_batches
 from .model import MICL_PROMPT_MODES, ModelConfig
 from .notes import Note
 from .prompting import Vocab
@@ -43,19 +43,20 @@ def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
                    loss_cfg: LossConfig):
     """Loss -> backward -> per-note per-layer (S_v, S_t, S_o) triples.
 
-    The loss runs over grad-free views of the parameters, so the tape
-    starts at the first layer's retained attention and the backward pass
-    computes no parameter gradient. Each note's means at a layer are
-    read straight from its retained [queries, T] map, the head-sum of
-    |A * dL/dA| that the backward wrote: rows that were not queries hold
-    zero saliency, so the query rows alone give the means of the dense
-    [T, T] map. The last query row is always the compressed word
-    c = T - 1."""
+    The loss runs inside ``retaining()`` over grad-free views of the
+    parameters, so the tape starts at the first retained attention (of
+    the multimodal pass, which runs first) and the backward computes no
+    parameter gradient. Each note's means at a layer are read straight
+    from its retained [queries, T] map, the head-sum of |A * dL/dA| that
+    the backward wrote: rows that were not queries hold zero saliency,
+    so the query rows alone give the means of the dense [T, T] map. The
+    last query row is always the compressed word c = T - 1."""
     views = {name: Tensor(p.data) for name, p in params.items()}
-    loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg, retain_attention=True)
+    with retaining() as kept:
+        loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg)
     backward(loss)
     out = [[] for _ in reps.infos]
-    for layer in reps.attentions:
+    for layer in kept[:cfg.lm_layers]:
         for triples, info, rows, s in zip(out, reps.infos, layer.queries, layer.blocks()):
             t, c = info.length, info.compressed_pos
             visual = np.zeros(c, dtype=bool)
@@ -78,6 +79,7 @@ def saliency_report(params, cfg: ModelConfig, vocab: Vocab,
                     max_notes: int = 1000) -> SaliencyReport:
     """Average the decomposition over the epoch-0 batches that hold the first ``max_notes`` notes."""
     per_layer: list[list[tuple[float, float, float]]] = [[] for _ in range(cfg.lm_layers)]
+    check_pairs(pairs, notes_by_id)
     n_notes = 0
     for batch in make_batches(pairs, batch_pairs, seed, 0):
         notes = [notes_by_id[i] for i in batch]

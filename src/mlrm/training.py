@@ -27,11 +27,10 @@ from .autodiff import (
     contrastive,
     divs,
     first_nonfinite,
-    no_grad,
     scale,
 )
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
-from .data import Pair, make_batches, split_pairs
+from .data import Pair, check_pairs, make_batches, split_pairs
 from .errors import ConfigError, FormatError, NumericError
 from .model import (
     MICL_PROMPT_MODES,
@@ -108,15 +107,14 @@ def final_loss(loss_visual: Tensor, loss_multimodal: Tensor, alpha: float) -> Te
 
 def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
                notes: list[Note], loss_cfg: LossConfig,
-               image_cache: dict | None = None, retain_attention: bool = False):
+               image_cache: dict | None = None):
     """Variant-dispatching objective; returns (loss, representations).
 
-    The returned representations come from the multimodal pass so
-    callers can inspect attention or embeddings regardless of mode.
+    The returned representations come from the multimodal pass, which
+    runs first, so callers can inspect embeddings regardless of mode.
     """
     tau = params[TAU_NAME]
-    reps = embed_notes(params, cfg, vocab, notes, image_cache=image_cache,
-                       retain_attention=retain_attention)
+    reps = embed_notes(params, cfg, vocab, notes, image_cache=image_cache)
     if cfg.mode == "omni":
         e_m = reps.out_multimodal
         e_i, e_t = (embed_notes(params, cfg, vocab, notes, modality=modality,
@@ -219,7 +217,7 @@ def zero_gradients(params: dict[str, Tensor]) -> None:
 class RunSettings:
     seed: int = 42
     batch_pairs: int = 16
-    val_fraction: float = 0.1
+    val_fraction: float = 0.1  # withheld from training; nothing reads it yet
 
     def __post_init__(self):
         if self.seed < 0:
@@ -329,23 +327,6 @@ def save_state(state: TrainState, path) -> None:
                     state.configs(), state.vocab.tokens)
 
 
-def validation_loss(params, model_cfg, vocab, notes_by_id, val_pairs,
-                    loss_cfg, batch_pairs, seed, image_cache=None,
-                    max_batches: int = 4) -> float | None:
-    """Mean loss over a few deterministic validation batches, no gradients."""
-    if len(val_pairs) < batch_pairs:
-        return None
-    batches = itertools.islice(make_batches(val_pairs, batch_pairs, seed, 0), max_batches)
-    values = []
-    with no_grad():
-        for batch in batches:
-            notes = [notes_by_id[i] for i in batch]
-            loss, _ = batch_loss(params, model_cfg, vocab, notes, loss_cfg,
-                                 image_cache=image_cache)
-            values.append(loss.item())
-    return math.fsum(values) / len(values)
-
-
 def _drop_metrics_after(path, step: int) -> None:
     """Rewrite metrics.jsonl without the records past ``step``, which the
     run writes again, or a last line cut short with no newline."""
@@ -384,6 +365,7 @@ def train(state: TrainState, notes: list[Note], pairs: list[Pair],
     notes_by_id = {n.id: n for n in notes}
     if len(notes_by_id) != len(notes):
         raise ConfigError("duplicate note ids in training corpus")
+    check_pairs(pairs, notes_by_id)
     train_pairs, _ = split_pairs(pairs, state.run.val_fraction, state.run.seed)
     stop = state.optim_cfg.steps if steps is None else min(steps, state.optim_cfg.steps)
     if state.step >= stop:

@@ -138,27 +138,31 @@ def stored_attention(q, k, v, heads, lengths=None, queries=None, retain=False):
 
 
 def attention_probabilities(params, cfg, vocab, notes, loss_cfg):
-    """``saliency.batch_saliency``'s loss and backward, over grad-free
-    views of the parameters, with ``stored_attention`` in place of the
-    fused op. Returns (loss, reps, layers): layers[l][b] is (rows, probs),
-    note b's query positions at LM layer l and its [heads, queries, T]
-    probability leaf, whose ``grad`` holds dL/dA. Every value matches the
-    fused op's run bit for bit."""
+    """``saliency.batch_saliency``'s loss and backward inside
+    ``autodiff.retaining()``, over grad-free views of the parameters, with
+    ``stored_attention`` in place of the fused op; like the fused op, it
+    retains at packed calls that record. Returns (loss, reps, layers):
+    layers[l][b] is (rows, probs), note b's query positions at LM layer l
+    of the multimodal pass and its [heads, queries, T] probability leaf,
+    whose ``grad`` holds dL/dA. Every value matches the fused op's run bit
+    for bit."""
     layers = []
 
-    def stored(q, k, v, heads, lengths=None, retain=False, queries=None):
+    def stored(q, k, v, heads, lengths=None, queries=None):
+        retain = lengths is not None and ad._tls.retained is not None and ad.grad_enabled()
         out, probs = stored_attention(q, k, v, heads, lengths, queries, retain)
         if retain:
             layers.append(list(zip(_positions(lengths, queries), probs)))
-        return out, None
+        return out
     fused, ad.attention = ad.attention, stored
     try:
         views = {name: ad.Tensor(p.data) for name, p in params.items()}
-        loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg, retain_attention=True)
+        with ad.retaining():
+            loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg)
         ad.backward(loss)
     finally:
         ad.attention = fused
-    return loss, reps, layers
+    return loss, reps, layers[:cfg.lm_layers]
 
 
 def stored_ff(x, w1, b1, w2, b2):

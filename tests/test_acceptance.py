@@ -6,6 +6,7 @@ desk-scale training experiment (criterion 9) dominates the runtime at
 roughly ten minutes; everything else finishes in seconds.
 """
 
+import contextlib
 import dataclasses
 import math
 import time
@@ -193,7 +194,7 @@ def _primitive_cases(rng):
     packed = [rng.standard_normal((sum(lengths), d)) for _ in range(3)]
     red_packed = _weighted(rng, (sum(lengths), d))
     yield ("attention_causal",
-           lambda t: red_packed(ad.attention(t[0], t[1], t[2], 2, lengths)[0]), packed)
+           lambda t: red_packed(ad.attention(t[0], t[1], t[2], 2, lengths)), packed)
     # the same segments queried at a subset of positions that holds each
     # segment's first and last
     queries = []
@@ -205,13 +206,13 @@ def _primitive_cases(rng):
     red_queries = _weighted(rng, (rows, d))
     yield ("attention_rows",
            lambda t: red_queries(ad.attention(t[0], t[1], t[2], 2, lengths,
-                                              queries=queries)[0]),
+                                              queries=queries)),
            [rng.standard_normal((rows, d))] + packed[1:])
     cross = [rng.standard_normal((2, n, d))] + [rng.standard_normal((2, n + 1, d))
                                                 for _ in range(2)]
     red_cross = _weighted(rng, (2, n, d))
     yield ("attention_cross",
-           lambda t: red_cross(ad.attention(t[0], t[1], t[2], 2)[0]), cross)
+           lambda t: red_cross(ad.attention(t[0], t[1], t[2], 2)), cross)
     ff_weights = [rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m),
                   rng.standard_normal((2 * m, m)), rng.standard_normal(m)]
     yield "ff", lambda t: red(ad.ff(*t)), [a] + ff_weights
@@ -589,15 +590,22 @@ def test_criterion_08_saliency_correctness(small_world, monkeypatch):
         loss, reps = batch_loss(*args, **kwargs)
         seen.append(reps)
         return loss, reps
+
+    @contextlib.contextmanager
+    def keep_leaves():
+        with ad.retaining() as leaves:
+            yield leaves
+        seen.append(leaves)
     monkeypatch.setattr(saliency, "batch_loss", keep_reps)
+    monkeypatch.setattr(saliency, "retaining", keep_leaves)
     triples = saliency.batch_saliency(state.params, cfg, vocab, batch, state.loss_cfg)
-    (reps,) = seen
+    reps, (kept,) = seen
     _, ref_reps, layers = attention_probabilities(state.params, cfg, vocab, batch,
                                                   state.loss_cfg)
     matrices = saliency_matrices(layers, ref_reps.infos)
 
     worst = 0.0
-    kept = reps.attentions[0]  # the only, last layer holds the read rows
+    # kept is the only, last layer: it holds the read rows
     blocks = zip(kept.queries, kept.blocks(), layers[0])
     for info, (rows, s, (_, probs)) in zip(reps.infos, blocks):
         t = info.length

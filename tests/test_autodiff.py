@@ -1,5 +1,6 @@
 """Unit and property tests for the reverse-mode tensor engine."""
 
+import contextlib
 import itertools
 import tracemalloc
 import weakref
@@ -63,7 +64,7 @@ def causal_probs(q, k, lengths, heads=1):
     positions = np.concatenate([np.arange(m) for m in lengths])
     v = np.zeros((n, heads, width))
     v[np.arange(n), :, positions] = 1.0
-    out, _ = ad.attention(t(q), t(k), t(v.reshape(n, -1)), heads, lengths)
+    out = ad.attention(t(q), t(k), t(v.reshape(n, -1)), heads, lengths)
     rows = out.data.reshape(n, heads, width).swapaxes(0, 1)
     return [rows[:, end - m:end, :m] for m, end in zip(lengths, np.cumsum(lengths))]
 
@@ -180,9 +181,65 @@ def test_no_grad_is_per_thread():
     assert y.requires_grad and y.node is not None
 
 
+def _retains(out):
+    # a packed call that retained holds its Retained leaf as a fourth parent
+    return len(out.node.parents) == 4
+
+
+def test_retaining_is_per_thread():
+    # blocks in worker threads collect their own calls alone, and leave
+    # the main thread's block and the threads' later calls alone
+    import concurrent.futures
+    q = t(np.ones((3, 4)))
+
+    def collect(_):
+        with ad.retaining() as kept:
+            ad.attention(q, q, q, 2, [3])
+            ad.attention(q, q, q, 2, [1, 2])
+        return [r.shapes for r in kept], _retains(ad.attention(q, q, q, 2, [3]))
+
+    with ad.retaining() as mine:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(collect, range(64)))
+    assert all(run == ([[(3, 3)], [(1, 1), (2, 2)]], False) for run in runs)
+    assert mine == [] and not _retains(ad.attention(q, q, q, 2, [3]))
+
+
+def test_retaining_is_restored_after_an_exception():
+    q = t(np.ones((3, 4)))
+    with pytest.raises(KeyError):
+        with ad.retaining() as kept:
+            ad.attention(q, q, q, 2, [3])
+            raise KeyError("boom")
+    # the call after the block neither retains nor adds to the closed list
+    assert not _retains(ad.attention(q, q, q, 2, [3])) and len(kept) == 1
+
+
+def test_inner_retaining_block_collects_only_its_own_leaves():
+    q = t(np.ones((3, 4)))
+    with ad.retaining() as outer:
+        ad.attention(q, q, q, 2, [3])
+        with ad.retaining() as inner:
+            ad.attention(q, q, q, 2, [1, 2])
+        ad.attention(q, q, q, 2, [2, 1])
+    assert [r.shapes for r in outer] == [[(3, 3)], [(2, 2), (1, 1)]]
+    assert [r.shapes for r in inner] == [[(1, 1), (2, 2)]]
+
+
+def test_batched_and_no_grad_attention_retain_nothing():
+    b, q = t(np.ones((2, 3, 4))), t(np.ones((3, 4)))
+    with ad.retaining() as kept:
+        batched = ad.attention(b, b, b, 2)
+        with ad.no_grad():
+            free = ad.attention(q, q, q, 2, [3])
+    assert kept == [] and len(batched.node.parents) == 3 and free.node is None
+
+
 def test_retained_tensor_holds_its_map_and_no_grad():
     x = t(np.array([[0.5, -1.0], [2.0, 0.1]]))
-    out, kept = ad.attention(x, x, x, 2, [2], retain=True)
+    with ad.retaining() as kept:
+        out = ad.attention(x, x, x, 2, [2])
+    (kept,) = kept
     assert not kept.data.any()  # zero until a backward pass writes it
     loss = scalar_loss(out)
     ad.backward(loss)
@@ -260,7 +317,7 @@ def test_forward_values_die_unless_a_backward_reads_them():
         normed = ad.layer_norm(r, gain, bias)
         proj = ad.linear(normed, wq, bq)
         q = ad._record(proj.data.copy(), "probe", (proj,), probe_back)
-        out, _ = ad.attention(q, normed, normed, 2, [2, 3])
+        out = ad.attention(q, normed, normed, 2, [2, 3])
         refs = [weakref.ref(a if a.base is None else a.base) for a in (h.data, r.data)]
         return scalar_loss(out), refs, weakref.ref(q.data)
     loss, dropped, q_alive = build()
@@ -279,7 +336,7 @@ def test_packed_attention_forward_keeps_row_statistics_only():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, _ = ad.attention(q, k, v, heads, lengths)
+        out = ad.attention(q, k, v, heads, lengths)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -297,8 +354,10 @@ def test_retaining_attention_forward_holds_no_probabilities():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
+        with ad.retaining() as kept:
+            out = ad.attention(q, k, v, heads, lengths)
         held = tracemalloc.get_traced_memory()[0] - before
+        (kept,) = kept
     finally:
         tracemalloc.stop()
     assert out.requires_grad and kept.data.nbytes == prob_bytes // heads
@@ -323,7 +382,7 @@ def test_backward_determinism_bitwise():
         rng = np.random.default_rng(7)
         ts = [t(rng.normal(size=s)) for s in [(7, 4), (4, 8), (8,), (8, 4), (4,)]]
         h = ad.ff(*ts)
-        out, _ = ad.attention(h, h, h, 2, [3, 4])
+        out = ad.attention(h, h, h, 2, [3, 4])
         ad.backward(scalar_loss(out))
         return [x.grad.copy() for x in ts]
     g1, g2 = run(), run()
@@ -387,9 +446,9 @@ CASES = {
     "embedding_lookup": (
         lambda ts: ad.embedding_lookup(ts[0], np.array([0, 2, 2, 1])), [(4, 3)]),
     "attention_causal": (
-        lambda ts: ad.attention(ts[0], ts[1], ts[2], 2, [3, 1, 2])[0], [(6, 4)] * 3),
+        lambda ts: ad.attention(ts[0], ts[1], ts[2], 2, [3, 1, 2]), [(6, 4)] * 3),
     "attention_cross": (
-        lambda ts: ad.attention(ts[0], ts[1], ts[2], 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
+        lambda ts: ad.attention(ts[0], ts[1], ts[2], 2), [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
     # one input takes a gradient: ff keeps only the gelu derivative, or only gelu(h)
     "ff_x": (lambda ts: ad.ff(ts[0], *FF_FIXED[1:]), [(2, 3, 4)]),
@@ -447,7 +506,7 @@ def test_fd_attention_rows():
         rows = sum(len(r) for r in queries)
         shapes = [(rows, 4), (sum(lengths), 4), (sum(lengths), 4)]
         _check("attention_rows",
-               lambda ts: ad.attention(ts[0], ts[1], ts[2], 2, lengths, queries=queries)[0],
+               lambda ts: ad.attention(ts[0], ts[1], ts[2], 2, lengths, queries=queries),
                [rng.normal(size=shape) for shape in shapes])
 
 
@@ -462,10 +521,12 @@ def test_attention_rows_match_full_causal_attention():
     w_full = np.zeros((sum(lengths), d))
     w_full[index] = w  # the full op's other rows do not reach the loss
     full = [t(a) for a in qkv]
-    out_full, kept_full = ad.attention(*full, heads, lengths, retain=True)
-    ad.backward(tsum(mul(out_full, t(w_full, grad=False))))
-    rows = [t(qkv[0][index]), t(qkv[1]), t(qkv[2])]
-    out, kept = ad.attention(*rows, heads, lengths, retain=True, queries=queries)
+    with ad.retaining() as kept:
+        out_full = ad.attention(*full, heads, lengths)
+        ad.backward(tsum(mul(out_full, t(w_full, grad=False))))
+        rows = [t(qkv[0][index]), t(qkv[1]), t(qkv[2])]
+        out = ad.attention(*rows, heads, lengths, queries=queries)
+    kept_full, kept = kept
     ad.backward(tsum(mul(out, t(w, grad=False))))
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data, out_full.data[index], **close)
@@ -510,7 +571,9 @@ def test_attention_matches_unfused_composition_note_by_note():
     qkv = [rng.normal(size=(sum(lengths), d)) for _ in range(3)]
     w = rng.normal(size=(sum(lengths), d))
     q, k, v = (t(a) for a in qkv)
-    out, kept = ad.attention(q, k, v, heads, lengths, retain=True)
+    with ad.retaining() as kept:
+        out = ad.attention(q, k, v, heads, lengths)
+    (kept,) = kept
     ad.backward(tsum(mul(out, t(w, grad=False))))
     assert kept.shapes == [(n, n) for n in lengths]
     start = 0
@@ -535,7 +598,7 @@ def test_batched_attention_matches_unfused_composition():
     arrays = [rng.normal(size=s) for s in shapes]
     w = t(rng.normal(size=shapes[0]), grad=False)
     fused_in, ref_in = [t(a) for a in arrays], [t(a) for a in arrays]
-    out, _ = ad.attention(*fused_in, heads)
+    out = ad.attention(*fused_in, heads)
     ref, _ = _unfused_attention(*ref_in, heads, np.ones((4, 5), bool))
     for o in (out, ref):
         ad.backward(tsum(mul(o, w)))
@@ -562,17 +625,18 @@ def test_ff_matches_unfused_composition():
         np.testing.assert_allclose(a.grad, b.grad, **close)
 
 
-def _attention_grads(arrays, **kwargs):
+def _attention_grads(arrays, retain=False, **kwargs):
     qkv = [t(a) for a in arrays]
-    out, _ = ad.attention(*qkv, **kwargs)
+    with ad.retaining() if retain else contextlib.nullcontext():
+        out = ad.attention(*qkv, **kwargs)
     ad.backward(scalar_loss(out))
     return [out.data] + [x.grad for x in qkv]
 
 
 @pytest.mark.parametrize("with_queries", [False, True])
 def test_recomputed_attention_matches_retained_bitwise(with_queries):
-    # both rebuild each block from the stored row max and sum; retain=True
-    # also writes the saliency maps, which leaves every other bit alone
+    # both rebuild each block from the stored row max and sum; within
+    # retaining() the op also writes the saliency maps, which leaves every other bit alone
     rng = np.random.default_rng(23)
     heads, lengths = 2, [5, 1, 9, 4]
     queries = _query_rows(lengths, rng) if with_queries else None
@@ -811,9 +875,10 @@ def test_retained_attention_holds_unpadded_blocks():
     runs = []
     for grad in (True, False):
         qkv = [t(a, grad=grad) for a in arrays]
-        out, kept = ad.attention(*qkv, heads, lengths, retain=True, queries=queries)
+        with ad.retaining() as kept:
+            out = ad.attention(*qkv, heads, lengths, queries=queries)
         ad.backward(tsum(mul(out, w)))
-        runs.append((qkv, kept))
+        runs.append((qkv, *kept))
     (qkv, kept), (qkv_free, kept_free) = runs
     assert isinstance(kept, ad.Retained) and kept.node is None and kept.requires_grad
     size = sum(len(r) * n for r, n in zip(queries, lengths))
@@ -842,10 +907,10 @@ SKIP_CASES = {
     "layer_norm": (lambda ts: ad.layer_norm(*ts), [(3, 6), (6,), (6,)]),
     "ff": (lambda ts: ad.ff(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
     "attention_rows": (
-        lambda ts: ad.attention(*ts, 2, [3, 1, 2], queries=[[0, 2], [0], [1]])[0],
+        lambda ts: ad.attention(*ts, 2, [3, 1, 2], queries=[[0, 2], [0], [1]]),
         [(4, 4), (6, 4), (6, 4)]),
     "attention_cross": (
-        lambda ts: ad.attention(*ts, 2)[0], [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
+        lambda ts: ad.attention(*ts, 2), [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "contrastive": (
         lambda ts: ad.contrastive(*ts), [(4, 3), (4, 3), ()]),
     "gate_fuse": (lambda ts: ad.gate_fuse(*ts), [(3, 4), (3, 4), (4, 8), (4,)]),
@@ -885,8 +950,6 @@ def test_attention_and_ff_shape_errors():
         ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((3, 3, 4))), t(np.zeros((3, 3, 4))), 2)
     batched = t(np.zeros((2, 3, 4)))
     ad.attention(batched, batched, batched, 2)
-    with pytest.raises(ShapeError):
-        ad.attention(batched, batched, batched, 2, retain=True)  # retain needs packed rows
     q = t(np.zeros((3, 4)))
     ad.attention(q, x, x, 2, [2, 3], queries=[[0, 1], [1]])
     # unordered, repeated, out of range, empty, too few rows, too many segments
@@ -965,7 +1028,9 @@ def test_leaf_gradients_sum_in_sweep_order_per_graph():
     assert w.grad.tobytes() == (want + u2.data).tobytes()
     # a retained attention leaf takes no gradient
     q = t(np.ones((3, 4)))
-    out, kept = ad.attention(q, q, q, 2, [3], retain=True)
+    with ad.retaining() as kept:
+        out = ad.attention(q, q, q, 2, [3])
+    (kept,) = kept
     ad.backward(tsum(out))
     assert kept.grad is None and q.grad is not None
     # a loss that is itself a leaf gets ones only when it requires grad

@@ -25,6 +25,8 @@ from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.cli import _write_manifest, main
 from mlrm.errors import FormatError
 from mlrm.model import ModelConfig
+from mlrm.notes import load_notes
+from mlrm.prompting import Vocab, note_tokens
 from mlrm.saliency import CSV_FIELDS, SaliencyReport, write_report
 from mlrm.training import LossConfig, OptimConfig, RunSettings, decode_config
 
@@ -334,6 +336,60 @@ def test_dataset_with_the_checkpoints_vocabulary_is_accepted(tmp_path, dataset, 
         argv = (["train", "--resume", str(midway)] if command == "train"
                 else ["analyze", "--checkpoint", str(midway), "--batches", "1"])
         assert main([*argv, "--dataset", str(ds), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+def test_pair_with_an_unknown_note_is_data_error(tmp_path, dataset, trained, capsys, command):
+    # the pair is named before the first batch, not as a KeyError once a
+    # batch holds it
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset, broken)
+    with open(broken / "pairs.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"query": 0, "related": 99999, "score": 1.0}) + "\n")
+    out = tmp_path / "out"
+    argv = (["train", "--config", write_config(tmp_path / "cfg.json", steps=80)]
+            if command == "train" else ["analyze", "--checkpoint", str(trained), "--batches", "40"])
+    assert main([*argv, "--dataset", str(broken), "--out", str(out)]) == 3
+    assert "pair (0, 99999) references an unknown note" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists() and not (out / "saliency.json").exists()
+
+
+def _notes_argv(command, notes, pairs, out):
+    if command == "eval":
+        return ["eval", "--pool", str(notes), "--pairs", str(pairs), "--out", str(out)]
+    return ["export-embeddings", "--notes", str(notes), "--out", str(out / "t.emb")]
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_notes_with_words_outside_the_checkpoints_vocabulary_are_data_error(
+        tmp_path, dataset, trained, capsys, monkeypatch, command):
+    # a dataset of another seed has other words, which would all be
+    # embedded as <UNK>
+    other = tmp_path / "other"
+    assert main(["gen-data", "--seed", "6", "--notes", "40", "--clusters", "2",
+                 "--out", str(other)]) == 0
+    vocab = Vocab.load(dataset / "vocab.txt")
+    note, token = next((n, tok) for n in load_notes(other / "notes.jsonl")
+                       for tok in note_tokens(n) if tok not in vocab.index)
+    monkeypatch.setattr(cli, "build_table", lambda *a, **k: pytest.fail("built a table"))
+    out = tmp_path / "out"
+    argv = _notes_argv(command, other / "notes.jsonl", other / "pairs.jsonl", out)
+    assert main([*argv, "--checkpoint", str(trained)]) == 3
+    assert (f"note {note.id} has the token {token!r}, which is not in the checkpoint's "
+            f"vocabulary") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_pool_from_the_checkpoints_own_notes_is_accepted(tmp_path, dataset, trained, capsys,
+                                                          command):
+    pool = tmp_path / "pool.jsonl"
+    lines = (dataset / "notes.jsonl").read_text().splitlines(keepends=True)
+    pool.write_text("".join(lines[:30]))
+    out = tmp_path / "out"
+    argv = _notes_argv(command, pool, dataset / "pairs.jsonl", out)
+    assert main([*argv, "--checkpoint", str(trained)]) == 0
     capsys.readouterr()
 
 

@@ -176,7 +176,7 @@ def test_recording_forward_llm_holds_what_its_backward_reads():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        hidden, _ = mm.forward_llm(params, cfg, x, lengths, reads)
+        hidden = mm.forward_llm(params, cfg, x, lengths, reads)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -186,20 +186,16 @@ def test_recording_forward_llm_holds_what_its_backward_reads():
     assert read_units * d * 8 <= held < (read_units + n) * d * 8, (held / (d * 8), read_units)
 
 
-def _full_forward_llm(params, cfg, x, lengths, reads, retain_attention=False):
+def _full_forward_llm(params, cfg, x, lengths, reads):
     """Reference LM: every block over every row, then the read rows."""
     n, d = x.shape[1:]
     positions = np.concatenate([np.arange(t) for t in lengths])
     h = ad.add(ad.reshape(x, (n, d)), ad.embedding_lookup(params["lm.pos"], positions))
-    attentions = []
     for i in range(cfg.lm_layers):
-        h, probs = mm._encoder_block(params, cfg, f"lm.blocks.{i}", h, cfg.lm_heads,
-                                     lengths, retain_attention)
-        attentions.append(probs)
+        h = mm._encoder_block(params, cfg, f"lm.blocks.{i}", h, cfg.lm_heads, lengths)
     starts = np.cumsum([0] + lengths[:-1])
     index = np.concatenate([start + np.asarray(r) for start, r in zip(starts, reads)])
-    hidden = ad.embedding_lookup(mm._ln(params, "lm.ln_f", h, cfg.eps), index)
-    return hidden, attentions if retain_attention else None
+    return ad.embedding_lookup(mm._ln(params, "lm.ln_f", h, cfg.eps), index)
 
 
 REPRESENTATIONS = ("raw_visual", "raw_multimodal", "fused_visual", "fused_multimodal",

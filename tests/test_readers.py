@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mlrm.autodiff import Tensor
+from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.errors import DataError, FormatError
 from mlrm.model import ModelConfig
 from mlrm.prompting import RESERVED, Vocab
@@ -85,6 +87,20 @@ def test_corrupt_artifacts_load_or_raise_format_or_data_error(artifacts, tmp_pat
         reader(path)
     except (FormatError, DataError):
         pass
+
+
+@pytest.mark.parametrize("entry", [{"x": 1}, 5, None, ["tea"]])
+def test_checkpoint_vocabulary_of_non_strings_is_format_error(artifacts, tmp_path, entry):
+    # one entry after the reserved tokens is not a token: a dict made the
+    # Vocab raise TypeError, and 5 loaded as a token
+    path = tmp_path / "ckpt.mlrm"
+    path.write_bytes(artifacts["checkpoint"][0])
+    arrays, moments, step, configs, vocab = load_checkpoint(path)
+    vocab[len(RESERVED)] = entry
+    save_checkpoint(path, {k: Tensor(a) for k, a in arrays.items()}, moments, step,
+                    configs, vocab)
+    with pytest.raises(FormatError, match="config trailer 'vocab' is not a list of strings"):
+        load_state(path)
 
 
 def test_corruption_edits():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlrm import saliency
-from mlrm.autodiff import Retained, Tensor, _topo_order, backward
+from mlrm.autodiff import Retained, Tensor, _topo_order, backward, retaining
 from mlrm.data import (build_pairs, build_vocab, generate_synthetic, make_batches, PairConfig,
                        SyntheticConfig)
 from mlrm.model import MODES, ModelConfig, embed_notes, init_params
@@ -40,11 +40,12 @@ def setup(mode, n=4, **cfg_kw):
 
 def run_retained(params, cfg, vocab, notes):
     """``batch_saliency``'s loss and backward over grad-free views of the
-    parameters; the retained maps are in ``reps.attentions``."""
+    parameters; returns (loss, reps, the multimodal pass's retained maps)."""
     views = {name: Tensor(p.data) for name, p in params.items()}
-    loss, reps = batch_loss(views, cfg, vocab, notes, LossConfig(), retain_attention=True)
+    with retaining() as kept:
+        loss, reps = batch_loss(views, cfg, vocab, notes, LossConfig())
     backward(loss)
-    return loss, reps
+    return loss, reps, kept[:cfg.lm_layers]
 
 
 def run_stored(params, cfg, vocab, notes):
@@ -107,9 +108,9 @@ def test_saliency_single_head_hadamard_oracle():
     # single-head probabilities
     params, cfg, vocab, notes = setup("notellm2", n=4,
                                                lm_layers=1, lm_heads=1)
-    loss, reps = run_retained(params, cfg, vocab, notes)
+    loss, reps, retained = run_retained(params, cfg, vocab, notes)
     _, (layer,), _ = run_stored(params, cfg, vocab, notes)
-    kept = reps.attentions[0]
+    kept = retained[0]
     assert kept.grad is None
     for info, rows, s, (_, probs) in zip(reps.infos, kept.queries, kept.blocks(), layer):
         # the only layer is the last: it holds the read rows alone
@@ -124,7 +125,7 @@ def test_saliency_single_head_hadamard_oracle():
 
 def test_saliency_sums_over_heads():
     params, cfg, vocab, notes = setup("notellm2", n=4, lm_heads=2)
-    loss, reps = run_retained(params, cfg, vocab, notes)
+    loss, reps, retained = run_retained(params, cfg, vocab, notes)
     _, layers, matrices = run_stored(params, cfg, vocab, notes)
     b, info = 0, reps.infos[0]
     t = info.length
@@ -133,14 +134,14 @@ def test_saliency_sums_over_heads():
     assert rows.tolist() == list(range(t)) and a.shape == g.shape == (cfg.lm_heads, t, t)
     want = sum(np.abs(a[h] * g[h]) for h in range(cfg.lm_heads))
     assert np.allclose(matrices[b][0], want, rtol=0, atol=1e-15)
-    assert np.allclose(reps.attentions[0].blocks()[b], want, rtol=0, atol=1e-15)
+    assert np.allclose(retained[0].blocks()[b], want, rtol=0, atol=1e-15)
 
 
 def test_saliency_zero_for_single_pair_batch():
     # one pair means no negatives: the loss is constant zero, so every
     # attention gradient (hence every saliency mean) vanishes
     params, cfg, vocab, notes = setup("notellm2", n=2)
-    loss, _ = run_retained(params, cfg, vocab, notes)
+    loss, _, _ = run_retained(params, cfg, vocab, notes)
     assert loss.item() == 0.0
     triples = batch_saliency(params, cfg, vocab, notes, LossConfig())
     assert len(triples) == 2 and all(len(t) == cfg.lm_layers for t in triples)
@@ -149,13 +150,13 @@ def test_saliency_zero_for_single_pair_batch():
 
 def test_saliency_support_is_causal():
     params, cfg, vocab, notes = setup("notellm2", n=4)
-    loss, reps = run_retained(params, cfg, vocab, notes)
+    loss, reps, retained = run_retained(params, cfg, vocab, notes)
     _, _, matrices = run_stored(params, cfg, vocab, notes)
     for per_layer in matrices:
         for m in per_layer:
             assert np.all(m[np.triu_indices(m.shape[0], k=1)] == 0.0)
     # the fused op's maps too: row i of a segment is zero beyond column i
-    for layer in reps.attentions:
+    for layer in retained:
         for rows, s in zip(layer.queries, layer.blocks()):
             positions = np.arange(s.shape[1])[rows]
             assert np.all(s[positions[:, None] < np.arange(s.shape[1])] == 0.0)
@@ -166,11 +167,11 @@ def test_stored_reference_matches_fused_maps_bitwise(mode):
     # the reference keeps every probability block and reads dL/dA from
     # its explicit leaves; the fused op writes the same maps to the bit
     params, cfg, vocab, notes = setup(mode, n=4)
-    loss, reps = run_retained(params, cfg, vocab, notes)
+    loss, reps, retained = run_retained(params, cfg, vocab, notes)
     ref_loss, _, layers = attention_probabilities(params, cfg, vocab, notes, LossConfig())
     assert loss.data.tobytes() == ref_loss.data.tobytes()
-    assert len(layers) == len(reps.attentions) == cfg.lm_layers
-    for kept, layer in zip(reps.attentions, layers):
+    assert len(layers) == len(retained) == cfg.lm_layers
+    for kept, layer in zip(retained, layers):
         for rows, s, (ref_rows, probs) in zip(kept.queries, kept.blocks(), layer):
             assert np.array_equal(np.arange(s.shape[1])[rows], ref_rows)
             assert s.tobytes() == np.abs(probs.data * probs.grad).sum(axis=0).tobytes()

@@ -30,7 +30,6 @@ from mlrm.training import (
     lr_at,
     save_state,
     train,
-    validation_loss,
 )
 from fdcheck import central_diff
 
@@ -406,17 +405,6 @@ def test_train_aborts_on_nonfinite_loss():
         with pytest.raises(NumericError, match=re.escape(f"at step 1; first bad value: {blamed}")):
             with np.errstate(all="ignore"):
                 train(state, notes, pairs)
-
-
-def test_validation_loss_runs_without_gradients():
-    notes, pairs, vocab, cfg = small_world()
-    state = init_state(cfg, LossConfig(), OptimConfig(steps=3),
-                       RunSettings(seed=1, batch_pairs=2), vocab)
-    notes_by_id = {n.id: n for n in notes}
-    value = validation_loss(state.params, cfg, vocab, notes_by_id, pairs,
-                            LossConfig(), batch_pairs=2, seed=0)
-    assert value is not None and math.isfinite(value)
-    assert all(p.grad is None for p in state.params.values())
 
 
 def test_run_settings_reject_negative_seed():
