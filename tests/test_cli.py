@@ -837,15 +837,36 @@ GOLDEN_TRAIN = {
 }
 
 
+# sha256 of `eval --modality all --bm25` and `export-embeddings` on the
+# `dataset` fixture, read with the notellm2 checkpoint above: the tables
+# must not depend on how build_table splits or schedules its chunks
+GOLDEN_EVAL = {
+    "notellm2": {
+        "eval.json": "5c97b8fa43e4e75deb1b81c01882b81da5ed399909907f400b9b14592d2b2a17",
+        "eval.csv": "d11b897b2f0b25bd28e5eeb991ce353dbd3c3c9265ce4227e98aab0c2c28c2f5",
+        "table.emb": "8db2453e0d17a4a94b51f3f600e58a03e2a04cfaef15b92c9ad89f70fc42cecc",
+    },
+}
+
+
 @pytest.mark.parametrize("mode", sorted(GOLDEN_ANALYZE))
 def test_analyze_bytes_match_golden_hashes(tmp_path, dataset, mode):
     run, out = tmp_path / "run", tmp_path / "an"
+    checkpoint = str(run / "checkpoint.mlrm")
     commands = [
         ["train", "--config", write_config(tmp_path / "cfg.json"), "--mode", mode,
          "--dataset", str(dataset), "--out", str(run)],
-        ["analyze", "--checkpoint", str(run / "checkpoint.mlrm"), "--dataset", str(dataset),
+        ["analyze", "--checkpoint", checkpoint, "--dataset", str(dataset),
          "--batches", "2", "--out", str(out)],
     ]
+    if mode in GOLDEN_EVAL:
+        commands += [
+            ["eval", "--checkpoint", checkpoint, "--pool", str(dataset / "notes.jsonl"),
+             "--pairs", str(dataset / "pairs.jsonl"), "--modality", "all", "--bm25",
+             "--out", str(out)],
+            ["export-embeddings", "--checkpoint", checkpoint, "--notes",
+             str(dataset / "notes.jsonl"), "--out", str(out / "table.emb")],
+        ]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -860,6 +881,9 @@ def test_analyze_bytes_match_golden_hashes(tmp_path, dataset, mode):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_ANALYZE[mode]}
     assert got == GOLDEN_ANALYZE[mode]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_EVAL.get(mode, ())}
+    assert got == GOLDEN_EVAL.get(mode, {})
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
