@@ -416,7 +416,10 @@ def _vision_fingerprint(params: dict) -> bytes:
 def _vision_features(params, cfg, notes, text_only, image_cache):
     """Encode images (or the fixed zero image for text-only ablations),
     reusing cached rows when the encoder is frozen. Cache keys are
-    (vision fingerprint, note id)."""
+    (vision fingerprint, note id). ``retrieval.build_table`` fills one
+    cache from concurrent chunks; they hold disjoint note ids, so no two
+    fills race on one key, except that two text-only chunks may both
+    encode the null image, to the same bits."""
     if text_only:
         images = np.zeros((len(notes), cfg.patches, cfg.patch_dim))
         keys = [NULL_IMAGE_KEY] * len(notes)

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,11 @@ MAGIC = b"MLRMEMB1"
 
 SLICES = ("all", "short_query", "short_target", "long_query", "long_target")
 
-# notes per no_grad forward in build_table
-CHUNK = 32
+# notes per no_grad forward in build_table, and the threads that run
+# them: numpy's matmuls and ufuncs and scipy's erf release the GIL, and
+# two 8-note chunks in flight hold less memory than one of 32 notes did
+CHUNK = 8
+WORKERS = min(2, os.cpu_count() or 1)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -83,20 +87,25 @@ def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
                 provenance: dict | None = None) -> EmbeddingTable:
     """Embed every note and L2-normalize; row order follows ``notes``.
 
-    Notes go through the model ``CHUNK`` at a time under ``no_grad``. A
-    float32 table row's bits depend only on its own note, not on its
-    chunk or place. The float64 embedding before the cast does not
-    promise that: a note alone in its chunk can differ by a few ulps
-    from the same note among others.
+    Notes go through the model ``CHUNK`` at a time under ``no_grad``, on
+    ``WORKERS`` threads that live for this call, so at most
+    ``WORKERS * CHUNK`` notes are in flight. A float32 table row's bits
+    depend only on its own note, not on its chunk, place or thread. The
+    float64 embedding before the cast does not promise that: a note
+    alone in its chunk can differ by a few ulps from the same note among
+    others. A chunk that fails raises its own error here, the first in
+    note order.
     """
     if not notes:
         raise DataError("cannot build an embedding table from zero notes")
-    blocks = []
-    with no_grad():
-        for i in range(0, len(notes), CHUNK):
-            blocks.append(embed_notes(params, cfg, vocab, notes[i:i + CHUNK], modality=modality,
-                                      image_cache=image_cache).out_multimodal.data)
-    raw = np.concatenate(blocks, axis=0)
+
+    def embed_chunk(start: int) -> np.ndarray:
+        with no_grad():  # autodiff modes are per thread
+            return embed_notes(params, cfg, vocab, notes[start:start + CHUNK],
+                               modality=modality, image_cache=image_cache).out_multimodal.data
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        raw = np.concatenate(list(pool.map(embed_chunk, range(0, len(notes), CHUNK))), axis=0)
 
     norms = np.linalg.norm(raw, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))

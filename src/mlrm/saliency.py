@@ -25,10 +25,10 @@ import numpy as np
 from .autodiff import Tensor, backward, retaining
 from .checkpoint import atomic_write
 from .data import Pair, check_pairs, make_batches
-from .model import MICL_PROMPT_MODES, ModelConfig
+from .model import MICL_PROMPT_MODES, ModelConfig, embed_notes
 from .notes import Note
 from .prompting import Vocab
-from .training import LossConfig, batch_loss
+from .training import LossConfig, representation_loss
 
 
 @dataclass
@@ -43,20 +43,21 @@ def batch_saliency(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
                    loss_cfg: LossConfig):
     """Loss -> backward -> per-note per-layer (S_v, S_t, S_o) triples.
 
-    The loss runs inside ``retaining()`` over grad-free views of the
-    parameters, so the tape starts at the first retained attention (of
-    the multimodal pass, which runs first) and the backward computes no
-    parameter gradient. Each note's means at a layer are read straight
+    The multimodal pass runs inside ``retaining()`` over grad-free views
+    of the parameters, so the tape starts at its first retained attention
+    and the backward computes no parameter gradient; the rest of the loss
+    (``omni``'s other passes included) runs after the block and retains
+    nothing. Each note's means at a layer are read straight
     from its retained [queries, T] map, the head-sum of |A * dL/dA| that
     the backward wrote: rows that were not queries hold zero saliency,
     so the query rows alone give the means of the dense [T, T] map. The
     last query row is always the compressed word c = T - 1."""
     views = {name: Tensor(p.data) for name, p in params.items()}
     with retaining() as kept:
-        loss, reps = batch_loss(views, cfg, vocab, notes, loss_cfg)
-    backward(loss)
+        reps = embed_notes(views, cfg, vocab, notes)
+    backward(representation_loss(views, cfg, vocab, notes, loss_cfg, reps))
     out = [[] for _ in reps.infos]
-    for layer in kept[:cfg.lm_layers]:
+    for layer in kept:
         for triples, info, rows, s in zip(out, reps.infos, layer.queries, layer.blocks()):
             t, c = info.length, info.compressed_pos
             visual = np.zeros(c, dtype=bool)

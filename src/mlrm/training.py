@@ -34,6 +34,7 @@ from .data import Pair, check_pairs, make_batches, split_pairs
 from .errors import ConfigError, FormatError, NumericError
 from .model import (
     MICL_PROMPT_MODES,
+    BatchRepresentations,
     ModelConfig,
     embed_notes,
     init_params,
@@ -113,8 +114,16 @@ def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
     The returned representations come from the multimodal pass, which
     runs first, so callers can inspect embeddings regardless of mode.
     """
-    tau = params[TAU_NAME]
     reps = embed_notes(params, cfg, vocab, notes, image_cache=image_cache)
+    return representation_loss(params, cfg, vocab, notes, loss_cfg, reps, image_cache), reps
+
+
+def representation_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
+                        notes: list[Note], loss_cfg: LossConfig,
+                        reps: BatchRepresentations, image_cache: dict | None = None) -> Tensor:
+    """``batch_loss`` after its multimodal pass ``reps``; ``omni`` runs its
+    image-only and text-only passes here."""
+    tau = params[TAU_NAME]
     if cfg.mode == "omni":
         e_m = reps.out_multimodal
         e_i, e_t = (embed_notes(params, cfg, vocab, notes, modality=modality,
@@ -122,13 +131,13 @@ def batch_loss(params: dict[str, Tensor], cfg: ModelConfig, vocab: Vocab,
                     for modality in ("image_only", "text_only"))
         terms = [contrastive(a, b, tau) for a, b in (
             (e_i, e_i), (e_t, e_t), (e_m, e_m), (e_i, e_t), (e_i, e_m), (e_t, e_m))]
-        return divs(reduce(add, terms), 6.0), reps
+        return divs(reduce(add, terms), 6.0)
     if cfg.mode in MICL_PROMPT_MODES:
         loss_v = contrastive(reps.out_visual, reps.out_visual, tau)
         loss_m = contrastive(reps.out_multimodal, reps.out_multimodal, tau)
-        return final_loss(loss_v, loss_m, loss_cfg.alpha), reps
+        return final_loss(loss_v, loss_m, loss_cfg.alpha)
     e_m = reps.out_multimodal
-    return contrastive(e_m, e_m, tau), reps
+    return contrastive(e_m, e_m, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from mlrm.training import (
     init_state,
     load_state,
     lr_at,
+    representation_loss,
     save_state,
     train,
 )
@@ -586,20 +587,19 @@ def test_criterion_08_saliency_correctness(small_world, monkeypatch):
     # probabilities and dL/dA
     seen = []
 
-    def keep_reps(*args, **kwargs):
-        loss, reps = batch_loss(*args, **kwargs)
-        seen.append(reps)
-        return loss, reps
-
     @contextlib.contextmanager
     def keep_leaves():
         with ad.retaining() as leaves:
             yield leaves
         seen.append(leaves)
-    monkeypatch.setattr(saliency, "batch_loss", keep_reps)
+
+    def keep_reps(*args):
+        seen.append(args[-1])
+        return representation_loss(*args)
     monkeypatch.setattr(saliency, "retaining", keep_leaves)
+    monkeypatch.setattr(saliency, "representation_loss", keep_reps)
     triples = saliency.batch_saliency(state.params, cfg, vocab, batch, state.loss_cfg)
-    reps, (kept,) = seen
+    (kept,), reps = seen
     _, ref_reps, layers = attention_probabilities(state.params, cfg, vocab, batch,
                                                   state.loss_cfg)
     matrices = saliency_matrices(layers, ref_reps.infos)

@@ -1048,6 +1048,21 @@ def test_export_bad_note_field_type_is_data_error(tmp_path, dataset, trained, ca
     assert not (tmp_path / "t.mlrm").exists()
 
 
+def test_export_bad_image_shape_in_the_last_chunk_is_data_error(tmp_path, dataset, trained,
+                                                                  capsys):
+    # the error comes from a worker thread of build_table's pool
+    notes = tmp_path / "notes.jsonl"
+    rows = (dataset / "notes.jsonl").read_text().splitlines()
+    last = json.loads(rows[-1])
+    last["image"] = last["image"][:-1]
+    notes.write_text("\n".join(rows[:-1] + [json.dumps(last)]) + "\n")
+    code = main(["export-embeddings", "--checkpoint", str(trained),
+                 "--notes", str(notes), "--out", str(tmp_path / "t.emb")])
+    assert code == 3
+    assert f"note {last['id']}: image shape" in capsys.readouterr().err
+    assert not (tmp_path / "t.emb").exists()
+
+
 def test_export_bad_modality(tmp_path, dataset, trained, capsys):
     code = main(["export-embeddings", "--checkpoint", str(trained),
                  "--notes", str(dataset / "notes.jsonl"),

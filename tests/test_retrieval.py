@@ -2,16 +2,20 @@ import dataclasses
 import json
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrm.autodiff import Tensor
+from mlrm import model, retrieval
+from mlrm.autodiff import Tensor, grad_enabled, no_grad, retaining
 from mlrm.data import Pair, SyntheticConfig, build_vocab, generate_synthetic
 from mlrm.errors import ConfigError, DataError, FormatError, NumericError
-from mlrm.model import MODES, ModelConfig, init_params
+from mlrm.model import (MODALITIES, MODES, NULL_IMAGE_KEY, ModelConfig, embed_notes,
+                        init_params)
 from mlrm.notes import Note
 from mlrm.prompting import join_topics, length_class, note_tokens, tokenize
 from mlrm.retrieval import (
@@ -90,13 +94,13 @@ def test_build_table_rows_norms_and_determinism():
 
 @pytest.mark.parametrize("modality", ["multimodal", "text_only", "image_only"])
 def test_build_table_rows_do_not_depend_on_chunk_or_order(modality):
-    # 70 notes fill three chunks; reversed, every note lands in another
-    # chunk, among other notes, at another position; of 33 notes, the last
-    # is a chunk of its own. The contract is on the float32 rows: in
-    # float64 a note alone can differ from the same note among 31 others
-    # by a few ulps
-    params, base, vocab, notes = model_world(n=70, n_notes=70)
-    assert 2 * CHUNK < len(notes) < 3 * CHUNK
+    # two and a half chunks fill three; reversed, every note lands in
+    # another chunk, among other notes, at another position; of CHUNK + 1
+    # notes, the last is a chunk of its own. The contract is on the
+    # float32 rows: in float64 a note alone can differ from the same note
+    # among others by a few ulps
+    n = 2 * CHUNK + CHUNK // 2
+    params, base, vocab, notes = model_world(n=n, n_notes=n)
     for mode in MODES:
         cfg = dataclasses.replace(base, mode=mode)
         ahead = build_table(params, cfg, vocab, notes, modality=modality)
@@ -105,6 +109,97 @@ def test_build_table_rows_do_not_depend_on_chunk_or_order(modality):
         assert np.array_equal(reverse.vectors, ahead.vectors[::-1]), mode
         head = build_table(params, cfg, vocab, notes[:CHUNK + 1], modality=modality)
         assert np.array_equal(head.vectors, ahead.vectors[:CHUNK + 1]), mode
+
+
+def test_build_table_bytes_do_not_depend_on_workers_or_chunk_size(monkeypatch):
+    n = 2 * CHUNK + CHUNK // 2
+    params, base, vocab, notes = model_world(n=n, n_notes=n)
+
+    def tables():
+        return [build_table(params, dataclasses.replace(base, mode=mode), vocab, notes,
+                            modality=modality).vectors.tobytes()
+                for mode in MODES for modality in MODALITIES]
+
+    monkeypatch.setattr(retrieval, "WORKERS", 2)
+    pooled = tables()
+    monkeypatch.setattr(retrieval, "WORKERS", 1)
+    assert tables() == pooled
+    monkeypatch.setattr(retrieval, "CHUNK", 32)
+    assert tables() == pooled
+
+
+def test_build_table_stress_fills_the_shared_cache_once_per_key(monkeypatch):
+    # four workers, more than the pool's two cores, on 2-note chunks that
+    # switch threads every microsecond: a lost cache update would drop a
+    # note's key, and a misplaced block would move a row
+    params, cfg, vocab, notes = model_world(n=4 * CHUNK, n_notes=40)
+    want = {modality: build_table(params, cfg, vocab, notes, modality=modality).vectors
+            for modality in MODALITIES}
+    monkeypatch.setattr(retrieval, "WORKERS", 4)
+    monkeypatch.setattr(retrieval, "CHUNK", 2)
+    cache = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = {modality: build_table(params, cfg, vocab, notes, modality=modality,
+                                     image_cache=cache).vectors
+               for modality in MODALITIES}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(cache) == len(notes) + 1
+    for modality in MODALITIES:
+        assert np.array_equal(got[modality], want[modality]), modality
+
+
+def test_build_table_workers_record_nothing_for_the_caller(monkeypatch):
+    # the worker threads start with the default modes, so each enters
+    # no_grad itself, and the caller's retaining() list is not theirs
+    params, cfg, vocab, notes = model_world(n=2 * CHUNK + 1, n_notes=30)
+    seen = []
+
+    def embed(*args, **kwargs):
+        reps = embed_notes(*args, **kwargs)
+        seen.append((grad_enabled(), reps.out_multimodal.node))
+        return reps
+
+    monkeypatch.setattr(retrieval, "embed_notes", embed)
+    with retaining() as kept:
+        recorded = build_table(params, cfg, vocab, notes)
+        assert grad_enabled()
+    assert kept == []
+    assert seen == [(False, None)] * 3
+    with no_grad():
+        quiet = build_table(params, cfg, vocab, notes)
+    assert np.array_equal(quiet.vectors, recorded.vectors)
+
+
+def test_build_table_joins_its_threads_and_raises_the_failing_notes_error():
+    params, cfg, vocab, notes = model_world(n=2 * CHUNK + 1, n_notes=30)
+    before = threading.active_count()
+    build_table(params, cfg, vocab, notes)
+    assert threading.active_count() == before
+    last = notes[-1]
+    notes[-1] = dataclasses.replace(last, image=last.image[:-1])
+    with pytest.raises(DataError, match=f"note {last.id}: image shape"):
+        build_table(params, cfg, vocab, notes)
+    assert threading.active_count() == before
+
+
+def test_build_table_fills_one_shared_image_cache(monkeypatch):
+    # chunks hold disjoint note ids, so the workers' fills never meet on a
+    # note's key; text-only chunks all fill the one null-image key. A
+    # second round over the same notes encodes no image
+    params, cfg, vocab, notes = model_world(n=2 * CHUNK + 1, n_notes=30)
+    cache = {}
+    first = {modality: build_table(params, cfg, vocab, notes, modality=modality,
+                                   image_cache=cache).vectors
+             for modality in MODALITIES}
+    assert sorted(key for _, key in cache if key != NULL_IMAGE_KEY) == sorted(n.id for n in notes)
+    assert len(cache) == len(notes) + 1
+    monkeypatch.setattr(model, "encode_images", lambda *a: pytest.fail("encoded an image"))
+    for modality in MODALITIES:
+        again = build_table(params, cfg, vocab, notes, modality=modality, image_cache=cache)
+        assert np.array_equal(again.vectors, first[modality]), modality
 
 
 def test_build_table_names_the_first_note_with_a_non_finite_embedding():

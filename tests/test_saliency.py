@@ -11,7 +11,7 @@ from mlrm.data import (build_pairs, build_vocab, generate_synthetic, make_batche
                        SyntheticConfig)
 from mlrm.model import MODES, ModelConfig, embed_notes, init_params
 from mlrm.saliency import batch_saliency, saliency_report, write_report, CSV_FIELDS
-from mlrm.training import TAU_NAME, LossConfig, batch_loss
+from mlrm.training import TAU_NAME, LossConfig, representation_loss
 from mlrm.autodiff import Tensor
 from refops import attention_probabilities, decompose, position_sets, saliency_matrices
 
@@ -43,9 +43,10 @@ def run_retained(params, cfg, vocab, notes):
     parameters; returns (loss, reps, the multimodal pass's retained maps)."""
     views = {name: Tensor(p.data) for name, p in params.items()}
     with retaining() as kept:
-        loss, reps = batch_loss(views, cfg, vocab, notes, LossConfig())
+        reps = embed_notes(views, cfg, vocab, notes)
+    loss = representation_loss(views, cfg, vocab, notes, LossConfig(), reps)
     backward(loss)
-    return loss, reps, kept[:cfg.lm_layers]
+    return loss, reps, kept
 
 
 def run_stored(params, cfg, vocab, notes):
@@ -215,6 +216,23 @@ def test_batch_saliency_matches_dense_reference(mode, layers):
     # word alone in single-segment prompts, so its S_o is zero there
     assert all(v > 0.0 for note in triples for v in note[0])
     assert all(s_v > 0.0 and s_t > 0.0 for note in triples for s_v, s_t, _ in note)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_saliency_retains_only_the_multimodal_pass(mode, monkeypatch):
+    # omni's image-only and text-only passes run after the retaining
+    # block, so they keep no map that nobody reads
+    params, cfg, vocab, notes = setup(mode)
+    grad_leaves = []
+
+    def spy(loss):
+        grad_leaves.extend(p for node in _topo_order(loss) for p in node.parents
+                           if isinstance(p, Tensor))
+        backward(loss)
+    monkeypatch.setattr(saliency, "backward", spy)
+    batch_saliency(params, cfg, vocab, notes, LossConfig())
+    assert len(grad_leaves) == cfg.lm_layers
+    assert all(isinstance(x, Retained) for x in grad_leaves)
 
 
 # ---------------------------------------------------------------------------
