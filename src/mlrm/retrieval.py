@@ -32,7 +32,7 @@ SLICES = ("all", "short_query", "short_target", "long_query", "long_target")
 
 # notes per no_grad forward in build_table, and the threads that run
 # them: numpy's matmuls and ufuncs and scipy's erf release the GIL, and
-# two 8-note chunks in flight hold less memory than one of 32 notes did
+# larger chunks on two threads raise peak memory for little speed
 CHUNK = 8
 WORKERS = min(2, os.cpu_count() or 1)
 

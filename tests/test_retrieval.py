@@ -128,29 +128,6 @@ def test_build_table_bytes_do_not_depend_on_workers_or_chunk_size(monkeypatch):
     assert tables() == pooled
 
 
-def test_build_table_stress_fills_the_shared_cache_once_per_key(monkeypatch):
-    # four workers, more than the pool's two cores, on 2-note chunks that
-    # switch threads every microsecond: a lost cache update would drop a
-    # note's key, and a misplaced block would move a row
-    params, cfg, vocab, notes = model_world(n=4 * CHUNK, n_notes=40)
-    want = {modality: build_table(params, cfg, vocab, notes, modality=modality).vectors
-            for modality in MODALITIES}
-    monkeypatch.setattr(retrieval, "WORKERS", 4)
-    monkeypatch.setattr(retrieval, "CHUNK", 2)
-    cache = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = {modality: build_table(params, cfg, vocab, notes, modality=modality,
-                                     image_cache=cache).vectors
-               for modality in MODALITIES}
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(cache) == len(notes) + 1
-    for modality in MODALITIES:
-        assert np.array_equal(got[modality], want[modality]), modality
-
-
 def test_build_table_workers_record_nothing_for_the_caller(monkeypatch):
     # the worker threads start with the default modes, so each enters
     # no_grad itself, and the caller's retaining() list is not theirs
@@ -185,21 +162,32 @@ def test_build_table_joins_its_threads_and_raises_the_failing_notes_error():
     assert threading.active_count() == before
 
 
-def test_build_table_fills_one_shared_image_cache(monkeypatch):
-    # chunks hold disjoint note ids, so the workers' fills never meet on a
-    # note's key; text-only chunks all fill the one null-image key. A
-    # second round over the same notes encodes no image
-    params, cfg, vocab, notes = model_world(n=2 * CHUNK + 1, n_notes=30)
+def test_build_table_fills_one_shared_image_cache_under_thread_stress(monkeypatch):
+    # four workers, more than the pool's two cores, on 2-note chunks that
+    # switch threads every microsecond. Chunks hold disjoint note ids, so
+    # the fills never meet on a note's key, and text-only chunks all fill
+    # the one null-image key: a lost update would drop a key, and a
+    # misplaced block would move a row. A second round encodes no image
+    params, cfg, vocab, notes = model_world(n=4 * CHUNK, n_notes=40)
+    want = {modality: build_table(params, cfg, vocab, notes, modality=modality).vectors
+            for modality in MODALITIES}
+    monkeypatch.setattr(retrieval, "WORKERS", 4)
+    monkeypatch.setattr(retrieval, "CHUNK", 2)
     cache = {}
-    first = {modality: build_table(params, cfg, vocab, notes, modality=modality,
-                                   image_cache=cache).vectors
-             for modality in MODALITIES}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for modality in MODALITIES:
+            got = build_table(params, cfg, vocab, notes, modality=modality, image_cache=cache)
+            assert np.array_equal(got.vectors, want[modality]), modality
+    finally:
+        sys.setswitchinterval(interval)
     assert sorted(key for _, key in cache if key != NULL_IMAGE_KEY) == sorted(n.id for n in notes)
     assert len(cache) == len(notes) + 1
     monkeypatch.setattr(model, "encode_images", lambda *a: pytest.fail("encoded an image"))
     for modality in MODALITIES:
         again = build_table(params, cfg, vocab, notes, modality=modality, image_cache=cache)
-        assert np.array_equal(again.vectors, first[modality]), modality
+        assert np.array_equal(again.vectors, want[modality]), modality
 
 
 def test_build_table_names_the_first_note_with_a_non_finite_embedding():
