@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from mlrm import model, retrieval
 from mlrm.autodiff import Tensor, grad_enabled, no_grad, retaining
-from mlrm.data import Pair, SyntheticConfig, build_vocab, generate_synthetic
+from mlrm.data import (Pair, PairConfig, SyntheticConfig, build_pairs, build_vocab,
+                       generate_synthetic)
 from mlrm.errors import ConfigError, DataError, FormatError, NumericError
 from mlrm.model import (MODALITIES, MODES, NULL_IMAGE_KEY, ModelConfig, embed_notes,
                         init_params)
@@ -698,3 +700,24 @@ def test_select_pool_keeps_pairs_whole():
     assert again_pairs == pool_pairs
     with pytest.raises(ConfigError):
         select_pool(notes, pairs, size=51, seed=0)
+
+
+# sha256 of select_pool's note ids and pairs on the GOLDEN_SEED3_200 corpus
+# (tests/test_data.py), seed 1: at size 100 the admitted pairs fill the
+# pool, and at 199 the filler draws 4 of the 5 notes outside every pair
+GOLDEN_POOL = {
+    100: "8adeb2f25081db42e5c64eed8344873937b014f78458dbcbd44000419d6cf6d1",
+    199: "2cb62287d015baaaed5130d874cb7d8e288319e3c050aadeb0affa6affa00709",
+}
+
+
+def test_select_pool_bytes_match_golden_hashes():
+    notes, events, _ = generate_synthetic(SyntheticConfig(seed=3, n_notes=200))
+    pairs = build_pairs(events, PairConfig())
+    got = {}
+    for size in GOLDEN_POOL:
+        pool_notes, pool_pairs = select_pool(notes, pairs, size=size, seed=1)
+        blob = json.dumps([[n.id for n in pool_notes],
+                           [[p.query, p.related, p.score] for p in pool_pairs]])
+        got[size] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == GOLDEN_POOL
