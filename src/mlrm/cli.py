@@ -359,9 +359,6 @@ def cmd_export_embeddings(args) -> int:
     started = _now()
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.notes, "notes file")
-    if args.modality not in MODALITIES:
-        raise ConfigError(f"unknown modality {args.modality!r}, expected one of "
-                          f"{MODALITIES}")
     state = load_state(args.checkpoint)
     notes = load_notes(args.notes)
     _check_note_tokens(notes, state.vocab)
@@ -382,12 +379,10 @@ def cmd_export_embeddings(args) -> int:
 def cmd_query(args) -> int:
     _require_file(args.table, "embedding table")
     table = load_table(args.table)
-    vec = table.vector(args.note_id)  # DataError when absent
-    ids = topk(vec, table, args.k, exclude=args.note_id)
-    q = vec.astype(np.float64)
-    for nid in ids.tolist():
-        score = float(table.vector(nid).astype(np.float64) @ q)
-        print(f"{nid}\t{score:.17g}")
+    # the scores topk ranks by; DataError when the note is absent
+    score = dict(zip(table.ids.tolist(), table.scores(args.note_id).tolist()))
+    for nid in topk(table.vector(args.note_id), table, args.k, exclude=args.note_id).tolist():
+        print(f"{nid}\t{score[nid]:.17g}")
     return 0
 
 
@@ -452,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-embeddings", help="write an embedding table file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--notes", required=True)
-    p.add_argument("--modality", default="multimodal")
+    p.add_argument("--modality", default="multimodal", choices=MODALITIES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)
 

@@ -34,7 +34,8 @@ SLICES = ("all", "short_query", "short_target", "long_query", "long_target")
 # them: numpy's matmuls and ufuncs and scipy's erf release the GIL, and
 # larger chunks on two threads raise peak memory for little speed
 CHUNK = 8
-WORKERS = min(2, os.cpu_count() or 1)
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -161,8 +162,11 @@ def load_table(path) -> EmbeddingTable:
 # Ranking
 
 
-def _ranked_ids(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    # lexsort's last key is primary: descending score, then ascending id
+def _ranked_ids(scores: np.ndarray, ids: np.ndarray, exclude: int | None = None) -> np.ndarray:
+    # ids other than exclude; lexsort's last key is primary: descending score, then ascending id
+    if exclude is not None:
+        keep = ids != exclude
+        scores, ids = scores[keep], ids[keep]
     return ids[np.lexsort((ids, -scores))]
 
 
@@ -184,19 +188,15 @@ def _rank(scores: np.ndarray, ids: np.ndarray, query_id: int, target_id: int) ->
 
 def topk(query_vec: np.ndarray, table: EmbeddingTable, k: int,
          exclude: int | None = None) -> np.ndarray:
-    """Exact cosine top-k over the pool, the query's own id excluded."""
+    """Exact top-k by the float64 product of the stored rows with the query
+    (for a row's own vector, ``table.scores``), the ``exclude`` id left out."""
     pool = len(table) - (1 if exclude is not None and exclude in table else 0)
     if not 1 <= k <= pool:
         raise ConfigError(f"k={k} out of range for a pool of {pool} candidates")
     q = np.asarray(query_vec, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
+    if not q.any():
         raise NumericError("zero-norm query vector")
-    scores = table._f64 @ (q / qn)
-    keep = np.ones(len(table), dtype=bool)
-    if exclude is not None and exclude in table:
-        keep[table._row[int(exclude)]] = False
-    return _ranked_ids(scores[keep], table.ids[keep])[:k]
+    return _ranked_ids(table._f64 @ q, table.ids, exclude)[:k]
 
 
 def target_rank(table: EmbeddingTable, query_id: int, target_id: int) -> int:
@@ -268,10 +268,10 @@ class BM25Index:
 
     def rank(self, query: Note) -> np.ndarray:
         """All pool ids except the query's, best first, ties by id."""
-        keep = self.ids != query.id
-        if not keep.any():
+        ranked = _ranked_ids(self.scores(query), self.ids, query.id)
+        if not ranked.size:
             raise DataError("pool contains no candidates besides the query")
-        return _ranked_ids(self.scores(query)[keep], self.ids[keep])
+        return ranked
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +333,27 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
              seeds=(42,), max_pairs: int | None = None) -> dict:
     """Recall@K per modality table (and optional BM25) per pair slice.
 
-    Retrieval is deterministic, so distinct seeds only matter when
-    ``max_pairs`` subsamples the evaluation pairs; reported recalls are
-    means across seeds with per-seed values retained. Each source scores
-    every distinct sampled query once and ranks each sampled pair once.
+    Every source, the tables in sorted order and then BM25, must rank
+    the same notes, or ``ConfigError``. Retrieval is deterministic, so
+    distinct seeds only matter when ``max_pairs`` subsamples the pairs;
+    reported recalls are means across seeds with per-seed values
+    retained. Each source scores every distinct sampled query once and
+    ranks each sampled pair once.
     """
     if not pairs:
         raise DataError("no evaluation pairs")
     ks = check_eval_options(ks, max_pairs, seeds)
-    sizes = {len(t) for t in tables.values()}
-    if len(sizes) > 1:
-        raise ConfigError(f"tables disagree on pool size: {sorted(sizes)}")
-    pool_size = sizes.pop() if sizes else len(bm25_pool or ())
+    sources = {modality: (table.ids, table.scores, dict(table.provenance))
+               for modality, table in sorted(tables.items())}
+    if bm25_pool is not None:
+        index = BM25Index(bm25_pool)
+        sources["bm25"] = (index.ids, lambda q: index.scores(notes_by_id[q]),
+                           {"kind": "bm25", "k1": BM25_K1, "b": BM25_B})
+    pools = {frozenset(ids.tolist()) for ids, _, _ in sources.values()}
+    if len(pools) > 1:
+        sizes = {name: len(ids) for name, (ids, _, _) in sources.items()}
+        raise ConfigError(f"sources rank different note pools: {sizes}")
+    pool_size = len(pools.pop()) if pools else 0
     check_pairs(pairs, notes_by_id)
 
     samples = [_subsample(pairs, max_pairs, seed) for seed in seeds]
@@ -360,17 +369,9 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
         "random_baseline": {k: random_baseline(k, pool_size) for k in ks},
         "sources": {},
     }
-    for modality in sorted(tables):
-        table = tables[modality]
-        ranks = _pair_ranks(sampled, table.ids, table.scores)
-        report["sources"][modality] = {"provenance": dict(table.provenance),
-                                       "slices": _source_report(ranks, subsets, ks)}
-    if bm25_pool is not None:
-        index = BM25Index(bm25_pool)
-        ranks = _pair_ranks(sampled, index.ids, lambda q: index.scores(notes_by_id[q]))
-        report["sources"]["bm25"] = {"provenance": {"kind": "bm25",
-                                                    "k1": BM25_K1, "b": BM25_B},
-                                     "slices": _source_report(ranks, subsets, ks)}
+    for name, (ids, scores_of, provenance) in sources.items():
+        report["sources"][name] = {"provenance": provenance, "slices": _source_report(
+            _pair_ranks(sampled, ids, scores_of), subsets, ks)}
     return report
 
 
@@ -423,10 +424,7 @@ def select_pool(notes: list[Note], pairs: list[Pair], size: int, seed: int):
             chosen.update(new)
     remaining = [n.id for n in notes if n.id not in chosen]
     filler = rng.permutation(len(remaining))
-    for i in filler:
-        if len(chosen) >= size:
-            break
-        chosen.add(remaining[i])
+    chosen.update(remaining[i] for i in filler[:size - len(chosen)])
     pool_notes = [n for n in notes if n.id in chosen]
     pool_pairs = [p for p in pairs if p.query in chosen and p.related in chosen]
     return pool_notes, pool_pairs

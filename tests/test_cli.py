@@ -27,6 +27,7 @@ from mlrm.errors import FormatError
 from mlrm.model import ModelConfig
 from mlrm.notes import load_notes
 from mlrm.prompting import Vocab, note_tokens
+from mlrm.retrieval import EmbeddingTable, load_table, save_table
 from mlrm.saliency import CSV_FIELDS, SaliencyReport, write_report
 from mlrm.training import LossConfig, OptimConfig, RunSettings, decode_config
 
@@ -989,6 +990,23 @@ def test_query_excludes_self_and_is_sorted(exported, capsys):
     assert len(set(ids)) == 5
     assert scores == sorted(scores, reverse=True)
     assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for s in scores)
+
+
+def test_query_prints_the_scores_it_ranked_by(tmp_path, capsys):
+    # at dim 64 a row-by-row dot product differs in the last bits from
+    # the table-wide product that ranks the neighbours
+    rng = np.random.default_rng(0)
+    vectors = rng.normal(size=(40, 64))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    path = tmp_path / "table.emb"
+    save_table(path, EmbeddingTable(ids=np.arange(40) * 7, vectors=vectors.astype(np.float32)))
+    table = load_table(path)
+    for note_id in table.ids.tolist():
+        assert main(["query", "--table", str(path), "--note-id", str(note_id),
+                     "--k", "39"]) == 0
+        score = dict(zip(table.ids.tolist(), table.scores(note_id).tolist()))
+        printed = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [float(text) for _, text in printed] == [score[int(i)] for i, _ in printed]
 
 
 def test_query_unknown_id_is_data_error(exported, capsys):

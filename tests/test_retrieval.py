@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 
@@ -128,6 +130,17 @@ def test_build_table_bytes_do_not_depend_on_workers_or_chunk_size(monkeypatch):
     assert tables() == pooled
     monkeypatch.setattr(retrieval, "CHUNK", 32)
     assert tables() == pooled
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_workers_count_the_cpus_this_process_may_run_on():
+    src = os.path.dirname(os.path.dirname(retrieval.__file__))
+    child = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+             "from mlrm import retrieval; print(retrieval.WORKERS)")
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
 
 
 def test_build_table_workers_record_nothing_for_the_caller(monkeypatch):
@@ -608,6 +621,24 @@ def test_evaluate_errors():
     small = {"multimodal": random_table(n=30), "other": random_table(n=10)}
     with pytest.raises(ConfigError):
         evaluate(small, pairs, notes, ks=[1])
+
+
+@pytest.mark.parametrize("case", ["tables over other notes", "larger bm25 pool",
+                                  "bm25 over other notes"])
+def test_evaluate_ranks_one_pool_for_every_source(case):
+    # notes 0..29 and 1..30: the pairs avoid 0 and 30, so every source
+    # could rank them, but the report would mix two pools
+    notes, tables, pairs = eval_world()
+    notes[30] = note_of_length(30, 80)
+    pairs = [p for p in pairs if 0 not in (p.query, p.related)]
+    shifted = random_table(n=30, seed=3, ids=np.arange(1, 31))
+    tables, bm25_pool = {
+        "tables over other notes": ({**tables, "text_only": shifted}, None),
+        "larger bm25 pool": (tables, list(notes.values())),
+        "bm25 over other notes": (tables, [notes[i] for i in range(1, 31)]),
+    }[case]
+    with pytest.raises(ConfigError, match="different note pools"):
+        evaluate(tables, pairs, notes, ks=[1], bm25_pool=bm25_pool)
 
 
 def lexsort_rank(scores, ids, query, target):
