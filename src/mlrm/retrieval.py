@@ -351,8 +351,8 @@ def evaluate(tables: dict[str, EmbeddingTable], pairs: list[Pair],
                            {"kind": "bm25", "k1": BM25_K1, "b": BM25_B})
     pools = {frozenset(ids.tolist()) for ids, _, _ in sources.values()}
     if len(pools) > 1:
-        sizes = {name: len(ids) for name, (ids, _, _) in sources.items()}
-        raise ConfigError(f"sources rank different note pools: {sizes}")
+        raise ConfigError("sources rank different note pools: " + ", ".join(
+            f"{name} over {len(ids)} notes" for name, (ids, _, _) in sources.items()))
     pool_size = len(pools.pop()) if pools else 0
     check_pairs(pairs, notes_by_id)
 

@@ -365,6 +365,8 @@ def test_topk_excludes_query_and_validates_k():
         topk(q, table, 10, exclude=4)
     with pytest.raises(ConfigError):
         topk(q, table, 0)
+    with pytest.raises(NumericError, match="zero-norm"):
+        topk(np.zeros(table.dim), table, 1)
 
 
 def test_identical_vector_ranks_first():
