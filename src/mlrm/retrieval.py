@@ -189,13 +189,16 @@ def _rank(scores: np.ndarray, ids: np.ndarray, query_id: int, target_id: int) ->
 def topk(query_vec: np.ndarray, table: EmbeddingTable, k: int,
          exclude: int | None = None) -> np.ndarray:
     """Exact top-k by the float64 product of the stored rows with the query
-    (for a row's own vector, ``table.scores``), the ``exclude`` id left out."""
+    (for a row's own vector, ``table.scores``), the ``exclude`` id left out.
+    An all-zero query or one with a NaN or infinite entry is a NumericError."""
     pool = len(table) - (1 if exclude is not None and exclude in table else 0)
     if not 1 <= k <= pool:
         raise ConfigError(f"k={k} out of range for a pool of {pool} candidates")
     q = np.asarray(query_vec, dtype=np.float64)
     if not q.any():
         raise NumericError("zero-norm query vector")
+    if not np.isfinite(q).all():
+        raise NumericError("query vector has a non-finite entry")
     return _ranked_ids(table._f64 @ q, table.ids, exclude)[:k]
 
 

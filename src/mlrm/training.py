@@ -5,7 +5,9 @@ Every variant trains on the in-batch contrastive loss of
 form), over one embedding table or across two, on batches laid out as
 consecutive (query, related) pairs by ``data.make_batches``. ``train``
 chains the epochs' batch iterators and on resume at step k skips k
-batches; ``load_state`` draws nothing, it checks the records it uses.
+batches; ``load_state`` draws nothing, it checks the records it uses,
+and it leaves the optimizer moments on disk until the first optimizer
+step reads them.
 """
 
 from __future__ import annotations
@@ -293,7 +295,11 @@ def init_state(model_cfg: ModelConfig, loss_cfg: LossConfig, optim_cfg: OptimCon
 def load_state(path) -> TrainState:
     """The saved state, its parameters and moments the records as read; a
     record missing from, unknown to or mis-shaped for ``model.param_table``
-    of the saved model config is a FormatError."""
+    of the saved model config is a FormatError. Moment shapes are checked
+    from their record headers: the payloads stay on disk until the first
+    ``AdamW.step``, which raises FormatError if ``path`` has been replaced,
+    rewritten or removed since, so a state loaded to embed, evaluate or
+    analyze never holds them."""
     arrays, moments, step, configs, vocab_tokens = load_checkpoint(path)
     loss_mode = configs["loss"].pop("mode", None)  # format 1: null or the model's mode
     model_cfg, loss_cfg, optim_cfg, run = (
@@ -323,7 +329,7 @@ def load_state(path) -> TrainState:
         for saved in (moments["m"], moments["v"]):
             if name not in saved:
                 raise FormatError(f"{path}: checkpoint is missing optimizer state for {name!r}")
-            if saved[name].shape != shape:
+            if saved.shapes[name] != shape:
                 raise FormatError(f"{path}: optimizer state shape mismatch for {name!r}")
     params = {name: Tensor(arrays[name], requires_grad=name in trained) for name in table}
     return TrainState(params=params, optimizer=AdamW(params, optim_cfg, moments), step=step,

@@ -367,6 +367,9 @@ def test_topk_excludes_query_and_validates_k():
         topk(q, table, 0)
     with pytest.raises(NumericError, match="zero-norm"):
         topk(np.zeros(table.dim), table, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError, match="non-finite"):
+            topk(np.r_[bad, q[1:]], table, 3)
 
 
 def test_identical_vector_ranks_first():

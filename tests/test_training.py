@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
 
@@ -13,7 +14,9 @@ from mlrm.autodiff import Tensor, backward, contrastive
 from mlrm.checkpoint import load_checkpoint, save_checkpoint
 from mlrm.data import PairConfig, SyntheticConfig, build_pairs, build_vocab, generate_synthetic
 from mlrm.errors import ConfigError, FormatError, NumericError, ShapeError
-from mlrm.model import ModelConfig, embed_notes, init_params
+from mlrm.model import MODALITIES, ModelConfig, embed_notes, init_params
+from mlrm.retrieval import build_table
+from mlrm.saliency import batch_saliency
 from mlrm.training import (
     TAU_NAME,
     AdamW,
@@ -529,6 +532,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(trunc)
 
+    # the moment payloads are read later, but whether they fit is checked now
+    moments = {"m": {"w": np.ones((2, 2))}, "v": {"w": np.ones((2, 2))}, "t": 1}
+    save_checkpoint(path, {"w": Tensor(np.ones((2, 2)), requires_grad=True)}, moments, 1,
+                    {"model": {}}, ["<PAD>"])
+    blob = path.read_bytes()
+    # 8 bytes short of the end of the last payload before the adam.t record
+    trunc.write_bytes(blob[:blob.index(b"adam.t") - 4 - 8])
+    with pytest.raises(FormatError, match="truncated: payload of adam.v.w"):
+        load_checkpoint(trunc)
+
 
 def _corrupt_first_record(tmp_path, **fields):
     """A one-record checkpoint (``w``, shape [2, 2]) with its name byte,
@@ -580,6 +593,37 @@ def test_checkpoint_without_optimizer_state_is_format_error(tmp_path, write_reco
     write_records(path, {"w": np.ones(3)}, trailer)
     with pytest.raises(FormatError, match="no optimizer state"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", ["replace", "remove"])
+def test_loaded_state_reads_moments_at_its_first_step(tmp_path, change):
+    # embedding and saliency read no optimizer state; the first optimizer
+    # step reads it from the file that was loaded, or refuses to
+    notes, pairs, vocab, cfg = small_world()
+    run = RunSettings(seed=3, batch_pairs=2)
+    state = train(init_state(cfg, LossConfig(), OptimConfig(steps=4), run, vocab),
+                  notes, pairs, steps=1)
+    path = tmp_path / "s.mlrm"
+    save_state(state, path)
+    back = load_state(path)
+
+    def outputs():
+        tables = [build_table(back.params, back.model_cfg, back.vocab, notes[:6],
+                              modality=modality).vectors.tobytes()
+                  for modality in MODALITIES]
+        triples = batch_saliency(back.params, back.model_cfg, back.vocab, notes[:4],
+                                 back.loss_cfg)
+        return tables, np.asarray(triples).tobytes()
+    before = outputs()
+    if change == "replace":
+        other = tmp_path / "other.mlrm"
+        save_state(train(state, notes, pairs, steps=2), other)
+        os.replace(other, path)
+    else:
+        os.remove(path)
+    assert outputs() == before
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        train(back, notes, pairs, steps=back.step + 1)
 
 
 def test_save_state_load_state_round_trip(tmp_path):
