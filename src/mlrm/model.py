@@ -29,7 +29,6 @@ Variants wire the same blocks differently:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 
@@ -46,8 +45,6 @@ MICL_PROMPT_MODES = frozenset({"micl", "notellm2", "omni"})
 SPLICE_MODES = frozenset(MODES) - {"only_late_fusion"}
 GATE_MULTIMODAL_MODES = frozenset({"late_fusion", "notellm2", "only_late_fusion"})
 MODALITIES = ("multimodal", "image_only", "text_only")
-
-NULL_IMAGE_KEY = "__null_image__"
 
 
 @dataclass
@@ -401,53 +398,47 @@ class BatchRepresentations:
     out_multimodal: Tensor            # [B, out_dim], projected; the eval embedding
 
 
-def _vision_fingerprint(params: dict) -> bytes:
-    """Digest of the vision.* weights; image-cache keys carry it so models
-    with different frozen encoders can share one cache."""
-    digest = hashlib.sha1()
-    for name in sorted(params):
-        if name.startswith("vision."):
-            data = params[name].data
-            digest.update(f"{name}{data.shape}".encode())
-            digest.update(np.ascontiguousarray(data))
-    return digest.digest()
-
-
 def _vision_features(params, cfg, notes, text_only, image_cache):
-    """Encode images (or the fixed zero image for text-only ablations),
-    reusing cached rows when the encoder is frozen. Cache keys are
-    (vision fingerprint, note id). ``retrieval.build_table`` fills one
-    cache from concurrent chunks; they hold disjoint note ids, so no two
-    fills race on one key, except that two text-only chunks may both
-    encode the null image, to the same bits."""
-    if text_only:
-        images = np.zeros((len(notes), cfg.patches, cfg.patch_dim))
-        keys = [NULL_IMAGE_KEY] * len(notes)
-    else:
+    """Encode each note's image, or the zero image for text-only ablations.
+
+    A trainable encoder (``freeze_vision=False``) encodes every image on
+    the tape. A frozen one encodes each image once per cache, the
+    caller's ``image_cache`` or a dict that lives for this call. A cache
+    holds one entry per encoder, keyed by the ids of its ``vision.*``
+    arrays and holding them, so no id is reused while the cache lives
+    (grad-free views ``Tensor(p.data)`` share the arrays, so the entry);
+    under it, rows are keyed by note id, and by None for the zero image.
+    Identity stands in for content because mlrm never writes a frozen
+    ``vision.*`` array in place: only ``AdamW`` writes parameters, and
+    only trainable ones."""
+    if not text_only:
         for n in notes:
             if n.image.shape != (cfg.patches, cfg.patch_dim):
                 raise DataError(f"note {n.id}: image shape {n.image.shape} != "
                                 f"({cfg.patches}, {cfg.patch_dim})")
-        images = np.stack([n.image for n in notes])
-        keys = [n.id for n in notes]
-    cache = image_cache if (image_cache is not None and cfg.freeze_vision) else None
-    if cache is None:
-        return encode_images(params, cfg, images)
-    weights = _vision_fingerprint(params)
-    keys = [(weights, k) for k in keys]
-    missing = sorted({k for k in keys if k not in cache})
+    zero = np.zeros((cfg.patches, cfg.patch_dim))
+    if not cfg.freeze_vision:
+        return encode_images(params, cfg, np.stack([zero if text_only else n.image
+                                                    for n in notes]))
+    arrays = tuple(params[name].data for name in sorted(params) if name.startswith("vision."))
+    cache = {} if image_cache is None else image_cache
+    rows = cache.setdefault(tuple(map(id, arrays)), (arrays, {}))[1]
+    images = {None: zero} if text_only else {n.id: n.image for n in notes}
+    missing = sorted(k for k in images if k not in rows)
     if missing:
-        index = {k: i for i, k in enumerate(keys)}
-        feats = encode_images(params, cfg, images[[index[k] for k in missing]])
-        for j, k in enumerate(missing):
-            cache[k] = feats.data[j]
-    return Tensor(np.stack([cache[k] for k in keys]))
+        feats = encode_images(params, cfg, np.stack([images[k] for k in missing]))
+        rows.update(zip(missing, feats.data))
+    return Tensor(np.stack([rows[None if text_only else n.id] for n in notes]))
 
 
 def embed_notes(params: dict, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
                 modality: str = "multimodal",
                 image_cache: dict | None = None) -> BatchRepresentations:
-    """Batched note embedding along the wiring of the variant ``cfg.mode``."""
+    """Batched note embedding along the wiring of the variant ``cfg.mode``.
+    A frozen encoder reads image rows through ``image_cache``, or a dict
+    that lives for this call, by note id and by None for the zero image;
+    no frozen ``vision.*`` array may change in place while a cache lives
+    (see ``_vision_features``)."""
     if modality not in MODALITIES:
         raise ConfigError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
     if not notes:

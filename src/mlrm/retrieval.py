@@ -95,7 +95,9 @@ def build_table(params, cfg: ModelConfig, vocab: Vocab, notes: list[Note],
     float64 embedding before the cast does not promise that: a note
     alone in its chunk can differ by a few ulps from the same note among
     others. A chunk that fails raises its own error here, the first in
-    note order.
+    note order. Chunks fill one ``image_cache`` with disjoint note ids;
+    two text-only chunks may both encode the zero image, to the same
+    bits, but only once each per encoder.
     """
     if not notes:
         raise DataError("cannot build an embedding table from zero notes")

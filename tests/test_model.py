@@ -387,18 +387,27 @@ def test_text_only_is_invariant_to_image(setup):
     assert np.array_equal(ra.out_multimodal.data, rb.out_multimodal.data)
 
 
-def test_image_cache_matches_uncached(setup):
+@pytest.mark.parametrize("modality", mm.MODALITIES)
+def test_image_cache_matches_uncached(setup, modality, monkeypatch):
+    # one entry for the encoder holds each note once (the zero image once
+    # for text-only), and a second round through it encodes nothing
     cfg, params, vocab, notes = setup
     cache = {}
-    r1 = mm.embed_notes(params, cfg, vocab, notes[:3], image_cache=cache)
-    r2 = mm.embed_notes(params, cfg, vocab, notes[:3], image_cache=cache)
-    r3 = mm.embed_notes(params, cfg, vocab, notes[:3])
+    r1 = mm.embed_notes(params, cfg, vocab, notes[:3], modality, image_cache=cache)
+    r3 = mm.embed_notes(params, cfg, vocab, notes[:3], modality)
+    [(arrays, rows)] = cache.values()
+    vision = sorted(name for name in params if name.startswith("vision."))
+    assert [id(a) for a in arrays] == [id(params[name].data) for name in vision]
+    want = [None] if modality == "text_only" else [n.id for n in notes[:3]]
+    assert list(rows) == want
+    monkeypatch.setattr(mm, "encode_images", lambda *a: pytest.fail("encoded an image"))
+    r2 = mm.embed_notes(params, cfg, vocab, notes[:3], modality, image_cache=cache)
     assert np.array_equal(r1.out_multimodal.data, r2.out_multimodal.data)
     assert np.array_equal(r1.out_multimodal.data, r3.out_multimodal.data)
-    assert sorted(note_id for _, note_id in cache) == [n.id for n in notes[:3]]
 
 
 def test_image_cache_shared_across_seeds(setup):
+    # two encoders in one cache get an entry each and never share rows
     cfg, params, vocab, notes = setup
     other = mm.init_params(cfg, seed=4)
     cache = {}
@@ -406,7 +415,34 @@ def test_image_cache_shared_across_seeds(setup):
     shared = mm.embed_notes(other, cfg, vocab, notes[:3], image_cache=cache)
     alone = mm.embed_notes(other, cfg, vocab, notes[:3])
     assert np.array_equal(shared.out_multimodal.data, alone.out_multimodal.data)
-    assert len(cache) == 6
+    first, second = (rows for _, rows in cache.values())
+    assert list(first) == list(second) == [n.id for n in notes[:3]]
+    assert all(not np.array_equal(first[i], second[i]) for i in first)
+
+
+def test_text_only_without_cache_encodes_the_zero_image_once(setup, monkeypatch):
+    cfg, params, vocab, notes = setup
+    encoded = []
+    encode = mm.encode_images
+
+    def counting(params, cfg, images):
+        encoded.append(len(images))
+        return encode(params, cfg, images)
+    monkeypatch.setattr(mm, "encode_images", counting)
+    mm.embed_notes(params, cfg, vocab, notes, modality="text_only")
+    assert encoded == [1]
+
+
+def test_grad_free_views_read_the_same_cache_entry(setup, monkeypatch):
+    # saliency's views Tensor(p.data) wrap the same arrays as the params
+    cfg, params, vocab, notes = setup
+    cache = {}
+    want = mm.embed_notes(params, cfg, vocab, notes[:3], image_cache=cache)
+    views = {name: ad.Tensor(p.data) for name, p in params.items()}
+    monkeypatch.setattr(mm, "encode_images", lambda *a: pytest.fail("encoded an image"))
+    got = mm.embed_notes(views, cfg, vocab, notes[:3], image_cache=cache)
+    assert np.array_equal(got.out_multimodal.data, want.out_multimodal.data)
+    assert len(cache) == 1
 
 
 def test_frozen_vision_gets_no_grad(setup):

@@ -18,8 +18,7 @@ from mlrm.autodiff import Tensor, grad_enabled, no_grad, retaining
 from mlrm.data import (Pair, PairConfig, SyntheticConfig, build_pairs, build_vocab,
                        generate_synthetic)
 from mlrm.errors import ConfigError, DataError, FormatError, NumericError
-from mlrm.model import (MODALITIES, MODES, NULL_IMAGE_KEY, ModelConfig, embed_notes,
-                        init_params)
+from mlrm.model import MODALITIES, MODES, ModelConfig, embed_notes, init_params
 from mlrm.notes import Note
 from mlrm.prompting import join_topics, length_class, note_tokens, tokenize
 from mlrm.retrieval import (
@@ -180,9 +179,9 @@ def test_build_table_joins_its_threads_and_raises_the_failing_notes_error():
 def test_build_table_fills_one_shared_image_cache_under_thread_stress(monkeypatch):
     # four workers, more than the pool's two cores, on 2-note chunks that
     # switch threads every microsecond. Chunks hold disjoint note ids, so
-    # the fills never meet on a note's key, and text-only chunks all fill
-    # the one null-image key: a lost update would drop a key, and a
-    # misplaced block would move a row. A second round encodes no image
+    # the fills never meet on a note's row, and text-only chunks all fill
+    # the one zero-image row, None: a lost update would drop a row, and a
+    # misplaced block would move one. A second round encodes no image
     params, cfg, vocab, notes = model_world(n=4 * CHUNK, n_notes=40)
     want = {modality: build_table(params, cfg, vocab, notes, modality=modality).vectors
             for modality in MODALITIES}
@@ -197,8 +196,9 @@ def test_build_table_fills_one_shared_image_cache_under_thread_stress(monkeypatc
             assert np.array_equal(got.vectors, want[modality]), modality
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(key for _, key in cache if key != NULL_IMAGE_KEY) == sorted(n.id for n in notes)
-    assert len(cache) == len(notes) + 1
+    [(_, rows)] = cache.values()
+    assert sorted(key for key in rows if key is not None) == sorted(n.id for n in notes)
+    assert len(rows) == len(notes) + 1
     monkeypatch.setattr(model, "encode_images", lambda *a: pytest.fail("encoded an image"))
     for modality in MODALITIES:
         again = build_table(params, cfg, vocab, notes, modality=modality, image_cache=cache)
