@@ -387,23 +387,25 @@ def test_text_only_is_invariant_to_image(setup):
     assert np.array_equal(ra.out_multimodal.data, rb.out_multimodal.data)
 
 
-@pytest.mark.parametrize("modality", mm.MODALITIES)
-def test_image_cache_matches_uncached(setup, modality, monkeypatch):
-    # one entry for the encoder holds each note once (the zero image once
-    # for text-only), and a second round through it encodes nothing
+def test_image_cache_matches_uncached(setup, monkeypatch):
+    # for each modality, one entry for the encoder holds each note once (the
+    # zero image once for text-only), and a second round through it encodes
+    # nothing
     cfg, params, vocab, notes = setup
-    cache = {}
-    r1 = mm.embed_notes(params, cfg, vocab, notes[:3], modality, image_cache=cache)
-    r3 = mm.embed_notes(params, cfg, vocab, notes[:3], modality)
-    [(arrays, rows)] = cache.values()
     vision = sorted(name for name in params if name.startswith("vision."))
-    assert [id(a) for a in arrays] == [id(params[name].data) for name in vision]
-    want = [None] if modality == "text_only" else [n.id for n in notes[:3]]
-    assert list(rows) == want
-    monkeypatch.setattr(mm, "encode_images", lambda *a: pytest.fail("encoded an image"))
-    r2 = mm.embed_notes(params, cfg, vocab, notes[:3], modality, image_cache=cache)
-    assert np.array_equal(r1.out_multimodal.data, r2.out_multimodal.data)
-    assert np.array_equal(r1.out_multimodal.data, r3.out_multimodal.data)
+    for modality in mm.MODALITIES:
+        cache = {}
+        r1 = mm.embed_notes(params, cfg, vocab, notes[:3], modality, image_cache=cache)
+        r3 = mm.embed_notes(params, cfg, vocab, notes[:3], modality)
+        [(arrays, rows)] = cache.values()
+        assert [id(a) for a in arrays] == [id(params[name].data) for name in vision]
+        want = [None] if modality == "text_only" else [n.id for n in notes[:3]]
+        assert list(rows) == want
+        with monkeypatch.context() as m:
+            m.setattr(mm, "encode_images", lambda *a: pytest.fail("encoded an image"))
+            r2 = mm.embed_notes(params, cfg, vocab, notes[:3], modality, image_cache=cache)
+        assert np.array_equal(r1.out_multimodal.data, r2.out_multimodal.data)
+        assert np.array_equal(r1.out_multimodal.data, r3.out_multimodal.data)
 
 
 def test_image_cache_shared_across_seeds(setup):
